@@ -118,7 +118,7 @@ def cmd_classify(cfg: RunConfig) -> int:
     c = _load_code(cfg)
     if cfg.subset is not None:
         g = infogroup.info_group(c, cfg.subset)
-        cls = "A" if g.is_full else ("F" if g.is_trivial else "I")
+        cls = g.access_class
         form = infogroup.canonical_form(g)
         payload = {"code": c.name, "subset": list(cfg.subset), "class": cls,
                    "r": form.r, "s": form.s,
@@ -169,6 +169,32 @@ def _simulation_secrets(c: StabilizerCode, seed: int) -> list[np.ndarray]:
     return secrets
 
 
+def _duality_mismatch(c: StabilizerCode,
+                      triplet: infogroup.SchemeTriplet) -> str | None:
+    """First disagreement between commutants, direct solves and `classify`.
+
+    For every subset S the commutant of G(S) must equal the directly solved
+    G(S-bar), and so give S-bar the class that `classify` reported.
+    Subsets are taken in complementary pairs, so each group is solved once.
+    """
+    classes = ({s: "A" for s in triplet.authorized}
+               | {s: "F" for s in triplet.forbidden})
+    order = list(infogroup.subsets_in_order(c.n))
+    for i in range(len(order) // 2):
+        pair = (order[i], order[-1 - i])
+        groups = [infogroup.info_group(c, s) for s in pair]
+        for (subset, comp), (own, direct) in ((pair, groups),
+                                              (pair[::-1], groups[::-1])):
+            if infogroup.commutant(own).generators != direct.generators:
+                return (f"commutant of G({list(subset)}) differs from the "
+                        f"direct G({list(comp)})")
+            reported = classes.get(comp, "I")
+            if direct.access_class != reported:
+                return (f"classify puts {list(comp)} in {reported}, "
+                        f"its group in {direct.access_class}")
+    return None
+
+
 def run_checks(c: StabilizerCode, seed: int, which: str,
                cap: int | None = None,
                detect_tol: float = oracle.DETECTION_TOL,
@@ -191,7 +217,11 @@ def run_checks(c: StabilizerCode, seed: int, which: str,
         return False, results
 
     triplet = infogroup.classify(c)
-    add("duality", True, detail="access/forbidden duality holds")
+    mismatch = _duality_mismatch(c, triplet)
+    add("duality", mismatch is None,
+        detail=mismatch or "access/forbidden duality holds")
+    if mismatch is not None:
+        return False, results  # every later check builds on the triplet
 
     if which in ("all", "duality"):
         auth = set(triplet.authorized)
@@ -225,7 +255,7 @@ def run_checks(c: StabilizerCode, seed: int, which: str,
         ok = True
         for subset in infogroup.subsets_in_order(c.n):
             dec = oracle.choi_decoupling(c, subset, cap=cap)
-            decoupled = dec <= 1e-9
+            decoupled = dec <= detect_tol
             if decoupled != (subset in forb):
                 ok = False
             if subset in forb:
@@ -269,7 +299,8 @@ def run_checks(c: StabilizerCode, seed: int, which: str,
             purity, defect = oracle.choi_check(
                 c, tuple(range(1, c.n + 1)), pre_operator=operator, cap=cap)
             add("keyed_recovery",
-                dec <= 1e-9 and abs(purity - 1.0) <= 1e-9 and defect <= 1e-9,
+                dec <= detect_tol and abs(purity - 1.0) <= detect_tol
+                and defect <= detect_tol,
                 measured=dec,
                 detail="known twirl key leaves the channel perfect")
 

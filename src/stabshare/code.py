@@ -58,6 +58,8 @@ class StabilizerCode:
     stabilizer: tuple[PauliProduct, ...]
     logical_x: tuple[PauliProduct, ...]
     logical_z: tuple[PauliProduct, ...]
+    _stabilizer_rows: np.ndarray = field(init=False, repr=False, compare=False)
+    _logical_rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_prime(self.d)
@@ -81,17 +83,19 @@ class StabilizerCode:
         object.__setattr__(self, "stabilizer", stab)
         object.__setattr__(self, "logical_x", lx)
         object.__setattr__(self, "logical_z", lz)
+        for name, gens in (("_stabilizer_rows", stab), ("_logical_rows", lx + lz)):
+            rows = np.array([pauli.symplectic_vector(g) for g in gens],
+                            dtype=np.int64).reshape(-1, 2 * self.n)
+            rows.setflags(write=False)
+            object.__setattr__(self, name, rows)
 
     def stabilizer_rows(self) -> np.ndarray:
-        """(n-k) x 2n array of stabilizer symplectic vectors."""
-        if not self.stabilizer:
-            return np.zeros((0, 2 * self.n), dtype=np.int64)
-        return np.array([pauli.symplectic_vector(g) for g in self.stabilizer])
+        """(n-k) x 2n read-only array of stabilizer symplectic vectors."""
+        return self._stabilizer_rows
 
     def logical_rows(self) -> np.ndarray:
-        """2k x 2n array: logical X rows first, then logical Z rows."""
-        return np.array([pauli.symplectic_vector(g)
-                         for g in self.logical_x + self.logical_z])
+        """2k x 2n read-only array: logical X rows first, then logical Z rows."""
+        return self._logical_rows
 
 
 @dataclass

@@ -11,11 +11,18 @@ representatives; whole-vector negation leaves every subgroup invariant, so
 the plain linear map below is exact for every prime d).  The operator
 survives the trace iff some stabilizer word makes its bare product act as
 the identity on the complement of S.
+
+The group of the complement needs no second solve: G(S-bar) is the
+symplectic commutant of G(S) inside Z_d^(2k) (Gheorghiu, Looi & Griffiths,
+PRA 81, 032326 (2010)).  ``classify`` therefore solves only the first half
+of the subsets in enumeration order, whose complements form the second
+half, and takes each complement's group as the commutant.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +40,8 @@ __all__ = [
     "pairing",
     "pairing_matrix",
     "info_group",
+    "commutant",
     "canonical_form",
-    "is_full",
     "classify",
     "subsets_in_order",
     "complement",
@@ -46,7 +53,7 @@ DEFAULT_CLASSIFY_CAP = 20
 
 
 class SchemeConsistencyError(RuntimeError):
-    """A classification postcondition (duality) failed; indicates a bug."""
+    """A symplectic postcondition failed; indicates a bug."""
 
 
 def pairing(u, v, d: int) -> int:
@@ -91,6 +98,13 @@ class InfoGroup:
     @property
     def is_full(self) -> bool:
         return self.rank == 2 * self.k
+
+    @property
+    def access_class(self) -> str:
+        """"A" (full), "F" (trivial) or "I" (anything in between)."""
+        if self.is_full:
+            return "A"
+        return "F" if self.is_trivial else "I"
 
     def generator_rows(self) -> np.ndarray:
         if not self.generators:
@@ -159,11 +173,6 @@ def info_group(code: StabilizerCode, subset) -> InfoGroup:
     return group_from_rows(d, k, projected, subset=subset)
 
 
-def is_full(group: InfoGroup) -> bool:
-    """True iff the group is the whole projective Pauli group of k qudits."""
-    return group.is_full
-
-
 # ---------------------------------------------------------------------------
 # Canonical symplectic decomposition.
 # ---------------------------------------------------------------------------
@@ -200,6 +209,20 @@ def _pairing_row(vec, k: int, d: int) -> np.ndarray:
     out[:k] = (-vec[k:]) % d
     out[k:] = vec[:k] % d
     return out
+
+
+def commutant(group: InfoGroup) -> InfoGroup:
+    """All w in Z_d^(2k) with zero pairing against every generator.
+
+    Returned in the same echelon basis as ``info_group``, so the commutant
+    of G(S) equals G(S-bar) generator for generator.
+    """
+    d, k = group.d, group.k
+    rows = np.array([_pairing_row(g, k, d) for g in group.generators],
+                    dtype=np.int64).reshape(-1, 2 * k)
+    null = mod_nullspace(rows, d)
+    base = np.array(null, dtype=np.int64) if null else np.zeros((0, 2 * k))
+    return group_from_rows(d, k, base)
 
 
 def _solve_with_pairings(current: list[np.ndarray], targets: list[int],
@@ -326,14 +349,6 @@ class SchemeTriplet:
     size_summary: tuple[tuple[int, int, int, int], ...]  # (size, nA, nF, nI)
     records: tuple[SubsetRecord, ...] | None  # kept for n <= FULL_LISTING_MAX_N
 
-    def class_of(self, subset) -> str:
-        key = tuple(sorted(subset))
-        if key in set(self.authorized):
-            return "A"
-        if key in set(self.forbidden):
-            return "F"
-        return "I"
-
     def to_dict(self) -> dict:
         out = {
             "n": self.n,
@@ -362,35 +377,31 @@ def _rs_of(group: InfoGroup) -> tuple[int, int]:
 
 def classify(code: StabilizerCode,
              max_carriers: int = DEFAULT_CLASSIFY_CAP) -> SchemeTriplet:
-    """Classify every subset of carriers; verifies access/forbidden duality."""
+    """Classify every subset of carriers.
+
+    In ``subsets_in_order`` the complement of the i-th subset is the
+    (2^n - 1 - i)-th, so each subset of the first half is solved directly
+    and its complement's group is taken as the commutant.
+    """
     n = code.n
     if n > max_carriers:
         raise ResourceLimitError(
             f"classification enumerates 2^{n} subsets, cap is n <= {max_carriers}")
 
-    records: list[SubsetRecord] = []
-    by_class: dict[str, list[tuple[int, ...]]] = {"A": [], "F": [], "I": []}
-    for subset in subsets_in_order(n):
-        g = info_group(code, subset)
-        if g.is_full:
-            cls = "A"
-        elif g.is_trivial:
-            cls = "F"
-        else:
-            cls = "I"
-        r, s = _rs_of(g)
-        records.append(SubsetRecord(subset, cls, r, s))
-        by_class[cls].append(subset)
+    order = list(subsets_in_order(n))
+    last = len(order) - 1
+    records: list[SubsetRecord | None] = [None] * len(order)
+    for i in range(len(order) // 2):
+        g = info_group(code, order[i])
+        for idx, group in ((i, g), (last - i, commutant(g))):
+            records[idx] = SubsetRecord(order[idx], group.access_class,
+                                        *_rs_of(group))
 
+    by_class: dict[str, list[tuple[int, ...]]] = {"A": [], "F": [], "I": []}
+    for rec in records:
+        by_class[rec.cls].append(rec.subset)
     authorized = set(by_class["A"])
     forbidden = set(by_class["F"])
-    for subset in subsets_in_order(n):
-        comp = complement(subset, n)
-        if (subset in authorized) != (comp in forbidden):
-            raise SchemeConsistencyError(
-                f"duality violated: {subset} in A is "
-                f"{subset in authorized} but complement {comp} in F is "
-                f"{comp in forbidden}")
 
     minimal_a = tuple(
         s for s in by_class["A"]
@@ -400,15 +411,9 @@ def classify(code: StabilizerCode,
         if not any(tuple(sorted(set(s) | {i})) in forbidden
                    for i in range(1, n + 1) if i not in s))
 
-    summary = []
-    for size in range(n + 1):
-        of_size = [rec for rec in records if len(rec.subset) == size]
-        summary.append((
-            size,
-            sum(1 for rec in of_size if rec.cls == "A"),
-            sum(1 for rec in of_size if rec.cls == "F"),
-            sum(1 for rec in of_size if rec.cls == "I"),
-        ))
+    counts = Counter((len(rec.subset), rec.cls) for rec in records)
+    summary = [(size, counts[size, "A"], counts[size, "F"], counts[size, "I"])
+               for size in range(n + 1)]
 
     return SchemeTriplet(
         n=n, d=code.d, k=code.k,

@@ -89,10 +89,16 @@ def intermediate_group(code: StabilizerCode,
 
     A plain set union of subgroups is generally not closed, so this is the
     span closure: the smallest group containing every intermediate G(S).
+    G(S) only grows as carriers are added, so the maximal intermediate
+    subsets (no one-carrier superset is intermediate) span the same group,
+    and only their groups are solved.
     """
+    inter = set(triplet.intermediate)
     rows = []
     for subset in triplet.intermediate:
-        rows.extend(infogroup.info_group(code, subset).generators)
+        if not any(tuple(sorted(subset + (i,))) in inter
+                   for i in range(1, code.n + 1) if i not in subset):
+            rows.extend(infogroup.info_group(code, subset).generators)
     base = np.array(rows, dtype=np.int64) if rows else np.zeros((0, 2 * code.k))
     return infogroup.group_from_rows(code.d, code.k, base, subset=None)
 

@@ -151,11 +151,14 @@ def test_criterion_6_oracle_equivalence():
 def test_criterion_7_duality_and_monotonicity():
     with criterion(7, "duality and monotonicity hold for every catalog code"):
         for c in all_codes():
-            t = classify(c)  # classify itself enforces duality
+            t = classify(c)
             authorized = set(t.authorized)
             forbidden = set(t.forbidden)
             for s in subsets_in_order(c.n):
                 assert (s in authorized) == (complement(s, c.n) in forbidden)
+                direct = info_group(c, s)
+                assert (s in authorized) == direct.is_full, (c.name, s)
+                assert (s in forbidden) == direct.is_trivial, (c.name, s)
             for s in authorized:
                 for extra in range(1, c.n + 1):
                     if extra not in s:

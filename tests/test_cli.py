@@ -142,6 +142,24 @@ def test_simulate_checks_each(capsys):
         assert status == 0, (check, out)
 
 
+def test_simulate_duality_fails_on_wrong_commutant(capsys, monkeypatch):
+    from stabshare import infogroup
+
+    def trivial(group):
+        return infogroup.InfoGroup(group.d, group.k, ())
+
+    monkeypatch.setattr(infogroup, "commutant", trivial)
+    status, out, _ = run(capsys, "simulate", "catalog:four_two_two",
+                         "--seed", "3", "--check", "duality",
+                         "--format", "structured")
+    assert status == 1
+    payload = json.loads(out)
+    assert payload["passed"] is False
+    duality = next(r for r in payload["results"] if r["check"] == "duality")
+    assert duality["pass"] is False
+    assert duality["detail"].startswith("commutant of G([]) differs")
+
+
 def test_simulate_resource_cap(capsys):
     status, _, err = run(capsys, "simulate", "catalog:ghz_n", "--n", "13",
                          "--seed", "1")

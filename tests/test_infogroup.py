@@ -9,10 +9,10 @@ from stabshare.infogroup import (
     InfoGroup,
     canonical_form,
     classify,
+    commutant,
     complement,
     group_from_rows,
     info_group,
-    is_full,
     pairing,
     pairing_matrix,
     subsets_in_order,
@@ -20,6 +20,7 @@ from stabshare.infogroup import (
 )
 from stabshare.pauli import ResourceLimitError, multiply
 from stabshare.primefield import mod_rank
+from stabshare.twirl import intermediate_group
 
 from conftest import random_code
 
@@ -67,8 +68,8 @@ def test_bad_subset_rejected(cnot):
 
 
 def test_is_full_examples(five_qubit, cnot):
-    assert is_full(info_group(five_qubit, (1, 2, 3)))
-    assert not is_full(info_group(cnot, (1,)))
+    assert info_group(five_qubit, (1, 2, 3)).is_full
+    assert not info_group(cnot, (1,)).is_full
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +221,9 @@ def test_duality_and_monotonicity(catalog_codes):
                 assert tuple(sorted(set(s) - {drop})) in forbidden
         total = len(t.authorized) + len(t.forbidden) + len(t.intermediate)
         assert total == 2**c.n
+        for rec in t.records:
+            direct = info_group(c, rec.subset)
+            assert rec.cls == direct.access_class, (c.name, rec)
 
 
 def test_ramp_bounds_against_classification(catalog_codes):
@@ -273,3 +277,34 @@ def test_random_qubit_codes_match_bruteforce():
                 sym = info_group(c, s)
                 brute = oracle.info_group_bruteforce(c, s)
                 assert sym.generators == brute.generators, (c, s)
+
+
+def _reference_records(c):
+    """The direct algorithm: solve every subset's group on its own."""
+    out = []
+    for s in subsets_in_order(c.n):
+        g = info_group(c, s)
+        form = canonical_form(g)
+        out.append((s, g.access_class, form.r, form.s))
+    return out
+
+
+@given(d=st.sampled_from([2, 3, 5, 7]),
+       nk=st.integers(1, 6).flatmap(
+           lambda n: st.tuples(st.just(n), st.integers(1, n))),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_commutant_duality_on_random_codes(d, nk, seed):
+    n, k = nk
+    c = random_code(np.random.default_rng(seed), d, n, k)
+    for s in subsets_in_order(n):
+        assert (commutant(info_group(c, s)).generators
+                == info_group(c, complement(s, n)).generators), s
+
+    t = classify(c)
+    assert [(r.subset, r.cls, r.r, r.s) for r in t.records] == \
+        _reference_records(c)
+
+    rows = [row for s in t.intermediate for row in info_group(c, s).generators]
+    spanned = group_from_rows(d, k, np.array(rows).reshape(-1, 2 * k))
+    assert intermediate_group(c, t).generators == spanned.generators
