@@ -33,7 +33,7 @@ from .infogroup import (
     classify,
     info_group,
 )
-from .pauli import PauliProduct, PauliSubgroup, ResourceLimitError
+from .pauli import PauliProduct, ResourceLimitError
 from .twirl import TwirlPlan, intermediate_group, sample_twirl, twirl_plan
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "ClassicalShareSet",
     "InfoGroup",
     "PauliProduct",
-    "PauliSubgroup",
     "ResourceLimitError",
     "SchemeTriplet",
     "StabilizerCode",

@@ -9,7 +9,7 @@ minimal authorized sets.  All randomness is seed-threaded so runs replay.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .primefield import check_prime, is_prime
 
@@ -262,17 +262,7 @@ def key_transport(plan, triplet, seed: int,
     q = plan.prescription.threshold_q
     if q is not None:
         shared = shamir_share(key_digits, q, n, modulus, rng.randrange(2**32))
-        return ClassicalShareSet(
-            kind=shared.kind, modulus=shared.modulus, n=shared.n,
-            key_length=shared.key_length, shares=shared.shares, q=shared.q,
-            source_modulus=d)
-    minimal = plan.prescription.authorized
-    minimal = tuple(
-        s for s in minimal
-        if not any(set(t) < set(s) for t in plan.prescription.authorized))
-    shared = monotone_share(key_digits, minimal, modulus,
-                            rng.randrange(2**32), n=n)
-    return ClassicalShareSet(
-        kind=shared.kind, modulus=shared.modulus, n=shared.n,
-        key_length=shared.key_length, shares=shared.shares,
-        minimal_sets=shared.minimal_sets, source_modulus=d)
+    else:
+        shared = monotone_share(key_digits, triplet.minimal_authorized,
+                                modulus, rng.randrange(2**32), n=n)
+    return replace(shared, source_modulus=d)

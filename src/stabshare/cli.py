@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,49 +25,19 @@ EXIT_RESOURCE = 3
 CHECK_NAMES = ("all", "concealment", "choi", "infogroup", "duality")
 
 
-@dataclass
-class RunConfig:
-    command: str
-    source: str | None = None
-    size_param: int | None = None
-    subset: tuple[int, ...] | None = None
-    seed: int | None = None
-    fmt: str = "text"
-    cap: int | None = None
-    check: str = "all"
-    detect_tol: float = oracle.DETECTION_TOL
-    state_tol: float = oracle.STATE_TOL
-    q: int | None = None
-    players: int | None = None
-    modulus: int | None = None
-    key: tuple[int, ...] | None = None
-    from_plan: bool = False
-    out: str | None = None
-
-
-def _emit(cfg: RunConfig, payload: dict, text_lines: list[str]) -> None:
-    if cfg.fmt == "structured":
+def _emit(args: argparse.Namespace, payload: dict,
+          text_lines: list[str]) -> None:
+    if args.format == "structured":
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     else:
         for line in text_lines:
             print(line)
 
 
-def _load_code(cfg: RunConfig) -> StabilizerCode:
-    source = cfg.source
-    if source is None:
-        raise ValueError("no input source given")
+def _load_code(source: str, size_param: int | None) -> StabilizerCode:
     if source.startswith("catalog:"):
-        name = source[len("catalog:"):]
-        return code_mod.catalog(name, cfg.size_param)
+        return code_mod.catalog(source[len("catalog:"):], size_param)
     return code_mod.load(source)
-
-
-def _parse_subset(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(sorted({int(v) for v in text.split(",") if v.strip()}))
-    except ValueError as exc:
-        raise ValueError(f"bad subset {text!r}: expected e.g. 1,3,4") from exc
 
 
 def _code_label(c: StabilizerCode, delta: int | None) -> str:
@@ -80,8 +49,8 @@ def _code_label(c: StabilizerCode, delta: int | None) -> str:
 # Commands.
 # ---------------------------------------------------------------------------
 
-def cmd_validate(cfg: RunConfig) -> int:
-    c = _load_code(cfg)
+def cmd_validate(args: argparse.Namespace) -> int:
+    c = _load_code(args.source, args.size_param)
     report = code_mod.validate(c)
     delta = None
     if report.is_valid:
@@ -98,7 +67,7 @@ def cmd_validate(cfg: RunConfig) -> int:
         lines.append(f"INVALID {c.name}:")
         lines.extend(f"  - {v}" for v in report.violations)
     lines.extend(f"note: {t}" for t in report.notes)
-    _emit(cfg, payload, lines)
+    _emit(args, payload, lines)
     return EXIT_OK if report.is_valid else EXIT_CHECK_FAILED
 
 
@@ -114,17 +83,25 @@ def _triplet_summary(triplet: infogroup.SchemeTriplet) -> str:
             f"(sizes {sizes})")
 
 
-def cmd_classify(cfg: RunConfig) -> int:
-    c = _load_code(cfg)
-    if cfg.subset is not None:
-        g = infogroup.info_group(c, cfg.subset)
+def cmd_classify(args: argparse.Namespace) -> int:
+    subset = None
+    if args.subset:
+        try:
+            subset = tuple(sorted({int(v) for v in args.subset.split(",")
+                                   if v.strip()}))
+        except ValueError as exc:
+            raise ValueError(
+                f"bad subset {args.subset!r}: expected e.g. 1,3,4") from exc
+    c = _load_code(args.source, args.size_param)
+    if subset is not None:
+        g = infogroup.info_group(c, subset)
         cls = g.access_class
         form = infogroup.canonical_form(g)
-        payload = {"code": c.name, "subset": list(cfg.subset), "class": cls,
+        payload = {"code": c.name, "subset": list(subset), "class": cls,
                    "r": form.r, "s": form.s,
                    "generators": [list(row) for row in g.generators]}
-        _emit(cfg, payload, [
-            f"{c.name} subset {list(cfg.subset)}: class {cls}, "
+        _emit(args, payload, [
+            f"{c.name} subset {list(subset)}: class {cls}, "
             f"r={form.r}, s={form.s}"])
         return EXIT_OK
     triplet = infogroup.classify(c)
@@ -135,7 +112,7 @@ def cmd_classify(cfg: RunConfig) -> int:
         for rec in triplet.records:
             lines.append(
                 f"  {list(rec.subset)!s:<24} {rec.cls}  r={rec.r} s={rec.s}")
-    _emit(cfg, payload, lines)
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
@@ -153,11 +130,11 @@ def _plan_text(c: StabilizerCode, plan: twirl.TwirlPlan) -> list[str]:
             f"classical scheme: {scheme}"]
 
 
-def cmd_twirl_plan(cfg: RunConfig) -> int:
-    c = _load_code(cfg)
+def cmd_twirl_plan(args: argparse.Namespace) -> int:
+    c = _load_code(args.source, args.size_param)
     plan = twirl.twirl_plan(c)
     payload = {"code": c.name, **plan.to_dict()}
-    _emit(cfg, payload, _plan_text(c, plan))
+    _emit(args, payload, _plan_text(c, plan))
     return EXIT_OK
 
 
@@ -307,14 +284,14 @@ def run_checks(c: StabilizerCode, seed: int, which: str,
     return all(r["pass"] for r in results), results
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
-    c = _load_code(cfg)
-    passed, results = run_checks(c, cfg.seed, cfg.check, cap=cfg.cap,
-                                 detect_tol=cfg.detect_tol,
-                                 state_tol=cfg.state_tol)
-    payload = {"code": c.name, "seed": cfg.seed, "check": cfg.check,
+def cmd_simulate(args: argparse.Namespace) -> int:
+    c = _load_code(args.source, args.size_param)
+    passed, results = run_checks(c, args.seed, args.check, cap=args.cap,
+                                 detect_tol=args.trace_tol,
+                                 state_tol=args.state_tol)
+    payload = {"code": c.name, "seed": args.seed, "check": args.check,
                "passed": passed, "results": results}
-    lines = [f"{c.name} simulate --check {cfg.check} (seed {cfg.seed})"]
+    lines = [f"{c.name} simulate --check {args.check} (seed {args.seed})"]
     for rec in results:
         status = "pass" if rec["pass"] else "FAIL"
         extra = ""
@@ -324,42 +301,43 @@ def cmd_simulate(cfg: RunConfig) -> int:
             extra += f" ({rec['detail']})"
         lines.append(f"  [{status}] {rec['check']}{extra}")
     lines.append("all checks passed" if passed else "SOME CHECKS FAILED")
-    _emit(cfg, payload, lines)
+    _emit(args, payload, lines)
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
-def cmd_share_key(cfg: RunConfig) -> int:
-    if cfg.from_plan:
-        c = _load_code(cfg)
+def cmd_share_key(args: argparse.Namespace) -> int:
+    key = tuple(int(v) for v in args.key.split(",")) if args.key else None
+    if args.from_plan is not None:
+        c = _load_code(args.from_plan, args.n)
         triplet = infogroup.classify(c)
         plan = twirl.twirl_plan(c, triplet)
         if plan.is_empty:
             raise ValueError(
                 f"{c.name} has no intermediate structure; no key to share")
-        shares = classical.key_transport(plan, triplet, cfg.seed)
+        shares = classical.key_transport(plan, triplet, args.seed)
     else:
         missing = [flag for flag, v in
-                   (("--q", cfg.q), ("--n", cfg.players), ("--P", cfg.modulus),
-                    ("--key", cfg.key)) if v is None]
+                   (("--q", args.q), ("--n", args.n), ("--P", args.P),
+                    ("--key", key)) if v is None]
         if missing:
             raise ValueError(
                 "explicit sharing needs " + ", ".join(missing))
-        shares = classical.shamir_share(cfg.key, cfg.q, cfg.players,
-                                        cfg.modulus, cfg.seed)
+        shares = classical.shamir_share(key, args.q, args.n, args.P,
+                                        args.seed)
     payload = shares.to_dict()
     text = [f"{shares.kind} sharing over Z_{shares.modulus}, "
             f"{shares.key_length} digit(s), {shares.n} players"
             + (f", q={shares.q}" if shares.q else "")]
     for player, values in sorted(shares.shares.items()):
         text.append(f"  player {player}: {list(values)}")
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(payload, sort_keys=True,
                                 separators=(",", ":")) + "\n")
-        text.append(f"wrote {cfg.out}")
-        _emit(cfg, {"written": cfg.out, **payload}, text)
+        text.append(f"wrote {args.out}")
+        _emit(args, {"written": args.out, **payload}, text)
     else:
-        _emit(cfg, payload, text)
+        _emit(args, payload, text)
     return EXIT_OK
 
 
@@ -419,33 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    cfg.fmt = getattr(args, "format", "text")
-    cfg.seed = getattr(args, "seed", None)
-    cfg.cap = getattr(args, "cap", None)
-    if args.command == "share-key":
-        cfg.from_plan = args.from_plan is not None
-        cfg.source = args.from_plan
-        cfg.size_param = args.n
-        cfg.players = args.n
-        cfg.q = args.q
-        cfg.modulus = args.P
-        cfg.key = (tuple(int(v) for v in args.key.split(","))
-                   if args.key else None)
-        cfg.out = args.out
-        return cfg
-    cfg.source = args.source
-    cfg.size_param = args.size_param
-    if getattr(args, "subset", None):
-        cfg.subset = _parse_subset(args.subset)
-    if args.command == "simulate":
-        cfg.check = args.check
-        cfg.detect_tol = args.trace_tol
-        cfg.state_tol = args.state_tol
-    return cfg
-
-
 _DISPATCH = {
     "validate": cmd_validate,
     "classify": cmd_classify,
@@ -459,8 +410,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return _DISPATCH[args.command](cfg)
+        return _DISPATCH[args.command](args)
     except ResourceLimitError as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -65,6 +65,13 @@ class StabilizerCode:
         check_prime(self.d)
         if not (0 < self.k <= self.n):
             raise ValueError(f"need 0 < k <= n, got k={self.k}, n={self.n}")
+        # The largest int64 accumulation (a distance pairing, an elimination
+        # step, an InfoGroup element) is a sum of at most 2n products of
+        # digits < D.
+        if 2 * self.n * (int(self.d) - 1) ** 2 >= 2**63:
+            raise ValueError(
+                f"D={self.d} is too large for exact int64 arithmetic on "
+                f"n={self.n} carriers: need 2n(D-1)^2 < 2^63")
         stab = tuple(self.stabilizer)
         lx = tuple(self.logical_x)
         lz = tuple(self.logical_z)
@@ -283,7 +290,7 @@ def loads(text: str) -> StabilizerCode:
             raise CodeFileError(f"missing field: {f}")
     d, n, k = data["D"], data["n"], data["k"]
     for f, v in (("D", d), ("n", n), ("k", k)):
-        if not isinstance(v, int):
+        if isinstance(v, bool) or not isinstance(v, int):
             raise CodeFileError(f"field {f} must be an integer")
     if not is_prime(d):
         raise CodeFileError(f"field D: D must be prime, got {d}")

@@ -29,7 +29,8 @@ import numpy as np
 
 from .code import StabilizerCode
 from .pauli import ResourceLimitError
-from .primefield import mod_nullspace, mod_rank, mod_solve, row_space_basis
+from .primefield import (mod_nullspace, mod_rank, mod_solve, row_space_basis,
+                         row_span_contains)
 
 __all__ = [
     "InfoGroup",
@@ -112,12 +113,8 @@ class InfoGroup:
         return np.array(self.generators, dtype=np.int64)
 
     def contains(self, vec) -> bool:
-        from .primefield import row_span_contains
-
-        v = np.asarray(vec, dtype=np.int64)
-        if self.is_trivial:
-            return bool(np.all(v % self.d == 0))
-        return row_span_contains(self.generator_rows(), v, self.d)
+        """Projective membership: is the (x|z) vector in the span?"""
+        return row_span_contains(self.generator_rows(), vec, self.d)
 
     def elements(self):
         """All d^rank member vectors (desk scale only)."""

@@ -24,11 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .primefield import check_prime, mod_rank
+from .primefield import check_prime
 
 __all__ = [
     "PauliProduct",
-    "PauliSubgroup",
     "ResourceLimitError",
     "DEFAULT_AMPLITUDE_CAP",
     "identity",
@@ -41,7 +40,6 @@ __all__ = [
     "dense_matrix",
     "to_string",
     "parse",
-    "subgroup_membership",
 ]
 
 DEFAULT_AMPLITUDE_CAP = 4096
@@ -232,36 +230,3 @@ def parse(text: str, d: int = 2) -> PauliProduct:
     return PauliProduct(d, tuple(a for a, _ in pairs),
                         tuple(b for _, b in pairs), phase)
 
-
-@dataclass(frozen=True)
-class PauliSubgroup:
-    """A projective subgroup given by independent generators (phases ignored)."""
-
-    d: int
-    m: int
-    generators: tuple[PauliProduct, ...]
-
-    def __post_init__(self):
-        check_prime(self.d)
-        gens = tuple(self.generators)
-        for g in gens:
-            if g.d != self.d or g.m != self.m:
-                raise ValueError("generator dimension/site mismatch")
-        if gens:
-            rows = np.array([symplectic_vector(g) for g in gens])
-            if mod_rank(rows, self.d) != len(gens):
-                raise ValueError("generators are projectively dependent")
-        object.__setattr__(self, "generators", gens)
-
-
-def subgroup_membership(group: PauliSubgroup, candidate: PauliProduct) -> bool:
-    """Projective membership: is candidate's (x|z) in the generator span?"""
-    if candidate.d != group.d or candidate.m != group.m:
-        raise ValueError("candidate dimension/site mismatch")
-    target = symplectic_vector(candidate)
-    if not group.generators:
-        return bool(np.all(target % group.d == 0))
-    rows = np.array([symplectic_vector(g) for g in group.generators])
-    from .primefield import row_span_contains
-
-    return row_span_contains(rows, target, group.d)

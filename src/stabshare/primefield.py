@@ -1,25 +1,20 @@
-"""Exact arithmetic and linear algebra over Z_p for prime p.
+"""Exact linear algebra over Z_p for prime p, on int64 arrays.
 
-Everything is plain Gauss-Jordan elimination on small integer arrays; at the
-sizes this package targets (tens of rows) that is exact and instant.  The
-array-level helpers (``mod_rref`` etc.) are what the rest of the package
-uses; ``FieldElement``/``FieldMatrix`` wrap them with modulus bookkeeping.
+Every function takes a plain integer array (or nested lists) and the
+modulus p, and returns reduced arrays: ``mod_rref`` is Gauss-Jordan
+elimination, and rank, solve, nullspace, row-space basis and span
+membership are built on it.  At the sizes this package targets (tens of
+rows) that is exact and instant, as long as the products it forms stay
+inside int64; ``StabilizerCode`` rejects any D for which they could not.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "FieldElement",
-    "FieldMatrix",
     "is_prime",
     "check_prime",
-    "row_reduce",
-    "solve",
-    "nullspace",
     "mod_rref",
     "mod_rank",
     "mod_solve",
@@ -51,113 +46,9 @@ def check_prime(modulus: int) -> int:
     return int(modulus)
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    """A value in Z_p that carries its modulus.
-
-    Arithmetic between elements of different moduli is a hard error, never a
-    coercion.  Plain Python ints are lifted into the element's own field.
-    """
-
-    value: int
-    modulus: int
-
-    def __post_init__(self):
-        check_prime(self.modulus)
-        object.__setattr__(self, "value", int(self.value) % self.modulus)
-
-    def _lift(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.modulus != self.modulus:
-                raise ValueError(
-                    f"mixed moduli: {self.modulus} vs {other.modulus}")
-            return other
-        if isinstance(other, (int, np.integer)):
-            return FieldElement(int(other), self.modulus)
-        raise TypeError(f"cannot combine FieldElement with {type(other)!r}")
-
-    def __add__(self, other):
-        o = self._lift(other)
-        return FieldElement(self.value + o.value, self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        return FieldElement(self.value - o.value, self.modulus)
-
-    def __rsub__(self, other):
-        return self._lift(other) - self
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        return FieldElement(self.value * o.value, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FieldElement(-self.value, self.modulus)
-
-    def inverse(self) -> "FieldElement":
-        if self.value == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return FieldElement(pow(self.value, -1, self.modulus), self.modulus)
-
-    def __truediv__(self, other):
-        return self * self._lift(other).inverse()
-
-    def __int__(self):
-        return self.value
-
-    def __repr__(self):
-        return f"{self.value} (mod {self.modulus})"
-
-
-class FieldMatrix:
-    """Rectangular matrix over Z_p; entries stored reduced mod p, read-only."""
-
-    def __init__(self, entries, modulus: int):
-        self.modulus = check_prime(modulus)
-        a = np.asarray(entries, dtype=np.int64)
-        if a.ndim != 2:
-            raise ValueError(f"matrix entries must be 2-D, got shape {a.shape}")
-        a = np.mod(a, self.modulus)
-        a.setflags(write=False)
-        self.entries = a
-
-    @classmethod
-    def identity(cls, n: int, modulus: int) -> "FieldMatrix":
-        return cls(np.eye(n, dtype=np.int64), modulus)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int, modulus: int) -> "FieldMatrix":
-        return cls(np.zeros((rows, cols), dtype=np.int64), modulus)
-
-    @property
-    def rows(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.entries.shape[1]
-
-    def element(self, i: int, j: int) -> FieldElement:
-        return FieldElement(int(self.entries[i, j]), self.modulus)
-
-    def __eq__(self, other):
-        if not isinstance(other, FieldMatrix):
-            return NotImplemented
-        return (self.modulus == other.modulus
-                and self.entries.shape == other.entries.shape
-                and np.array_equal(self.entries, other.entries))
-
-    def __repr__(self):
-        return f"FieldMatrix(mod {self.modulus})\n{self.entries}"
-
-
 # ---------------------------------------------------------------------------
-# Array-level workers.  Deterministic: pivots are the first nonzero entry in
-# scan order, free variables are always set to zero.
+# Elimination.  Deterministic: pivots are the first nonzero entry in scan
+# order, free variables are always set to zero.
 # ---------------------------------------------------------------------------
 
 def _as_matrix(a) -> np.ndarray:
@@ -255,21 +146,3 @@ def row_span_contains(rows, v, p: int) -> bool:
         raise ValueError("vector length does not match row length")
     return mod_rank(base, p) == mod_rank(np.vstack([base, vec]), p)
 
-
-# ---------------------------------------------------------------------------
-# FieldMatrix wrappers matching the operation contracts.
-# ---------------------------------------------------------------------------
-
-def row_reduce(m: FieldMatrix) -> tuple[FieldMatrix, int, list[int]]:
-    """Reduced row-echelon form of m; row space is preserved."""
-    red, rank, pivots = mod_rref(m.entries, m.modulus)
-    return FieldMatrix(red, m.modulus), rank, pivots
-
-
-def solve(m: FieldMatrix, b) -> np.ndarray | None:
-    """Solve m x = b; None when inconsistent, free variables zeroed."""
-    return mod_solve(m.entries, b, m.modulus)
-
-
-def nullspace(m: FieldMatrix) -> list[np.ndarray]:
-    return mod_nullspace(m.entries, m.modulus)

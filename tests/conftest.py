@@ -1,11 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from stabshare import catalog, validate
 from stabshare.code import StabilizerCode
-from stabshare.infogroup import canonical_form, group_from_rows
+from stabshare.infogroup import pairing
 from stabshare.pauli import from_symplectic
-from stabshare.primefield import mod_rank
 
 
 @pytest.fixture(scope="session")
@@ -42,33 +43,48 @@ def catalog_codes():
     return codes
 
 
+def two_carrier_file(d: int, **fields) -> str:
+    """Valid [[2,1]]_d code file: stabilizer Z Z^-1, X-bar XX, Z-bar ZI."""
+    payload = {"name": "x", "D": d, "n": 2, "k": 1,
+               "stabilizer": [{"x": [0, 0], "z": [1, d - 1]}],
+               "logical_x": [{"x": [1, 1], "z": [0, 0]}],
+               "logical_z": [{"x": [0, 0], "z": [1, 0]}]}
+    payload.update(fields)
+    return json.dumps(payload)
+
+
 def random_code(rng: np.random.Generator, d: int, n: int, k: int,
                 name: str = "random") -> StabilizerCode:
     """Random valid [[n,k]]_d code from a random symplectic basis.
 
-    Draws a full-rank 2n x 2n matrix, canonicalizes it into n hyperbolic
-    pairs, and takes the last n-k second-partners as the stabilizer and the
-    first k pairs as logical representatives.  For d = 2, stabilizer rows
-    whose X/Z supports overlap on an odd number of sites cannot have order
-    two with w-phases, so those draws are rejected.
+    Builds n hyperbolic pairs (u, v) with pairing 1, one at a time, from
+    random vectors projected off the pairs so far (symplectic Gram-Schmidt).
+    The first k pairs are the logical X and Z representatives; the second
+    partners of the other n-k pairs are the stabilizer.  For d = 2 every
+    vector must have even X/Z overlap, since otherwise it has order four
+    with w-phases: ``validate`` rejects such a stabilizer, and such a
+    logical representative encodes X or Z as a different Pauli than the
+    symbolic layer assumes.
     """
-    for _ in range(500):
-        m = rng.integers(0, d, size=(2 * n, 2 * n))
-        if mod_rank(m, d) != 2 * n:
-            continue
-        form = canonical_form(group_from_rows(d, n, m))
-        assert form.r == n and form.s == 0
-        pairs = [(np.array(form.basis[2 * i]), np.array(form.basis[2 * i + 1]))
-                 for i in range(n)]
-        stab_rows = [pairs[i][1] for i in range(k, n)]
-        if d == 2 and any(int(row[:n] @ row[n:]) % 2 for row in stab_rows):
-            continue
-        code = StabilizerCode(
-            name, d, n, k,
-            tuple(from_symplectic(d, row) for row in stab_rows),
-            tuple(from_symplectic(d, pairs[i][0]) for i in range(k)),
-            tuple(from_symplectic(d, pairs[i][1]) for i in range(k)),
-        )
-        if validate(code).is_valid:
-            return code
-    raise RuntimeError(f"no random [[{n},{k}]]_{d} code found")
+    def draw(pairs):
+        for _ in range(1000):
+            w = rng.integers(0, d, size=2 * n)
+            for u, v in pairs:
+                w = (w - pairing(w, v, d) * u + pairing(w, u, d) * v) % d
+            if w.any() and not (d == 2 and int(w[:n] @ w[n:]) % 2):
+                return w
+        raise RuntimeError(f"no random [[{n},{k}]]_{d} code found")
+
+    pairs = []
+    while len(pairs) < n:
+        u, v = draw(pairs), draw(pairs)
+        if pairing(u, v, d):
+            pairs.append((u, v * pow(pairing(u, v, d), -1, d) % d))
+    code = StabilizerCode(
+        name, d, n, k,
+        tuple(from_symplectic(d, v) for _, v in pairs[k:]),
+        tuple(from_symplectic(d, u) for u, _ in pairs[:k]),
+        tuple(from_symplectic(d, v) for _, v in pairs[:k]),
+    )
+    assert validate(code).is_valid
+    return code

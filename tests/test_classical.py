@@ -2,8 +2,9 @@ import itertools
 from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stabshare import catalog, classify
@@ -17,7 +18,10 @@ from stabshare.classical import (
     shamir_share,
     smallest_prime_above,
 )
+from stabshare.infogroup import complement, subsets_in_order
 from stabshare.twirl import sample_twirl, twirl_plan
+
+from conftest import random_code
 
 
 def poly_shares(coeffs, n, p):
@@ -239,10 +243,12 @@ def test_key_transport_monotone_fallback():
     c = catalog("cnot_2_1")
     t = classify(c)
     plan = twirl_plan(c, t)
+    authorized = ((1, 2), (2, 3), (1, 2, 3))
     pres = replace(plan.prescription, threshold_q=None,
-                   authorized=((1, 2), (2, 3), (1, 2, 3)), n=3)
+                   authorized=authorized, n=3)
     plan = replace(plan, prescription=pres)
-    triplet = replace(t, n=3)
+    triplet = replace(t, n=3, authorized=authorized,
+                      minimal_authorized=((1, 2), (2, 3)))
     shares = key_transport(plan, triplet, seed=4)
     assert shares.kind == "monotone"
     assert shares.minimal_sets == ((1, 2), (2, 3))
@@ -251,6 +257,34 @@ def test_key_transport_monotone_fallback():
     assert reconstruct(shares, (2, 3)) == list(key)
     with pytest.raises(InsufficientSharesError):
         reconstruct(shares, (1, 3))
+
+
+@given(d=st.sampled_from([3, 5, 7]),
+       nk=st.integers(3, 6).flatmap(
+           lambda n: st.tuples(st.just(n), st.integers(1, n - 1))),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_key_transport_monotone_on_random_codes(d, nk, seed):
+    n, k = nk
+    c = random_code(np.random.default_rng(seed), d, n, k)
+    t = classify(c)
+    plan = twirl_plan(c, t)
+    assume(plan.prescription.threshold_q is None and not plan.is_empty)
+    shares = key_transport(plan, t, seed)
+    assert shares.kind == "monotone"
+    assert shares.minimal_sets == t.minimal_authorized
+    key, _ = sample_twirl(plan, seed)
+    for members in t.minimal_authorized:
+        assert reconstruct(shares, members) == list(key)
+    authorized = set(t.authorized)
+    maximal_unauthorized = [
+        s for s in subsets_in_order(n) if s not in authorized
+        and all(tuple(sorted(s + (i,))) in authorized
+                for i in complement(s, n))]
+    assert maximal_unauthorized
+    for members in maximal_unauthorized:
+        with pytest.raises(InsufficientSharesError):
+            reconstruct(shares, members)
 
 
 def test_share_set_dict_round_trip():

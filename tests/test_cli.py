@@ -8,6 +8,8 @@ from stabshare import catalog, classical
 from stabshare import code as code_mod
 from stabshare.cli import main
 
+from conftest import two_carrier_file
+
 
 def run(capsys, *argv):
     status = main(list(argv))
@@ -54,6 +56,23 @@ def test_validate_invalid_code_exits_nonzero(tmp_path, capsys):
     status, _, err = run(capsys, "validate", str(path))
     assert status == 2  # load itself rejects invalid codes
     assert "invalid code" in err
+
+
+def test_classify_rejects_boolean_and_oversized_fields(tmp_path, capsys):
+    bools = tmp_path / "bools.json"
+    bools.write_text(json.dumps(
+        {"name": "b", "D": 2, "n": True, "k": True, "stabilizer": [],
+         "logical_x": [{"x": [1], "z": [0]}],
+         "logical_z": [{"x": [0], "z": [1]}]}))
+    status, out, err = run(capsys, "classify", str(bools))
+    assert (status, out) == (2, "")
+    assert "field n must be an integer" in err
+
+    big = tmp_path / "big.json"
+    big.write_text(two_carrier_file(4294967311))
+    status, out, err = run(capsys, "classify", str(big))
+    assert (status, out) == (2, "")
+    assert "2n(D-1)^2 < 2^63" in err
 
 
 def test_unknown_catalog_is_input_error(capsys):

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from stabshare import oracle, pauli
@@ -17,6 +18,9 @@ from stabshare.code import (
     validate,
 )
 from stabshare.pauli import ResourceLimitError
+from stabshare.primefield import is_prime
+
+from conftest import random_code, two_carrier_file
 
 
 def test_catalog_codes_validate(catalog_codes):
@@ -166,6 +170,32 @@ def test_load_rejects_composite_d():
                "logical_x": [], "logical_z": []}
     with pytest.raises(CodeFileError, match="D must be prime"):
         loads(json.dumps(payload))
+
+
+@pytest.mark.parametrize("field", ["D", "n", "k"])
+def test_load_rejects_booleans(field):
+    assert loads(two_carrier_file(2)).n == 2
+    with pytest.raises(CodeFileError, match=f"field {field} must be an integer"):
+        loads(two_carrier_file(2, **{field: True}))
+
+
+def test_load_rejects_d_beyond_int64_range():
+    # (D-1)^2 = 1 mod D, so the exact rank of this matrix is 1; int64
+    # products wrap for this D and elimination would report rank 2.
+    d = 4294967311
+    assert is_prime(d)
+    with pytest.raises(CodeFileError, match=r"2n\(D-1\)\^2 < 2\^63"):
+        loads(two_carrier_file(d))
+    with pytest.raises(ValueError, match="too large"):
+        StabilizerCode("x", d, 1, 1, (), (pauli.parse("x1z0", d),),
+                       (pauli.parse("x0z1", d),))
+
+
+def test_load_accepts_largest_benchmark_d():
+    code = random_code(np.random.default_rng(0), 65537, 7, 2)
+    again = loads(dumps(code))
+    assert (again.d, again.n, again.k) == (65537, 7, 2)
+    assert again == code
 
 
 def test_load_missing_field_named():

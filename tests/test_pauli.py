@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabshare import pauli
+from stabshare.infogroup import group_from_rows
 from stabshare.pauli import (
     PauliProduct,
-    PauliSubgroup,
     ResourceLimitError,
     commutation_exponent,
     dense_matrix,
@@ -18,7 +18,6 @@ from stabshare.pauli import (
     multiply,
     parse,
     power,
-    subgroup_membership,
     symplectic_vector,
     to_string,
 )
@@ -205,17 +204,16 @@ def test_symplectic_round_trip():
 
 
 def test_subgroup_membership_examples():
-    single_z = PauliSubgroup(2, 1, (parse("Z"),))
-    assert subgroup_membership(single_z, parse("Z"))
-    assert not subgroup_membership(single_z, parse("X"))
-    full = PauliSubgroup(2, 1, (parse("X"), parse("Z")))
-    assert subgroup_membership(full, parse("Y"))
-    assert subgroup_membership(full, identity(2, 1))
-
-
-def test_subgroup_rejects_dependent_generators():
-    with pytest.raises(ValueError, match="dependent"):
-        PauliSubgroup(2, 2, (parse("XX"), parse("XX")))
+    vec = lambda text: symplectic_vector(parse(text))
+    single_z = group_from_rows(2, 1, [vec("Z")])
+    assert single_z.contains(vec("Z"))
+    assert not single_z.contains(vec("X"))
+    full = group_from_rows(2, 1, [vec("X"), vec("Z")])
+    assert full.contains(vec("Y"))
+    assert full.contains(symplectic_vector(identity(2, 1)))
+    trivial = group_from_rows(2, 1, np.zeros((0, 2), dtype=np.int64))
+    assert trivial.contains(symplectic_vector(identity(2, 1)))
+    assert not trivial.contains(vec("Z"))
 
 
 def test_exponents_reduced_mod_d():

@@ -4,17 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabshare.primefield import (
-    FieldElement,
-    FieldMatrix,
+    check_prime,
     is_prime,
     mod_nullspace,
     mod_rank,
     mod_rref,
     mod_solve,
-    nullspace,
-    row_reduce,
     row_span_contains,
-    solve,
 )
 
 PRIMES = [2, 3, 5, 7]
@@ -25,94 +21,62 @@ def test_is_prime():
     assert not is_prime(1) and not is_prime(0) and not is_prime(-3)
 
 
-def test_element_arithmetic():
-    a = FieldElement(4, 5)
-    b = FieldElement(3, 5)
-    assert (a + b).value == 2
-    assert (a - b).value == 1
-    assert (a * b).value == 2
-    assert (-a).value == 1
-    assert a.inverse().value == 4  # 4*4 = 16 = 1 mod 5
-    assert (a / b).value == (4 * 2) % 5
-    assert int(a + 1) == 0
-
-
-def test_element_mixed_modulus_is_an_error():
-    with pytest.raises(ValueError, match="mixed moduli"):
-        FieldElement(1, 3) + FieldElement(1, 5)
-    with pytest.raises(ValueError, match="mixed moduli"):
-        FieldElement(1, 3) * FieldElement(1, 7)
-
-
 def test_element_rejects_composite_modulus():
     with pytest.raises(ValueError, match="prime"):
-        FieldElement(1, 6)
-
-
-def test_zero_has_no_inverse():
-    with pytest.raises(ZeroDivisionError):
-        FieldElement(0, 5).inverse()
+        check_prime(6)
 
 
 def test_matrix_rejects_composite_modulus_and_bad_shape():
     with pytest.raises(ValueError, match="prime"):
-        FieldMatrix([[1, 2]], 4)
+        check_prime(4)
     with pytest.raises(ValueError, match="2-D"):
-        FieldMatrix([1, 2, 3], 5)
-
-
-def test_matrix_entries_are_reduced_and_frozen():
-    m = FieldMatrix([[5, -1], [7, 3]], 5)
-    assert m.entries.tolist() == [[0, 4], [2, 3]]
-    assert m.element(0, 1) == FieldElement(4, 5)
-    with pytest.raises(ValueError):
-        m.entries[0, 0] = 1
+        mod_rref([1, 2, 3], 5)
 
 
 def test_row_reduce_identical_rows_mod2():
-    red, rank, pivots = row_reduce(FieldMatrix([[1, 1], [1, 1]], 2))
+    red, rank, pivots = mod_rref([[1, 1], [1, 1]], 2)
     assert rank == 1
     assert pivots == [0]
-    assert red.entries.tolist() == [[1, 1], [0, 0]]
+    assert red.tolist() == [[1, 1], [0, 0]]
 
 
 def test_row_reduce_scalar_inverse_mod3():
-    red, rank, _ = row_reduce(FieldMatrix([[2]], 3))
-    assert red.entries.tolist() == [[1]]
+    red, rank, _ = mod_rref([[2]], 3)
+    assert red.tolist() == [[1]]
     assert rank == 1
 
 
 def test_row_reduce_identity_mod2():
-    red, rank, pivots = row_reduce(FieldMatrix.identity(3, 2))
+    red, rank, pivots = mod_rref(np.eye(3, dtype=np.int64), 2)
     assert rank == 3
     assert pivots == [0, 1, 2]
-    assert red == FieldMatrix.identity(3, 2)
+    assert np.array_equal(red, np.eye(3, dtype=np.int64))
 
 
 def test_solve_identity():
-    x = solve(FieldMatrix.identity(2, 2), [1, 0])
+    x = mod_solve(np.eye(2, dtype=np.int64), [1, 0], 2)
     assert x.tolist() == [1, 0]
 
 
 def test_solve_diagonal_mod3():
-    x = solve(FieldMatrix([[2, 0], [0, 1]], 3), [1, 2])
+    x = mod_solve([[2, 0], [0, 1]], [1, 2], 3)
     assert x.tolist() == [2, 2]
 
 
 def test_solve_inconsistent_returns_none():
-    assert solve(FieldMatrix([[1, 1], [1, 1]], 2), [0, 1]) is None
+    assert mod_solve([[1, 1], [1, 1]], [0, 1], 2) is None
 
 
 def test_solve_dimension_mismatch():
     with pytest.raises(ValueError, match="rows"):
-        solve(FieldMatrix([[1, 1]], 2), [1, 0])
+        mod_solve([[1, 1]], [1, 0], 2)
 
 
 def test_nullspace_examples():
-    basis = nullspace(FieldMatrix([[1, 1]], 2))
+    basis = mod_nullspace([[1, 1]], 2)
     assert [v.tolist() for v in basis] == [[1, 1]]
-    assert nullspace(FieldMatrix.identity(2, 3)) == []
-    assert len(nullspace(FieldMatrix.zeros(2, 2, 2))) == 2
+    assert mod_nullspace(np.eye(2, dtype=np.int64), 3) == []
+    assert len(mod_nullspace(np.zeros((2, 2), dtype=np.int64), 2)) == 2
 
 
 def test_empty_shapes():
