@@ -351,16 +351,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Secret-sharing structure of qudit stabilizer codes")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed_required=False):
+    def common(p):
         p.add_argument("source", help="code file path or catalog:NAME")
         p.add_argument("--n", type=int, default=None, dest="size_param",
                        help="size parameter for catalog:ghz_n")
         p.add_argument("--format", choices=("text", "structured"),
                        default="text")
-        p.add_argument("--cap", type=int, default=None,
-                       help="amplitude cap for dense objects")
-        p.add_argument("--seed", type=int, required=seed_required,
-                       default=None)
 
     p = sub.add_parser("validate", help="check the stabilizer invariants")
     common(p)
@@ -374,7 +370,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("simulate", help="run oracle verifications end to end")
-    common(p, seed_required=True)
+    common(p)
+    p.add_argument("--cap", type=int, default=None,
+                   help="amplitude cap for dense objects")
+    p.add_argument("--seed", type=int, required=True)
     p.add_argument("--check", choices=CHECK_NAMES, default="all")
     p.add_argument("--trace-tol", type=float, default=oracle.DETECTION_TOL,
                    help="nonzero-trace detection tolerance")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import pauli
-from .pauli import PauliProduct, ResourceLimitError
+from .pauli import PauliProduct, ResourceLimitError, pairing
 from .primefield import check_prime, is_prime, mod_rank, row_span_contains
 
 __all__ = [
@@ -47,6 +47,18 @@ class CodeValidationError(ValueError):
     """A loaded code violates the stabilizer invariants."""
 
 
+def _check_int64_range(d: int, n: int) -> None:
+    """Reject a D for which int64 arithmetic on n carriers could wrap.
+
+    The largest int64 accumulation (an elimination step, an InfoGroup
+    element) is a sum of at most 2n products of digits < D.
+    """
+    if 2 * max(n, 1) * (d - 1) ** 2 >= 2**63:
+        raise ValueError(
+            f"D={d} is too large for exact int64 arithmetic on "
+            f"n={n} carriers: need 2n(D-1)^2 < 2^63")
+
+
 @dataclass(frozen=True)
 class StabilizerCode:
     """An [[n, k]]_d stabilizer code with fixed logical representatives."""
@@ -65,13 +77,7 @@ class StabilizerCode:
         check_prime(self.d)
         if not (0 < self.k <= self.n):
             raise ValueError(f"need 0 < k <= n, got k={self.k}, n={self.n}")
-        # The largest int64 accumulation (a distance pairing, an elimination
-        # step, an InfoGroup element) is a sum of at most 2n products of
-        # digits < D.
-        if 2 * self.n * (int(self.d) - 1) ** 2 >= 2**63:
-            raise ValueError(
-                f"D={self.d} is too large for exact int64 arithmetic on "
-                f"n={self.n} carriers: need 2n(D-1)^2 < 2^63")
+        _check_int64_range(int(self.d), self.n)
         stab = tuple(self.stabilizer)
         lx = tuple(self.logical_x)
         lz = tuple(self.logical_z)
@@ -123,58 +129,57 @@ def validate(code: StabilizerCode) -> ValidationReport:
     """Check every symplectic invariant; the report lists what failed."""
     report = ValidationReport()
     d, n, k = code.d, code.n, code.k
-    stab = code.stabilizer
+    ns = n - k
+    stab_rows = code.stabilizer_rows()
+    rows = np.vstack([stab_rows, code.logical_rows()])
+    gram = pairing(rows, rows, d)  # stabilizer, then X-bar, then Z-bar rows
+    labels = ([f"stabilizer generator {i}" for i in range(ns)]
+              + [f"X-bar {i}" for i in range(k)]
+              + [f"Z-bar {i}" for i in range(k)])
 
-    for i, j in itertools.combinations(range(len(stab)), 2):
-        c = pauli.commutation_exponent(stab[i], stab[j])
-        if c:
+    for i, j in itertools.combinations(range(ns), 2):
+        if gram[i, j]:
             report.violations.append(
                 f"stabilizer generators {i} and {j} do not commute "
-                f"(exponent {c})")
+                f"(exponent {gram[i, j]})")
 
-    stab_rows = code.stabilizer_rows()
-    if len(stab) and mod_rank(stab_rows, d) != len(stab):
+    if ns and mod_rank(stab_rows, d) != ns:
         report.violations.append("stabilizer generators are projectively dependent")
 
     # Each generator must have operator order exactly d with w-phases alone;
     # for d = 2 this forbids an odd number of sites carrying both X and Z.
-    for i, g in enumerate(stab):
+    for label, g in zip(labels, code.stabilizer + code.logical_x + code.logical_z):
         overlap = sum(a * b for a, b in zip(g.x, g.z))
         if (d * (d - 1) // 2 * overlap) % d:
             report.violations.append(
-                f"stabilizer generator {i} has order {2 * d}, not {d} "
-                "(phase obstruction)")
+                f"{label} has order {2 * d}, not {d} (phase obstruction)")
 
-    logical = code.logical_x + code.logical_z
-    labels = [f"X-bar {i}" for i in range(k)] + [f"Z-bar {i}" for i in range(k)]
-    for li, lp in zip(labels, logical):
-        for j, g in enumerate(stab):
-            c = pauli.commutation_exponent(lp, g)
-            if c:
+    for li in range(ns, ns + 2 * k):
+        for j in range(ns):
+            if gram[li, j]:
                 report.violations.append(
-                    f"{li} does not commute with stabilizer generator {j} "
-                    f"(exponent {c})")
+                    f"{labels[li]} does not commute with stabilizer generator "
+                    f"{j} (exponent {gram[li, j]})")
 
     for i in range(k):
         for j in range(k):
             want = 1 if i == j else 0
-            got = pauli.commutation_exponent(code.logical_x[i], code.logical_z[j])
+            got = gram[ns + i, ns + k + j]
             if got != want:
                 report.violations.append(
                     f"pairing of X-bar {i} with Z-bar {j} is {got}, want {want}")
     for i, j in itertools.combinations(range(k), 2):
-        if pauli.commutation_exponent(code.logical_x[i], code.logical_x[j]):
+        if gram[ns + i, ns + j]:
             report.violations.append(f"X-bar {i} and X-bar {j} do not commute")
-        if pauli.commutation_exponent(code.logical_z[i], code.logical_z[j]):
+        if gram[ns + k + i, ns + k + j]:
             report.violations.append(f"Z-bar {i} and Z-bar {j} do not commute")
 
-    stacked = np.vstack([stab_rows, code.logical_rows()])
-    if mod_rank(stacked, d) != (n - k) + 2 * k:
+    if mod_rank(rows, d) != ns + 2 * k:
         report.violations.append(
             "logical representatives are dependent modulo the stabilizer span")
 
     report.notes.append(
-        f"maximality holds by construction: {n - k} independent commuting "
+        f"maximality holds by construction: {ns} independent commuting "
         f"generators over prime d={d} fix a d^{k}-dimensional code space")
     return report
 
@@ -292,6 +297,10 @@ def loads(text: str) -> StabilizerCode:
     for f, v in (("D", d), ("n", n), ("k", k)):
         if isinstance(v, bool) or not isinstance(v, int):
             raise CodeFileError(f"field {f} must be an integer")
+    try:
+        _check_int64_range(d, n)  # before is_prime, which is slow for huge D
+    except ValueError as exc:
+        raise CodeFileError(str(exc)) from exc
     if not is_prime(d):
         raise CodeFileError(f"field D: D must be prime, got {d}")
     strings_ok = bool(data.get("pauli_strings", False))
@@ -362,13 +371,9 @@ def distance(code: StabilizerCode, cap: int = DEFAULT_DISTANCE_CAP) -> int:
         raise ResourceLimitError(
             f"distance enumeration needs {total} candidates, cap is {cap}")
     stab_rows = code.stabilizer_rows()
-    # pairing(v, g) = v_x . g_z - v_z . g_x for every stabilizer row g
-    pair_mat = np.hstack([stab_rows[:, n:], -stab_rows[:, :n]]) % d
-
     candidates = np.array(
         list(itertools.product(range(d), repeat=2 * n)), dtype=np.int64)
-    commuting = candidates[
-        np.all(candidates @ pair_mat.T % d == 0, axis=1)]
+    commuting = candidates[np.all(pairing(candidates, stab_rows, d) == 0, axis=1)]
 
     best = None
     stab_rank = mod_rank(stab_rows, d) if len(code.stabilizer) else 0

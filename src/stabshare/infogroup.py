@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .code import StabilizerCode
-from .pauli import ResourceLimitError
+from .pauli import ResourceLimitError, pairing
 from .primefield import (mod_nullspace, mod_rank, mod_solve, row_space_basis,
                          row_span_contains)
 
@@ -38,8 +38,6 @@ __all__ = [
     "SubsetRecord",
     "SchemeTriplet",
     "SchemeConsistencyError",
-    "pairing",
-    "pairing_matrix",
     "info_group",
     "commutant",
     "canonical_form",
@@ -55,24 +53,6 @@ DEFAULT_CLASSIFY_CAP = 20
 
 class SchemeConsistencyError(RuntimeError):
     """A symplectic postcondition failed; indicates a bug."""
-
-
-def pairing(u, v, d: int) -> int:
-    """Symplectic pairing u_x . v_z - u_z . v_x mod d on (x|z) vectors."""
-    u = np.asarray(u, dtype=np.int64)
-    v = np.asarray(v, dtype=np.int64)
-    half = u.size // 2
-    return int((u[:half] @ v[half:] - u[half:] @ v[:half]) % d)
-
-
-def pairing_matrix(rows, d: int) -> np.ndarray:
-    """Antisymmetric Gram matrix of pairwise pairings."""
-    rows = np.asarray(rows, dtype=np.int64)
-    if rows.size == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    half = rows.shape[1] // 2
-    return (rows[:, :half] @ rows[:, half:].T
-            - rows[:, half:] @ rows[:, :half].T) % d
 
 
 @dataclass(frozen=True)
@@ -199,15 +179,6 @@ class CanonicalForm:
         return 2 * self.r + self.s
 
 
-def _pairing_row(vec, k: int, d: int) -> np.ndarray:
-    """Coefficients c with pairing(vec, w) = c . w for unknown w."""
-    vec = np.asarray(vec, dtype=np.int64)
-    out = np.empty(2 * k, dtype=np.int64)
-    out[:k] = (-vec[k:]) % d
-    out[k:] = vec[:k] % d
-    return out
-
-
 def commutant(group: InfoGroup) -> InfoGroup:
     """All w in Z_d^(2k) with zero pairing against every generator.
 
@@ -215,16 +186,15 @@ def commutant(group: InfoGroup) -> InfoGroup:
     of G(S) equals G(S-bar) generator for generator.
     """
     d, k = group.d, group.k
-    rows = np.array([_pairing_row(g, k, d) for g in group.generators],
-                    dtype=np.int64).reshape(-1, 2 * k)
-    null = mod_nullspace(rows, d)
+    # Row i holds the coefficients c with pairing(g_i, w) = c . w.
+    null = mod_nullspace(pairing(group.generator_rows(), np.eye(2 * k), d), d)
     base = np.array(null, dtype=np.int64) if null else np.zeros((0, 2 * k))
     return group_from_rows(d, k, base)
 
 
 def _solve_with_pairings(current: list[np.ndarray], targets: list[int],
                          k: int, d: int) -> np.ndarray:
-    rows = np.array([_pairing_row(v, k, d) for v in current])
+    rows = pairing(np.array(current), np.eye(2 * k), d)
     sol = mod_solve(rows, np.array(targets, dtype=np.int64), d)
     if sol is None:  # unreachable for independent `current`
         raise SchemeConsistencyError("symplectic completion system inconsistent")
@@ -284,8 +254,7 @@ def canonical_form(group: InfoGroup) -> CanonicalForm:
     fillers: list[tuple[np.ndarray, np.ndarray]] = []
     while len(current) < 2 * k:
         if current:
-            rows = np.array([_pairing_row(v, k, d) for v in current])
-            null = mod_nullspace(rows, d)
+            null = mod_nullspace(pairing(np.array(current), np.eye(2 * k), d), d)
             u = null[0] % d
         else:
             u = np.zeros(2 * k, dtype=np.int64)
@@ -366,8 +335,8 @@ class SchemeTriplet:
 
 
 def _rs_of(group: InfoGroup) -> tuple[int, int]:
-    gram = pairing_matrix(group.generator_rows(), group.d)
-    rank2r = mod_rank(gram, group.d) if gram.size else 0
+    rows = group.generator_rows()
+    rank2r = mod_rank(pairing(rows, rows, group.d), group.d) if group.rank else 0
     r = rank2r // 2
     return r, group.rank - 2 * r
 

@@ -33,8 +33,7 @@ __all__ = [
     "identity",
     "multiply",
     "power",
-    "inverse",
-    "commutation_exponent",
+    "pairing",
     "symplectic_vector",
     "from_symplectic",
     "dense_matrix",
@@ -82,10 +81,6 @@ class PauliProduct:
         """True iff all exponents vanish (projective identity)."""
         return not any(self.x) and not any(self.z)
 
-    def weight(self) -> int:
-        """Number of sites acted on nontrivially."""
-        return sum(1 for a, b in zip(self.x, self.z) if a or b)
-
     def __mul__(self, other):
         return multiply(self, other)
 
@@ -119,32 +114,31 @@ def multiply(p: PauliProduct, q: PauliProduct) -> PauliProduct:
     )
 
 
-def inverse(p: PauliProduct) -> PauliProduct:
-    """Operator inverse: multiply(p, inverse(p)) is the exact identity."""
-    overlap = sum(a * b for a, b in zip(p.x, p.z))
-    return PauliProduct(
-        p.d,
-        tuple(-a for a in p.x),
-        tuple(-b for b in p.z),
-        -p.phase - overlap,
-    )
-
-
 def power(p: PauliProduct, e: int) -> PauliProduct:
-    """p**e for any integer e, by exact repeated multiplication."""
-    base = p if e >= 0 else inverse(p)
-    out = identity(p.d, p.m)
-    for _ in range(abs(int(e))):
-        out = multiply(out, base)
-    return out
+    """p**e for any integer e, in closed form.
+
+    Each of the e(e-1)/2 reorderings in p p ... p costs w^-(x.z), so
+    p^e = w^(e*phase - (x.z) e(e-1)/2) X^(e x) Z^(e z).
+    """
+    e = int(e)
+    overlap = sum(a * b for a, b in zip(p.x, p.z))
+    return PauliProduct(p.d, tuple(e * a for a in p.x),
+                        tuple(e * b for b in p.z),
+                        e * p.phase - overlap * (e * (e - 1) // 2))
 
 
-def commutation_exponent(p: PauliProduct, q: PauliProduct) -> int:
-    """The exponent c with p q = w^c q p (symplectic pairing of exponents)."""
-    _check_compatible(p, q)
-    val = sum(a * b for a, b in zip(p.x, q.z)) - sum(
-        a * b for a, b in zip(p.z, q.x))
-    return val % p.d
+def pairing(a, b, d: int):
+    """Symplectic pairing a_x . b_z - a_z . b_x mod d of (x|z) vectors.
+
+    Products p, q with exponent vectors a, b satisfy p q = w^pairing q p.
+    Two vectors give an int; stacks of rows give the matrix of pairings
+    of every row of a with every row of b.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    m = a.shape[-1] // 2
+    out = (a[..., :m] @ b[..., m:].T - a[..., m:] @ b[..., :m].T) % d
+    return int(out) if out.ndim == 0 else out
 
 
 def symplectic_vector(p: PauliProduct) -> np.ndarray:

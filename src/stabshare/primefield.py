@@ -10,6 +10,8 @@ inside int64; ``StabilizerCode`` rejects any D for which they could not.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = [
@@ -24,8 +26,9 @@ __all__ = [
 ]
 
 
+@functools.lru_cache(maxsize=64)
 def is_prime(n: int) -> bool:
-    """Trial-division primality test; deterministic and fine at desk scale."""
+    """Trial-division primality test, cached: every PauliProduct checks D."""
     if n < 2:
         return False
     if n in (2, 3):

@@ -20,8 +20,9 @@ import numpy as np
 
 from . import infogroup
 from .code import StabilizerCode
-from .infogroup import CanonicalForm, InfoGroup, SchemeTriplet, pairing
-from .pauli import PauliProduct, from_symplectic, power, symplectic_vector
+from .infogroup import CanonicalForm, InfoGroup, SchemeTriplet
+from .pauli import (PauliProduct, from_symplectic, pairing, power,
+                    symplectic_vector)
 
 __all__ = [
     "ClassicalPrescription",

@@ -5,8 +5,7 @@ import pytest
 
 from stabshare import catalog, validate
 from stabshare.code import StabilizerCode
-from stabshare.infogroup import pairing
-from stabshare.pauli import from_symplectic
+from stabshare.pauli import from_symplectic, pairing
 
 
 @pytest.fixture(scope="session")
@@ -41,6 +40,13 @@ def catalog_codes():
              catalog("five_qubit"), catalog("steane")]
     codes += [catalog("ghz_n", n) for n in (3, 4, 5, 6)]
     return codes
+
+
+# {D:2, n:3, k:1}: X-bar = ZIY has one site with both X and Z, so it has
+# order 4, while every pairing invariant holds.
+PHASE_OBSTRUCTED_LOGICAL = {
+    "name": "odd-logical", "D": 2, "n": 3, "k": 1, "pauli_strings": True,
+    "stabilizer": ["XIX", "XZX"], "logical_x": ["ZIY"], "logical_z": ["YIY"]}
 
 
 def two_carrier_file(d: int, **fields) -> str:

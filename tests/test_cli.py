@@ -8,7 +8,7 @@ from stabshare import catalog, classical
 from stabshare import code as code_mod
 from stabshare.cli import main
 
-from conftest import two_carrier_file
+from conftest import PHASE_OBSTRUCTED_LOGICAL, two_carrier_file
 
 
 def run(capsys, *argv):
@@ -73,6 +73,30 @@ def test_classify_rejects_boolean_and_oversized_fields(tmp_path, capsys):
     status, out, err = run(capsys, "classify", str(big))
     assert (status, out) == (2, "")
     assert "2n(D-1)^2 < 2^63" in err
+
+
+def test_rejections_of_phase_obstruction_and_huge_d(tmp_path, capsys):
+    odd = tmp_path / "odd.json"
+    odd.write_text(json.dumps(PHASE_OBSTRUCTED_LOGICAL))
+    for command in ("validate", "classify"):
+        status, out, err = run(capsys, command, str(odd))
+        assert (status, out) == (2, "")
+        assert "X-bar 0 has order 4, not 2 (phase obstruction)" in err
+
+    huge = tmp_path / "huge.json"
+    huge.write_text(two_carrier_file(10**18 + 9))
+    status, out, err = run(capsys, "validate", str(huge))
+    assert (status, out) == (2, "")
+    assert "too large" in err
+
+
+@pytest.mark.parametrize("command", ["validate", "classify", "twirl-plan"])
+@pytest.mark.parametrize("flag", ["--cap", "--seed"])
+def test_cap_and_seed_belong_to_simulate_only(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "catalog:cnot_2_1", flag, "4"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 4" in capsys.readouterr().err
 
 
 def test_unknown_catalog_is_input_error(capsys):

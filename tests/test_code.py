@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from stabshare.code import (
 from stabshare.pauli import ResourceLimitError
 from stabshare.primefield import is_prime
 
-from conftest import random_code, two_carrier_file
+from conftest import PHASE_OBSTRUCTED_LOGICAL, random_code, two_carrier_file
 
 
 def test_catalog_codes_validate(catalog_codes):
@@ -69,6 +70,62 @@ def test_phase_obstruction_detected():
         (pauli.parse("YI"),), (pauli.parse("IX"),), (pauli.parse("IZ"),))
     report = validate(bad)
     assert any("phase obstruction" in v for v in report.violations)
+
+
+def test_phase_obstructed_logical_rejected():
+    with pytest.raises(CodeValidationError,
+                       match=r"X-bar 0 has order 4, not 2 \(phase obstruction\)"):
+        loads(json.dumps(PHASE_OBSTRUCTED_LOGICAL))
+    code = StabilizerCode(
+        "odd-logical", 2, 3, 1, (pauli.parse("XIX"), pauli.parse("XZX")),
+        (pauli.parse("ZIY"),), (pauli.parse("YIY"),))
+    assert validate(code).violations == [
+        "X-bar 0 has order 4, not 2 (phase obstruction)"]
+
+
+def _broken(d, stab, lx, lz):
+    p = lambda text: pauli.parse(text, d)
+    return StabilizerCode("broken", d, 5, 2, tuple(map(p, stab)),
+                          tuple(map(p, lx)), tuple(map(p, lz)))
+
+
+def test_validate_lists_every_violation_in_order():
+    bad = _broken(2, ["XIIII", "ZIIII", "YIIII"], ["XYIII", "IZIII"],
+                  ["IIXII", "IIZII"])
+    assert validate(bad).violations == [
+        "stabilizer generators 0 and 1 do not commute (exponent 1)",
+        "stabilizer generators 0 and 2 do not commute (exponent 1)",
+        "stabilizer generators 1 and 2 do not commute (exponent 1)",
+        "stabilizer generators are projectively dependent",
+        "stabilizer generator 2 has order 4, not 2 (phase obstruction)",
+        "X-bar 0 has order 4, not 2 (phase obstruction)",
+        "X-bar 0 does not commute with stabilizer generator 1 (exponent 1)",
+        "X-bar 0 does not commute with stabilizer generator 2 (exponent 1)",
+        "pairing of X-bar 0 with Z-bar 0 is 0, want 1",
+        "pairing of X-bar 1 with Z-bar 1 is 0, want 1",
+        "X-bar 0 and X-bar 1 do not commute",
+        "Z-bar 0 and Z-bar 1 do not commute",
+        "logical representatives are dependent modulo the stabilizer span",
+    ]
+    site = lambda *tokens: ".".join(tokens + ("x0z0",) * (5 - len(tokens)))
+    qutrit = _broken(3, [site("x1z0"), site("x0z1"), site("x1z1")],
+                     [site("x0z2", "x1z0"), site("x0z0", "x0z1")],
+                     [site("x0z0", "x2z0", "x1z0"),
+                      site("x0z0", "x0z0", "x0z2")])
+    assert validate(qutrit).violations == [
+        "stabilizer generators 0 and 1 do not commute (exponent 1)",
+        "stabilizer generators 0 and 2 do not commute (exponent 1)",
+        "stabilizer generators 1 and 2 do not commute (exponent 2)",
+        "stabilizer generators are projectively dependent",
+        "X-bar 0 does not commute with stabilizer generator 0 (exponent 1)",
+        "X-bar 0 does not commute with stabilizer generator 2 (exponent 1)",
+        "pairing of X-bar 0 with Z-bar 0 is 0, want 1",
+        "pairing of X-bar 1 with Z-bar 0 is 1, want 0",
+        "pairing of X-bar 1 with Z-bar 1 is 0, want 1",
+        "X-bar 0 and X-bar 1 do not commute",
+        "Z-bar 0 and Z-bar 1 do not commute",
+        "logical representatives are dependent modulo the stabilizer span",
+    ]
 
 
 def test_equivalent_logical_representative_still_valid(cnot):
@@ -189,6 +246,15 @@ def test_load_rejects_d_beyond_int64_range():
     with pytest.raises(ValueError, match="too large"):
         StabilizerCode("x", d, 1, 1, (), (pauli.parse("x1z0", d),),
                        (pauli.parse("x0z1", d),))
+
+
+def test_load_rejects_huge_d_before_primality():
+    # Trial division would run for minutes on this D.
+    start = time.perf_counter()
+    for fields in ({}, {"n": 0}):
+        with pytest.raises(CodeFileError, match="too large"):
+            loads(two_carrier_file(10**18 + 9, **fields))
+    assert time.perf_counter() - start < 0.5
 
 
 def test_load_accepts_largest_benchmark_d():

@@ -12,7 +12,9 @@ PACKAGES = ("stabshare",) + tuple(
 DELETED = {
     "stabshare.primefield": ("FieldElement", "FieldMatrix", "row_reduce",
                              "solve", "nullspace"),
-    "stabshare.pauli": ("PauliSubgroup", "subgroup_membership"),
+    "stabshare.pauli": ("PauliSubgroup", "subgroup_membership",
+                        "commutation_exponent", "inverse"),
+    "stabshare.infogroup": ("pairing_matrix", "_pairing_row"),
     "stabshare.cli": ("RunConfig", "_config_from_args"),
 }
 

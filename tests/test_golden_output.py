@@ -1,0 +1,125 @@
+"""Byte-identity of the structured CLI output, pinned by sha256 digests.
+
+Each entry is the exit status and the sha256 of the ``--format structured``
+stdout of one command on a catalog code.  ``share-key`` derives its key from
+the code's twirl plan with ``--seed 1``; on codes with no intermediate
+structure it exits 2 with empty stdout.  ``simulate`` is left out: its
+floating-point measurements depend on the BLAS build.
+
+A change that alters any of these bytes on purpose must say why and record
+the new digests.
+"""
+
+import hashlib
+
+import pytest
+
+from stabshare.cli import main
+
+GOLDEN = {
+    ("validate", "cnot_2_1"): (
+        0, "4e3ba0a900f82eabdcec584a532078c425c77af5013a8f9100e72499ce6aee26"),
+    ("classify", "cnot_2_1"): (
+        0, "53338be7c5a790caaf833814ce1b2960a8896106a997c9cc13954a0b8644e3bc"),
+    ("twirl-plan", "cnot_2_1"): (
+        0, "80a3bdf32097763b5820871f226dde0a774f54f71c53f790d4dbdecd3cee19d9"),
+    ("share-key", "cnot_2_1"): (
+        0, "ebe8b74af6512775e9f7e0fb7a7936735da53e71110dd084f592d2ea394e6293"),
+    ("validate", "five_qubit"): (
+        0, "cad790807ec34fd1fa31d2564a32b57016553b03f878327740ab20fa62662387"),
+    ("classify", "five_qubit"): (
+        0, "64bdf1dcb95d4b46984ae1e325d0229b794a4c5bdb7c5815dd801ae5b595b7ba"),
+    ("twirl-plan", "five_qubit"): (
+        0, "fac728d22a85c2d4d13d15c84a9c6089e312d939fa27431aad6a1b73078e8135"),
+    ("share-key", "five_qubit"): (
+        2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("validate", "four_two_two"): (
+        0, "ec284ba0c90d82f593bf3096b10a3aafeca19221f5f8a59bc6df8cf1b9d6dc35"),
+    ("classify", "four_two_two"): (
+        0, "edb7eecf63d6dd54e16183f19ba3633c33f9d36a2fe322f3b2d362b56823a90b"),
+    ("twirl-plan", "four_two_two"): (
+        0, "bb994b435a169afd57397e9135a04cb9b50298d99bdfcd3f67adb7962cd4e8fa"),
+    ("share-key", "four_two_two"): (
+        0, "3ede8e1b827c1f1f7c6331cc6bf45cd95843e0e0cba72616820f419ef19bdef4"),
+    ("validate", "steane"): (
+        0, "1b2f197678ed60ae06182e0cdaa59a47bce6509904ee434241b5b0ce02facb0d"),
+    ("classify", "steane"): (
+        0, "113f85958e225a39bb2642863a6d4803232b25c762b4af6df6024abb749f8206"),
+    ("twirl-plan", "steane"): (
+        0, "a6bbdfa3a588c37cb0044d5196fb298b38acfbc3feeed2b04a64ed4961a7071e"),
+    ("share-key", "steane"): (
+        2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("validate", "ghz_3"): (
+        0, "35cbec5bab4a748da16da2f7af9b8b749da54fd3dc406cb7376bb44ae306faaa"),
+    ("classify", "ghz_3"): (
+        0, "09cf600ee5932eeec70dca5771ba3fdf5e010f17c84a583fcecddc10547d22d6"),
+    ("twirl-plan", "ghz_3"): (
+        0, "74e1e970b77f5ac239e4da0c00dc12a90069842b711213c63499d9dddfc2dde7"),
+    ("share-key", "ghz_3"): (
+        0, "4e1c5258c8a30f4b70c8cc79b59b444981525a166d7a420e7c11cd2da0fdff1e"),
+    ("validate", "ghz_4"): (
+        0, "1f68f87532334657a812edb115516575426670c69c644b63f96d16a28a93d844"),
+    ("classify", "ghz_4"): (
+        0, "5b6edc21630bbcf3e545403bc8e12b895bd9af922d27741b8ecc74c88d6a79cb"),
+    ("twirl-plan", "ghz_4"): (
+        0, "c885f45cf55db2db147d8507f782c72af9248b65ba6996ee273a6fc78a249f5e"),
+    ("share-key", "ghz_4"): (
+        0, "ef822e2b70ed2ecb562d5548c1fba5b36a767405c93125360c1c6b768ea38015"),
+    ("validate", "ghz_5"): (
+        0, "063367338b9ea30dd90741d954cb38b5014965bdab342ab5cf9438ea555763ca"),
+    ("classify", "ghz_5"): (
+        0, "cb9fd332f6ca658decff6323d4c32465ca5ebfa34dfa91091d00383508cadcff"),
+    ("twirl-plan", "ghz_5"): (
+        0, "af8d047bd963951c41e50413b68bf0f4e577d8427ca5d70d4657e996401fa9e2"),
+    ("share-key", "ghz_5"): (
+        0, "e5272df00c6dd1f6dbf7ade1d52ab3903bdd414ea44cc4e9ad37ab1582462e12"),
+    ("validate", "ghz_6"): (
+        0, "a39b8653eebeeeb3eb7571cd7b09c2d13ad46dc63f0d0ffea0fc64f125d6c46c"),
+    ("classify", "ghz_6"): (
+        0, "8ff9927b6926214b040f368844bd0e753ba56f24b9a1ecfe203bc7bb6c9fa84a"),
+    ("twirl-plan", "ghz_6"): (
+        0, "85e60e43238f9daa168e5ba9e037418f310b0316a613176a87be3426be98ec55"),
+    ("share-key", "ghz_6"): (
+        0, "ca8e66a1944af9acb31aaa15279d4bd1c42a826d01d84ae66c57b2629d9ff191"),
+    ("validate", "ghz_7"): (
+        0, "cea7076c0b2728d6e5575a1e0484189ffe5a97433dbadfe13e6dbc27db764579"),
+    ("classify", "ghz_7"): (
+        0, "ca0699ff14e33a0bb1eb85907f9903f4fd21cc3bcb78a5b0e8daca2893ede7fa"),
+    ("twirl-plan", "ghz_7"): (
+        0, "14f0ca4d8225c79c9a5f090d5c283749c22a4b11215184bd7664e511cb294931"),
+    ("share-key", "ghz_7"): (
+        0, "f4bffed716769cd171efe7b52f43489bb77eb8678ce3c91430be0b08be8c4e87"),
+    ("validate", "ghz_8"): (
+        0, "221e711b8e8e71f770fe212ac6bd4ed0c1790316b21afd4ad8bc21abb1fb370a"),
+    ("classify", "ghz_8"): (
+        0, "458b6cb6a728215ab1f70a61209999a155ceb6f11a71369537c3c686435998ea"),
+    ("twirl-plan", "ghz_8"): (
+        0, "cb192d49ac6d46d3d559f228d26c090aafbd6f490983a8a092167e7e76861f8f"),
+    ("share-key", "ghz_8"): (
+        0, "0f19021f242324fd5a5b69298445b55a0c1a9bad0c85997b1871946c0987724b"),
+    ("validate", "ghz_9"): (
+        0, "cbe2f2b1528895014d8e4de53050f8c39dd164d11b9be1bf7db56df39e317e9d"),
+    ("classify", "ghz_9"): (
+        0, "e49729be02958fdee0c5964814f30207df926b57b96cb69eea4e17f655a7e409"),
+    ("twirl-plan", "ghz_9"): (
+        0, "7733776b5b87cc34e8f1ed8ef34c59cffd1ecede3736beb85b1cb6191bd37130"),
+    ("share-key", "ghz_9"): (
+        0, "5b9960c9e90286dd5c1fc002a5381e60b5332fa056b3a750825c2be5b0e77365"),
+}
+
+
+def _argv(command: str, code: str) -> list[str]:
+    if code.startswith("ghz_"):
+        source = ["catalog:ghz_n", "--n", code[len("ghz_"):]]
+    else:
+        source = [f"catalog:{code}"]
+    if command == "share-key":
+        return ["share-key", "--from-plan", *source, "--seed", "1"]
+    return [command, *source]
+
+
+@pytest.mark.parametrize("command,code", sorted(GOLDEN))
+def test_structured_output_is_byte_identical(capsys, command, code):
+    status = main(_argv(command, code) + ["--format", "structured"])
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (status, digest) == GOLDEN[command, code]

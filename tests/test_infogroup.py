@@ -13,12 +13,10 @@ from stabshare.infogroup import (
     complement,
     group_from_rows,
     info_group,
-    pairing,
-    pairing_matrix,
     subsets_in_order,
     threshold_q,
 )
-from stabshare.pauli import ResourceLimitError, multiply
+from stabshare.pauli import ResourceLimitError, multiply, pairing
 from stabshare.primefield import mod_rank
 from stabshare.twirl import intermediate_group
 
@@ -94,7 +92,8 @@ def test_canonical_hyperbolic_pair_two_qudits():
     g = group_from_rows(2, 2, [[1, 0, 0, 1], [0, 0, 1, 0]])
     form = canonical_form(g)
     assert (form.r, form.s) == (1, 0)
-    gram = pairing_matrix(np.array(g.generator_rows()), 2)
+    rows = g.generator_rows()
+    gram = pairing(rows, rows, 2)
     assert mod_rank(gram, 2) == 2 * form.r
 
 
@@ -137,7 +136,8 @@ def _assert_canonical_invariants(group: InfoGroup):
         assert np.array_equal(t[:, k + r + j] % d, basis[2 * r + j] % d)
 
     # pairing-matrix rank equals 2r
-    gram = pairing_matrix(group.generator_rows(), d)
+    rows = group.generator_rows()
+    gram = pairing(rows, rows, d)
     assert (mod_rank(gram, d) if gram.size else 0) == 2 * r
 
 

@@ -1,8 +1,9 @@
+import functools
 import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stabshare import pauli
@@ -10,17 +11,21 @@ from stabshare.infogroup import group_from_rows
 from stabshare.pauli import (
     PauliProduct,
     ResourceLimitError,
-    commutation_exponent,
     dense_matrix,
     from_symplectic,
     identity,
-    inverse,
     multiply,
+    pairing,
     parse,
     power,
     symplectic_vector,
     to_string,
 )
+
+
+def comm(p: PauliProduct, q: PauliProduct) -> int:
+    """The exponent c with p q = w^c q p, from the exponent vectors."""
+    return pairing(symplectic_vector(p), symplectic_vector(q), p.d)
 
 
 def ref_single(d: int, x: int, z: int) -> np.ndarray:
@@ -68,17 +73,17 @@ def test_multiply_rejects_mismatches():
 
 
 def test_commutation_examples():
-    assert commutation_exponent(parse("X"), parse("Z")) == 1
+    assert comm(parse("X"), parse("Z")) == 1
     p = PauliProduct(3, (1, 2), (0, 1))
-    assert commutation_exponent(p, p) == 0
-    assert commutation_exponent(PauliProduct(3, (2,), (0,)),
+    assert comm(p, p) == 0
+    assert comm(PauliProduct(3, (2,), (0,)),
                                 PauliProduct(3, (0,), (1,))) == 2
 
 
 def test_qutrit_commutation_against_matrices():
     a = PauliProduct(3, (2,), (0,))
     b = PauliProduct(3, (0,), (1,))
-    lam = commutation_exponent(a, b)
+    lam = comm(a, b)
     lhs = ref_dense(a) @ ref_dense(b)
     rhs = np.exp(2j * np.pi * lam / 3) * ref_dense(b) @ ref_dense(a)
     assert np.allclose(lhs, rhs)
@@ -104,11 +109,80 @@ def test_dense_cap():
 
 def test_inverse_and_power():
     p = PauliProduct(3, (1, 2), (2, 1), phase=1)
-    assert multiply(p, inverse(p)) == identity(3, 2)
+    assert multiply(p, power(p, -1)) == identity(3, 2)
     assert power(p, 3).is_identity and power(p, 3).phase == 0
-    assert power(p, -1) == inverse(p)
+    assert multiply(power(p, -1), p) == identity(3, 2)
     q = parse("Y")  # x1z1 with phase 0: squares to -I under this convention
     assert power(q, 2) == PauliProduct(2, (0,), (0,), phase=1)
+
+
+def fold_power(p: PauliProduct, e: int) -> PauliProduct:
+    """Reference p**e: a left fold of multiply over |e| factors.
+
+    The factor is p, or for e < 0 the product q with p q = I, which is
+    checked with multiply before it is used.
+    """
+    base = p
+    if e < 0:
+        overlap = sum(a * b for a, b in zip(p.x, p.z))
+        base = PauliProduct(p.d, tuple(-a for a in p.x),
+                            tuple(-b for b in p.z), -p.phase - overlap)
+        assert multiply(p, base) == identity(p.d, p.m)
+    return functools.reduce(multiply, [base] * abs(e), identity(p.d, p.m))
+
+
+@st.composite
+def pauli_over(draw, primes, max_sites=3):
+    d = draw(st.sampled_from(primes))
+    m = draw(st.integers(1, max_sites))
+    v = draw(st.lists(st.integers(0, d - 1), min_size=2 * m + 1,
+                      max_size=2 * m + 1))
+    return PauliProduct(d, tuple(v[:m]), tuple(v[m:2 * m]), v[2 * m])
+
+
+@st.composite
+def pauli_and_exponent(draw, primes):
+    p = draw(pauli_over(primes))
+    return p, draw(st.integers(-2 * p.d, 2 * p.d))
+
+
+@given(pauli_and_exponent([2, 3, 5, 7]))
+@settings(max_examples=200)
+def test_power_equals_fold_of_multiply(pe):
+    p, e = pe
+    assert power(p, e) == fold_power(p, e)
+
+
+@given(pauli_and_exponent([65537]))
+@example((PauliProduct(65537, (1, 65536), (65535, 2), 7), 2 * 65537))
+@example((PauliProduct(65537, (3,), (65536,), 1), -2 * 65537))
+@settings(max_examples=4, deadline=None)
+def test_power_equals_fold_of_multiply_large_d(pe):
+    p, e = pe
+    assert power(p, e) == fold_power(p, e)
+
+
+@given(st.data())
+def test_pairing_is_the_commutation_phase(data):
+    p = data.draw(pauli_over([2, 3, 5, 7], max_sites=4))
+    q = data.draw(pauli_over([p.d], max_sites=p.m).filter(
+        lambda q: q.m == p.m))
+    c = pairing(symplectic_vector(p), symplectic_vector(q), p.d)
+    assert isinstance(c, int)
+    qp = multiply(q, p)
+    assert multiply(p, q) == PauliProduct(p.d, qp.x, qp.z, qp.phase + c)
+
+
+def test_pairing_of_row_stacks_is_the_pairwise_matrix():
+    rng = np.random.default_rng(3)
+    a = rng.integers(0, 5, size=(4, 6))
+    b = rng.integers(0, 5, size=(3, 6))
+    gram = pairing(a, b, 5)
+    assert gram.shape == (4, 3)
+    assert all(gram[i, j] == pairing(a[i], b[j], 5)
+               for i in range(4) for j in range(3))
+    assert np.array_equal(pairing(a, b[0], 5), gram[:, 0])
+    assert pairing(np.zeros((0, 6)), b, 5).shape == (0, 3)
 
 
 small_pauli = st.builds(
@@ -128,7 +202,7 @@ def _pair(strategy):
 @given(_pair(small_pauli))
 def test_commutation_antisymmetric(pq):
     p, q = pq
-    assert commutation_exponent(p, q) == (-commutation_exponent(q, p)) % p.d
+    assert comm(p, q) == (-comm(q, p)) % p.d
 
 
 @given(_pair(small_pauli))

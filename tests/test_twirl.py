@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from stabshare import catalog, classify
-from stabshare.infogroup import pairing
-from stabshare.pauli import PauliProduct, parse, symplectic_vector
+from stabshare.pauli import PauliProduct, pairing, parse, symplectic_vector
 from stabshare.primefield import mod_solve
 from stabshare.twirl import (
     enumerate_keys,
