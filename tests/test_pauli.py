@@ -76,8 +76,7 @@ def test_commutation_examples():
     assert comm(parse("X"), parse("Z")) == 1
     p = PauliProduct(3, (1, 2), (0, 1))
     assert comm(p, p) == 0
-    assert comm(PauliProduct(3, (2,), (0,)),
-                                PauliProduct(3, (0,), (1,))) == 2
+    assert comm(PauliProduct(3, (2,), (0,)), PauliProduct(3, (0,), (1,))) == 2
 
 
 def test_qutrit_commutation_against_matrices():
@@ -132,9 +131,9 @@ def fold_power(p: PauliProduct, e: int) -> PauliProduct:
 
 
 @st.composite
-def pauli_over(draw, primes, max_sites=3):
+def pauli_over(draw, primes, min_sites=1, max_sites=3):
     d = draw(st.sampled_from(primes))
-    m = draw(st.integers(1, max_sites))
+    m = draw(st.integers(min_sites, max_sites))
     v = draw(st.lists(st.integers(0, d - 1), min_size=2 * m + 1,
                       max_size=2 * m + 1))
     return PauliProduct(d, tuple(v[:m]), tuple(v[m:2 * m]), v[2 * m])
@@ -165,8 +164,7 @@ def test_power_equals_fold_of_multiply_large_d(pe):
 @given(st.data())
 def test_pairing_is_the_commutation_phase(data):
     p = data.draw(pauli_over([2, 3, 5, 7], max_sites=4))
-    q = data.draw(pauli_over([p.d], max_sites=p.m).filter(
-        lambda q: q.m == p.m))
+    q = data.draw(pauli_over([p.d], p.m, p.m))
     c = pairing(symplectic_vector(p), symplectic_vector(q), p.d)
     assert isinstance(c, int)
     qp = multiply(q, p)
