@@ -146,29 +146,33 @@ def _simulation_secrets(c: StabilizerCode, seed: int) -> list[np.ndarray]:
     return secrets
 
 
-def _duality_mismatch(c: StabilizerCode,
-                      triplet: infogroup.SchemeTriplet) -> str | None:
+def _duality_mismatch(c: StabilizerCode, triplet: infogroup.SchemeTriplet,
+                      groups: list[infogroup.InfoGroup]) -> str | None:
     """First disagreement between commutants, direct solves and `classify`.
 
+    `groups` holds the direct G(S) of every subset in enumeration order.
     For every subset S the commutant of G(S) must equal the directly solved
-    G(S-bar), and so give S-bar the class that `classify` reported.
-    Subsets are taken in complementary pairs, so each group is solved once.
+    G(S-bar), and so give S-bar the class that `classify` reported; when
+    `classify` kept its records, their (r, s) must match the direct group's.
     """
     classes = ({s: "A" for s in triplet.authorized}
                | {s: "F" for s in triplet.forbidden})
     order = list(infogroup.subsets_in_order(c.n))
     for i in range(len(order) // 2):
-        pair = (order[i], order[-1 - i])
-        groups = [infogroup.info_group(c, s) for s in pair]
-        for (subset, comp), (own, direct) in ((pair, groups),
-                                              (pair[::-1], groups[::-1])):
-            if infogroup.commutant(own).generators != direct.generators:
+        for own, other in ((i, -1 - i), (-1 - i, i)):
+            subset, comp, direct = order[own], order[other], groups[other]
+            if infogroup.commutant(groups[own]) != direct:
                 return (f"commutant of G({list(subset)}) differs from the "
                         f"direct G({list(comp)})")
             reported = classes.get(comp, "I")
             if direct.access_class != reported:
                 return (f"classify puts {list(comp)} in {reported}, "
                         f"its group in {direct.access_class}")
+            if triplet.records is not None:
+                rec, rs = triplet.records[other], infogroup._rs_of(direct)
+                if (rec.r, rec.s) != rs:
+                    return (f"classify gives {list(comp)} (r, s) = "
+                            f"{(rec.r, rec.s)}, its group {rs}")
     return None
 
 
@@ -194,7 +198,9 @@ def run_checks(c: StabilizerCode, seed: int, which: str,
         return False, results
 
     triplet = infogroup.classify(c)
-    mismatch = _duality_mismatch(c, triplet)
+    groups = [infogroup.info_group(c, subset)
+              for subset in infogroup.subsets_in_order(c.n)]
+    mismatch = _duality_mismatch(c, triplet, groups)
     add("duality", mismatch is None,
         detail=mismatch or "access/forbidden duality holds")
     if mismatch is not None:
@@ -203,25 +209,16 @@ def run_checks(c: StabilizerCode, seed: int, which: str,
     if which in ("all", "duality"):
         auth = set(triplet.authorized)
         forb = set(triplet.forbidden)
-        ok = True
-        for s in auth:
-            for extra in range(1, c.n + 1):
-                if extra not in s and tuple(sorted(set(s) | {extra})) not in auth:
-                    ok = False
-        for s in forb:
-            for drop in s:
-                if tuple(sorted(set(s) - {drop})) not in forb:
-                    ok = False
+        ok = (all(t in auth for s in auth for t in infogroup.one_larger(s, c.n))
+              and all(t in forb for s in forb for t in infogroup.one_smaller(s)))
         add("monotonicity", ok)
 
     if which in ("all", "infogroup"):
-        mismatches = []
-        for subset in infogroup.subsets_in_order(c.n):
-            symbolic = infogroup.info_group(c, subset)
-            brute = oracle.info_group_bruteforce(c, subset, cap=cap,
-                                                 tol=detect_tol)
-            if symbolic.generators != brute.generators:
-                mismatches.append(subset)
+        mismatches = [
+            subset for subset, symbolic in
+            zip(infogroup.subsets_in_order(c.n), groups)
+            if symbolic != oracle.info_group_bruteforce(c, subset, cap=cap,
+                                                        tol=detect_tol)]
         add("infogroup", not mismatches,
             detail=f"{2**c.n} subsets compared" if not mismatches
             else f"mismatch at {mismatches[:3]}")

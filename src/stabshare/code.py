@@ -248,6 +248,10 @@ _REQUIRED_FIELDS = ("name", "D", "n", "k", "stabilizer", "logical_x", "logical_z
 _OPTIONAL_FIELDS = ("pauli_strings",)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)  # JSON true is 1
+
+
 def _generator_from_entry(entry, field_name, idx, d, n, strings_ok) -> PauliProduct:
     where = f"{field_name}[{idx}]"
     if isinstance(entry, str):
@@ -266,9 +270,13 @@ def _generator_from_entry(entry, field_name, idx, d, n, strings_ok) -> PauliProd
             raise CodeFileError(f"{where}: unknown keys {sorted(extra)}")
         if "x" not in entry or "z" not in entry:
             raise CodeFileError(f"{where}: needs both \"x\" and \"z\" lists")
+        if not all(isinstance(entry[f], list) and all(map(_is_int, entry[f]))
+                   for f in ("x", "z")):
+            raise CodeFileError(
+                f"{where}: \"x\" and \"z\" must be lists of integers")
         try:
             p = PauliProduct(d, tuple(entry["x"]), tuple(entry["z"]))
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise CodeFileError(f"{where}: {exc}") from exc
     else:
         raise CodeFileError(f"{where}: expected an object or a string")
@@ -295,7 +303,7 @@ def loads(text: str) -> StabilizerCode:
             raise CodeFileError(f"missing field: {f}")
     d, n, k = data["D"], data["n"], data["k"]
     for f, v in (("D", d), ("n", n), ("k", k)):
-        if isinstance(v, bool) or not isinstance(v, int):
+        if not _is_int(v):
             raise CodeFileError(f"field {f} must be an integer")
     try:
         _check_int64_range(d, n)  # before is_prime, which is slow for huge D
@@ -303,7 +311,9 @@ def loads(text: str) -> StabilizerCode:
         raise CodeFileError(str(exc)) from exc
     if not is_prime(d):
         raise CodeFileError(f"field D: D must be prime, got {d}")
-    strings_ok = bool(data.get("pauli_strings", False))
+    strings_ok = data.get("pauli_strings", False)
+    if not isinstance(strings_ok, bool):
+        raise CodeFileError("field pauli_strings must be true or false")
 
     def gens(field_name, expected):
         raw = data[field_name]

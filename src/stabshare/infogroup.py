@@ -12,11 +12,13 @@ the plain linear map below is exact for every prime d).  The operator
 survives the trace iff some stabilizer word makes its bare product act as
 the identity on the complement of S.
 
-The group of the complement needs no second solve: G(S-bar) is the
-symplectic commutant of G(S) inside Z_d^(2k) (Gheorghiu, Looi & Griffiths,
-PRA 81, 032326 (2010)).  ``classify`` therefore solves only the first half
-of the subsets in enumeration order, whose complements form the second
-half, and takes each complement's group as the commutant.
+The complement needs no second solve: G(S-bar) is the symplectic
+commutant of G(S) inside Z_d^(2k) (Gheorghiu, Looi & Griffiths, PRA 81,
+032326 (2010)).  So their classes are dual (A and F swap, I stays I), and
+if G(S) has r hyperbolic pairs and s isotropic generators, G(S-bar) has
+k - r - s pairs and the same s (the two share their radical).  ``classify``
+solves the first half of the subsets in enumeration order and writes each
+complement's record by this rule.
 """
 
 from __future__ import annotations
@@ -29,8 +31,7 @@ import numpy as np
 
 from .code import StabilizerCode
 from .pauli import ResourceLimitError, pairing
-from .primefield import (mod_nullspace, mod_rank, mod_solve, row_space_basis,
-                         row_span_contains)
+from .primefield import mod_nullspace, mod_rank, mod_solve, row_space_basis
 
 __all__ = [
     "InfoGroup",
@@ -43,6 +44,8 @@ __all__ = [
     "canonical_form",
     "classify",
     "subsets_in_order",
+    "one_smaller",
+    "one_larger",
     "complement",
     "threshold_q",
 ]
@@ -66,7 +69,6 @@ class InfoGroup:
     d: int
     k: int
     generators: tuple[tuple[int, ...], ...]
-    subset: tuple[int, ...] | None = None
 
     @property
     def rank(self) -> int:
@@ -92,10 +94,6 @@ class InfoGroup:
             return np.zeros((0, 2 * self.k), dtype=np.int64)
         return np.array(self.generators, dtype=np.int64)
 
-    def contains(self, vec) -> bool:
-        """Projective membership: is the (x|z) vector in the span?"""
-        return row_span_contains(self.generator_rows(), vec, self.d)
-
     def elements(self):
         """All d^rank member vectors (desk scale only)."""
         rows = self.generator_rows()
@@ -103,15 +101,13 @@ class InfoGroup:
             yield (np.array(coeffs, dtype=np.int64) @ rows) % self.d
 
 
-def group_from_rows(d: int, k: int, rows,
-                    subset: tuple[int, ...] | None = None) -> InfoGroup:
+def group_from_rows(d: int, k: int, rows) -> InfoGroup:
     rows = np.asarray(rows, dtype=np.int64)
     if rows.size == 0:
         basis = np.zeros((0, 2 * k), dtype=np.int64)
     else:
         basis = row_space_basis(rows, d)
-    return InfoGroup(d, k, tuple(tuple(int(v) for v in row) for row in basis),
-                     subset=subset)
+    return InfoGroup(d, k, tuple(tuple(int(v) for v in row) for row in basis))
 
 
 def complement(subset, n: int) -> tuple[int, ...]:
@@ -122,6 +118,17 @@ def subsets_in_order(n: int):
     """All subsets of {1..n}, ordered by size then lexicographically."""
     for size in range(n + 1):
         yield from itertools.combinations(range(1, n + 1), size)
+
+
+def one_smaller(subset) -> list[tuple[int, ...]]:
+    """Every subset with one carrier of the sorted `subset` removed."""
+    return [subset[:j] + subset[j + 1:] for j in range(len(subset))]
+
+
+def one_larger(subset, n: int) -> list[tuple[int, ...]]:
+    """Every subset of {1..n} with one carrier added to `subset`."""
+    return [tuple(sorted(subset + (i,)))
+            for i in range(1, n + 1) if i not in subset]
 
 
 def info_group(code: StabilizerCode, subset) -> InfoGroup:
@@ -145,9 +152,9 @@ def info_group(code: StabilizerCode, subset) -> InfoGroup:
     constraint = stacked[:, cols].T % d  # (2|comp|) x (2k + n-k)
     kernel = mod_nullspace(constraint, d)
     if not kernel:
-        return group_from_rows(d, k, np.zeros((0, 2 * k)), subset=subset)
+        return group_from_rows(d, k, np.zeros((0, 2 * k)))
     projected = np.array(kernel, dtype=np.int64)[:, :2 * k]
-    return group_from_rows(d, k, projected, subset=subset)
+    return group_from_rows(d, k, projected)
 
 
 # ---------------------------------------------------------------------------
@@ -346,10 +353,10 @@ def classify(code: StabilizerCode,
     """Classify every subset of carriers.
 
     In ``subsets_in_order`` the complement of the i-th subset is the
-    (2^n - 1 - i)-th, so each subset of the first half is solved directly
-    and its complement's group is taken as the commutant.
+    (2^n - 1 - i)-th.  Each subset S of the first half is solved directly,
+    and by duality its complement gets the dual class and (k - r - s, s).
     """
-    n = code.n
+    n, k = code.n, code.k
     if n > max_carriers:
         raise ResourceLimitError(
             f"classification enumerates 2^{n} subsets, cap is n <= {max_carriers}")
@@ -359,9 +366,11 @@ def classify(code: StabilizerCode,
     records: list[SubsetRecord | None] = [None] * len(order)
     for i in range(len(order) // 2):
         g = info_group(code, order[i])
-        for idx, group in ((i, g), (last - i, commutant(g))):
-            records[idx] = SubsetRecord(order[idx], group.access_class,
-                                        *_rs_of(group))
+        r, s = _rs_of(g)
+        records[i] = SubsetRecord(order[i], g.access_class, r, s)
+        records[last - i] = SubsetRecord(
+            order[last - i], {"A": "F", "F": "A"}.get(g.access_class, "I"),
+            k - r - s, s)
 
     by_class: dict[str, list[tuple[int, ...]]] = {"A": [], "F": [], "I": []}
     for rec in records:
@@ -371,11 +380,10 @@ def classify(code: StabilizerCode,
 
     minimal_a = tuple(
         s for s in by_class["A"]
-        if not any(tuple(sorted(set(s) - {i})) in authorized for i in s))
+        if not any(t in authorized for t in one_smaller(s)))
     maximal_f = tuple(
         s for s in by_class["F"]
-        if not any(tuple(sorted(set(s) | {i})) in forbidden
-                   for i in range(1, n + 1) if i not in s))
+        if not any(t in forbidden for t in one_larger(s, n)))
 
     counts = Counter((len(rec.subset), rec.cls) for rec in records)
     summary = [(size, counts[size, "A"], counts[size, "F"], counts[size, "I"])

@@ -245,7 +245,7 @@ def info_group_bruteforce(code: StabilizerCode, subset,
         if np.linalg.norm(traced) > tol:
             hits.append(np.array(exps, dtype=np.int64))
     hits = np.array(hits, dtype=np.int64)
-    group = group_from_rows(d, k, hits, subset=subset)
+    group = group_from_rows(d, k, hits)
     if len(hits) != d**group.rank:
         raise ValueError(
             f"traced hits do not form a subgroup: {len(hits)} hits, "

@@ -21,8 +21,7 @@ import numpy as np
 from . import infogroup
 from .code import StabilizerCode
 from .infogroup import CanonicalForm, InfoGroup, SchemeTriplet
-from .pauli import (PauliProduct, from_symplectic, pairing, power,
-                    symplectic_vector)
+from .pauli import PauliProduct, from_symplectic, power
 
 __all__ = [
     "ClassicalPrescription",
@@ -32,7 +31,6 @@ __all__ = [
     "sample_twirl",
     "twirl_operator",
     "enumerate_keys",
-    "twirl_average_is_zero",
 ]
 
 
@@ -97,11 +95,10 @@ def intermediate_group(code: StabilizerCode,
     inter = set(triplet.intermediate)
     rows = []
     for subset in triplet.intermediate:
-        if not any(tuple(sorted(subset + (i,))) in inter
-                   for i in range(1, code.n + 1) if i not in subset):
+        if not any(t in inter for t in infogroup.one_larger(subset, code.n)):
             rows.extend(infogroup.info_group(code, subset).generators)
     base = np.array(rows, dtype=np.int64) if rows else np.zeros((0, 2 * code.k))
-    return infogroup.group_from_rows(code.d, code.k, base, subset=None)
+    return infogroup.group_from_rows(code.d, code.k, base)
 
 
 def _prescription(triplet: SchemeTriplet) -> ClassicalPrescription:
@@ -172,19 +169,3 @@ def enumerate_keys(plan: TwirlPlan):
     """All d^key_length keys, in lexicographic order."""
     return itertools.product(range(plan.d), repeat=plan.key_length)
 
-
-def twirl_average_is_zero(plan: TwirlPlan, g: PauliProduct) -> bool:
-    """Whether averaging over all keys annihilates the group element g.
-
-    Conjugating g by the keyed product only scales it by a root of unity, so
-    the key average vanishes iff some twirl generator has nonzero pairing
-    with g.  Must hold for every nonidentity element of the intermediate
-    group.
-    """
-    vec = symplectic_vector(g)
-    if g.is_identity:
-        raise ValueError("g must be a nonidentity element")
-    if not plan.intermediate.contains(vec):
-        raise ValueError("g is not in the intermediate information group")
-    return any(pairing(symplectic_vector(t), vec, plan.d)
-               for t in plan.twirl_generators)

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -47,6 +48,21 @@ def catalog_codes():
 PHASE_OBSTRUCTED_LOGICAL = {
     "name": "odd-logical", "D": 2, "n": 3, "k": 1, "pauli_strings": True,
     "stabilizer": ["XIX", "XZX"], "logical_x": ["ZIY"], "logical_z": ["YIY"]}
+
+
+def count_calls(monkeypatch, module, *names) -> Counter:
+    """Wrap each named function of `module` so that calls are counted."""
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    return calls
 
 
 def two_carrier_file(d: int, **fields) -> str:

@@ -1,14 +1,15 @@
+import dataclasses
 import json
 import subprocess
 import sys
 
 import pytest
 
-from stabshare import catalog, classical
+from stabshare import catalog, classical, cli, infogroup
 from stabshare import code as code_mod
 from stabshare.cli import main
 
-from conftest import PHASE_OBSTRUCTED_LOGICAL, two_carrier_file
+from conftest import PHASE_OBSTRUCTED_LOGICAL, count_calls, two_carrier_file
 
 
 def run(capsys, *argv):
@@ -73,6 +74,15 @@ def test_classify_rejects_boolean_and_oversized_fields(tmp_path, capsys):
     status, out, err = run(capsys, "classify", str(big))
     assert (status, out) == (2, "")
     assert "2n(D-1)^2 < 2^63" in err
+
+
+def test_classify_rejects_fractional_exponents(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(two_carrier_file(
+        2, stabilizer=[{"x": [0, 0], "z": [1.9, 1.2]}]))
+    status, out, err = run(capsys, "classify", str(bad))
+    assert (status, out) == (2, "")
+    assert "stabilizer[0]: \"x\" and \"z\" must be lists of integers" in err
 
 
 def test_rejections_of_phase_obstruction_and_huge_d(tmp_path, capsys):
@@ -201,6 +211,38 @@ def test_simulate_duality_fails_on_wrong_commutant(capsys, monkeypatch):
     duality = next(r for r in payload["results"] if r["check"] == "duality")
     assert duality["pass"] is False
     assert duality["detail"].startswith("commutant of G([]) differs")
+
+
+def test_simulate_duality_fails_on_wrong_record(capsys, monkeypatch):
+    real = infogroup.classify
+
+    def skewed(c):
+        # [3, 4] is a complement record, written by the duality rule.
+        t = real(c)
+        records = list(t.records)
+        idx = next(i for i, rec in enumerate(records) if rec.subset == (3, 4))
+        records[idx] = dataclasses.replace(records[idx], s=records[idx].s + 1)
+        return dataclasses.replace(t, records=tuple(records))
+
+    monkeypatch.setattr(cli.infogroup, "classify", skewed)
+    status, out, _ = run(capsys, "simulate", "catalog:four_two_two",
+                         "--seed", "3", "--check", "duality",
+                         "--format", "structured")
+    assert status == 1
+    duality = next(r for r in json.loads(out)["results"]
+                   if r["check"] == "duality")
+    assert duality["pass"] is False
+    assert duality["detail"].startswith("classify gives [3, 4] (r, s)")
+
+
+def test_simulate_solves_each_subset_once(capsys, monkeypatch):
+    calls = count_calls(monkeypatch, infogroup, "info_group", "commutant")
+    status, _, _ = run(capsys, "simulate", "catalog:four_two_two",
+                       "--seed", "1", "--check", "all")
+    assert status == 0
+    # 8 in classify, 16 shared by duality and infogroup, 6 maximal
+    # intermediate subsets in the twirl plan; 2 commutants per pair.
+    assert calls == {"info_group": 30, "commutant": 16}
 
 
 def test_simulate_resource_cap(capsys):

@@ -236,6 +236,24 @@ def test_load_rejects_booleans(field):
         loads(two_carrier_file(2, **{field: True}))
 
 
+@pytest.mark.parametrize("z", [[1.9, 1.2], [True, True], ["1", "1"],
+                               [2.0, 0], "11", {"0": 1, "1": 1}])
+def test_load_rejects_non_integer_exponents(z):
+    assert loads(two_carrier_file(
+        2, stabilizer=[{"x": [0, 0], "z": [1, 1]}])).n == 2
+    with pytest.raises(CodeFileError, match=r"stabilizer\[0\]: \"x\" and "
+                       r"\"z\" must be lists of integers"):
+        loads(two_carrier_file(2, stabilizer=[{"x": [0, 0], "z": z}]))
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+def test_load_rejects_non_boolean_pauli_strings(value):
+    assert loads(two_carrier_file(2, pauli_strings=False)).n == 2
+    with pytest.raises(CodeFileError,
+                       match="field pauli_strings must be true or false"):
+        loads(two_carrier_file(2, pauli_strings=value))
+
+
 def test_load_rejects_d_beyond_int64_range():
     # (D-1)^2 = 1 mod D, so the exact rank of this matrix is 1; int64
     # products wrap for this D and elimination would report rank 2.

@@ -1,16 +1,23 @@
 """Byte-identity of the structured CLI output, pinned by sha256 digests.
 
 Each entry is the exit status and the sha256 of the ``--format structured``
-stdout of one command on a catalog code.  ``share-key`` derives its key from
-the code's twirl plan with ``--seed 1``; on codes with no intermediate
-structure it exits 2 with empty stdout.  ``simulate`` is left out: its
-floating-point measurements depend on the BLAS build.
+stdout of one command on a catalog code or on a code file in ``data/``.
+``share-key`` derives its key from the code's twirl plan with ``--seed 1``;
+on codes with no intermediate structure it exits 2 with empty stdout.
+``simulate`` is left out: its floating-point measurements depend on the
+BLAS build.
+
+The files are random odd-prime codes with k = 2.  In [[3,2]]_3 and
+[[7,2]]_65537 the intermediate subsets split as (r, s) = (0, 1) and (1, 1),
+in [[8,2]]_10007 as (1, 0), so both terms of the complement's
+(k - r - s, s) are pinned.
 
 A change that alters any of these bytes on purpose must say why and record
 the new digests.
 """
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -105,12 +112,28 @@ GOLDEN = {
         0, "7733776b5b87cc34e8f1ed8ef34c59cffd1ecede3736beb85b1cb6191bd37130"),
     ("share-key", "ghz_9"): (
         0, "5b9960c9e90286dd5c1fc002a5381e60b5332fa056b3a750825c2be5b0e77365"),
+    ("classify", "rand_3_3_2"): (
+        0, "74bd5f095c30f67185dc6b63730e1e9e91b974924d35f8fdb50379dc7c993303"),
+    ("twirl-plan", "rand_3_3_2"): (
+        0, "975af0e56ecadac7a8fab7e8c5c2fbdf9a572796d451c43abcb5fb6dbcb99fdb"),
+    ("classify", "rand_65537_7_2"): (
+        0, "95f413963f869626a45e15d90e01374675ff42de06174d63935efcff27659003"),
+    ("twirl-plan", "rand_65537_7_2"): (
+        0, "69fc7a5c11200027556cc0755bc70962c083559e637dee4298d2806902480d0b"),
+    ("classify", "rand_10007_8_2"): (
+        0, "b99a8d2eb74a39c7b4eec335c44a31143a1885831b9c74028e6c38cc25e9cf55"),
+    ("twirl-plan", "rand_10007_8_2"): (
+        0, "eb0127e63424a40f5de52e0e7f9b20c1ddcd0b9e3fc58ecee987814c1274fe90"),
 }
+
+DATA = Path(__file__).parent / "data"
 
 
 def _argv(command: str, code: str) -> list[str]:
     if code.startswith("ghz_"):
         source = ["catalog:ghz_n", "--n", code[len("ghz_"):]]
+    elif code.startswith("rand_"):
+        source = [str(DATA / f"{code}.json")]
     else:
         source = [f"catalog:{code}"]
     if command == "share-key":

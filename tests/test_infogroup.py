@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabshare import catalog, oracle
+from stabshare import catalog, infogroup, oracle
 from stabshare.code import StabilizerCode
 from stabshare.infogroup import (
     InfoGroup,
@@ -13,6 +13,8 @@ from stabshare.infogroup import (
     complement,
     group_from_rows,
     info_group,
+    one_larger,
+    one_smaller,
     subsets_in_order,
     threshold_q,
 )
@@ -20,7 +22,7 @@ from stabshare.pauli import ResourceLimitError, multiply, pairing
 from stabshare.primefield import mod_rank
 from stabshare.twirl import intermediate_group
 
-from conftest import random_code
+from conftest import count_calls, random_code
 
 
 def all_subsets_of_size(n, sizes):
@@ -30,6 +32,11 @@ def all_subsets_of_size(n, sizes):
 def test_cnot_singletons_are_z(cnot):
     assert info_group(cnot, (1,)).generators == ((0, 1),)
     assert info_group(cnot, (2,)).generators == ((0, 1),)
+
+
+def test_groups_compare_by_span(cnot):
+    # Equal generators mean the same subgroup, whichever subset produced it.
+    assert info_group(cnot, (1,)) == commutant(info_group(cnot, (2,)))
 
 
 def test_ghz_proper_subsets_are_z():
@@ -277,6 +284,19 @@ def test_random_qubit_codes_match_bruteforce():
                 sym = info_group(c, s)
                 brute = oracle.info_group_bruteforce(c, s)
                 assert sym.generators == brute.generators, (c, s)
+
+
+def test_one_carrier_neighbours():
+    assert one_smaller((1, 3, 4)) == [(3, 4), (1, 4), (1, 3)]
+    assert one_smaller(()) == []
+    assert one_larger((2,), 3) == [(1, 2), (2, 3)]
+    assert one_larger((1, 2, 3), 3) == []
+
+
+def test_classify_solves_half_the_subsets(monkeypatch):
+    calls = count_calls(monkeypatch, infogroup, "info_group", "commutant")
+    classify(catalog("ghz_n", 8))
+    assert calls == {"info_group": 128}
 
 
 def _reference_records(c):

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from stabshare import catalog, classify
-from stabshare.pauli import PauliProduct, pairing, parse, symplectic_vector
+from stabshare.pauli import pairing, parse, symplectic_vector
 from stabshare.primefield import mod_solve
 from stabshare.twirl import (
     enumerate_keys,
     intermediate_group,
     sample_twirl,
-    twirl_average_is_zero,
     twirl_operator,
     twirl_plan,
 )
@@ -95,16 +94,9 @@ def test_key_space_counts(catalog_codes):
         assert len(set(keys)) == len(keys)
 
 
-def test_twirl_average_examples():
-    _, _, plan = plan_for("cnot_2_1")
-    assert twirl_average_is_zero(plan, parse("Z"))
-    with pytest.raises(ValueError, match="nonidentity"):
-        twirl_average_is_zero(plan, parse("I"))
-    with pytest.raises(ValueError, match="not in the intermediate"):
-        twirl_average_is_zero(plan, parse("X"))
-
-
 def test_twirl_kills_every_intermediate_element(catalog_codes):
+    # Conjugating g by a keyed product only scales it by a root of unity, so
+    # the key average vanishes iff some twirl generator pairs nonzero with g.
     for c in catalog_codes:
         plan = twirl_plan(c)
         if plan.is_empty:
@@ -112,8 +104,8 @@ def test_twirl_kills_every_intermediate_element(catalog_codes):
         for vec in plan.intermediate.elements():
             if not vec.any():
                 continue
-            g = PauliProduct(c.d, tuple(vec[:c.k]), tuple(vec[c.k:]))
-            assert twirl_average_is_zero(plan, g), (c.name, vec)
+            assert any(pairing(symplectic_vector(t), vec, c.d)
+                       for t in plan.twirl_generators), (c.name, vec)
 
 
 def test_twirl_generators_target_one_canonical_generator_each(catalog_codes):
