@@ -177,9 +177,7 @@ def _duality_mismatch(c: StabilizerCode, triplet: infogroup.SchemeTriplet,
 
 
 def run_checks(c: StabilizerCode, seed: int, which: str,
-               cap: int | None = None,
-               detect_tol: float = oracle.DETECTION_TOL,
-               state_tol: float = oracle.STATE_TOL) -> tuple[bool, list[dict]]:
+               cap: int | None = None) -> tuple[bool, list[dict]]:
     """Run the selected oracle verifications; returns (all_passed, records)."""
     results: list[dict] = []
 
@@ -217,8 +215,7 @@ def run_checks(c: StabilizerCode, seed: int, which: str,
         mismatches = [
             subset for subset, symbolic in
             zip(infogroup.subsets_in_order(c.n), groups)
-            if symbolic != oracle.info_group_bruteforce(c, subset, cap=cap,
-                                                        tol=detect_tol)]
+            if symbolic != oracle.info_group_bruteforce(c, subset, cap=cap)]
         add("infogroup", not mismatches,
             detail=f"{2**c.n} subsets compared" if not mismatches
             else f"mismatch at {mismatches[:3]}")
@@ -229,7 +226,7 @@ def run_checks(c: StabilizerCode, seed: int, which: str,
         ok = True
         for subset in infogroup.subsets_in_order(c.n):
             dec = oracle.choi_decoupling(c, subset, cap=cap)
-            decoupled = dec <= detect_tol
+            decoupled = dec <= oracle.DETECTION_TOL
             if decoupled != (subset in forb):
                 ok = False
             if subset in forb:
@@ -237,26 +234,29 @@ def run_checks(c: StabilizerCode, seed: int, which: str,
         add("choi", ok, measured=worst,
             detail="reference decouples exactly from the forbidden structure")
 
+    if which not in ("all", "concealment"):
+        return all(r["pass"] for r in results), results
     plan = twirl.twirl_plan(c, triplet)
-    if which in ("all", "concealment") and not plan.is_empty:
-        secrets = _simulation_secrets(c, seed)
+    # The secrets hold D^k amplitudes each: build them only if a check reads them.
+    secrets = (_simulation_secrets(c, seed)
+               if which == "all" or not plan.is_empty else [])
+    if not plan.is_empty:
         worst = 0.0
         for subset in triplet.intermediate:
             worst = max(worst, oracle.verify_concealment(
                 c, plan, secrets, subset, cap=cap))
-        add("concealment", worst < state_tol, measured=worst,
+        add("concealment", worst < oracle.STATE_TOL, measured=worst,
             detail=f"{len(triplet.intermediate)} intermediate subsets, "
                    f"{len(secrets)} secrets")
 
     if which == "all":
-        secrets = _simulation_secrets(c, seed)
         if triplet.forbidden:
             worst = max(oracle.verify_absence(c, subset, secrets, cap=cap)
                         for subset in triplet.forbidden)
-            add("absence", worst < state_tol, measured=worst)
+            add("absence", worst < oracle.STATE_TOL, measured=worst)
         worst = max(oracle.expansion_consistency(c, secrets[-1], subset, cap=cap)
                     for subset in list(infogroup.subsets_in_order(c.n))[:4])
-        add("expansion", worst < state_tol, measured=worst)
+        add("expansion", worst < oracle.STATE_TOL, measured=worst)
 
         if not plan.is_empty:
             key, operator = twirl.sample_twirl(plan, seed)
@@ -272,9 +272,9 @@ def run_checks(c: StabilizerCode, seed: int, which: str,
                                          cap=cap)
             purity, defect = oracle.choi_check(
                 c, tuple(range(1, c.n + 1)), pre_operator=operator, cap=cap)
+            tol = oracle.DETECTION_TOL
             add("keyed_recovery",
-                dec <= detect_tol and abs(purity - 1.0) <= detect_tol
-                and defect <= detect_tol,
+                dec <= tol and abs(purity - 1.0) <= tol and defect <= tol,
                 measured=dec,
                 detail="known twirl key leaves the channel perfect")
 
@@ -283,9 +283,7 @@ def run_checks(c: StabilizerCode, seed: int, which: str,
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     c = _load_code(args.source, args.size_param)
-    passed, results = run_checks(c, args.seed, args.check, cap=args.cap,
-                                 detect_tol=args.trace_tol,
-                                 state_tol=args.state_tol)
+    passed, results = run_checks(c, args.seed, args.check, cap=args.cap)
     payload = {"code": c.name, "seed": args.seed, "check": args.check,
                "passed": passed, "results": results}
     lines = [f"{c.name} simulate --check {args.check} (seed {args.seed})"]
@@ -372,10 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="amplitude cap for dense objects")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--check", choices=CHECK_NAMES, default="all")
-    p.add_argument("--trace-tol", type=float, default=oracle.DETECTION_TOL,
-                   help="nonzero-trace detection tolerance")
-    p.add_argument("--state-tol", type=float, default=oracle.STATE_TOL,
-                   help="state equality tolerance")
 
     p = sub.add_parser("share-key", help="share a key classically")
     p.add_argument("--from-plan", type=str, default=None, metavar="SOURCE",

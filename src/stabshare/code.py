@@ -311,6 +311,8 @@ def loads(text: str) -> StabilizerCode:
         raise CodeFileError(str(exc)) from exc
     if not is_prime(d):
         raise CodeFileError(f"field D: D must be prime, got {d}")
+    if not isinstance(data["name"], str):
+        raise CodeFileError("field name must be a string")
     strings_ok = data.get("pauli_strings", False)
     if not isinstance(strings_ok, bool):
         raise CodeFileError("field pauli_strings must be true or false")
@@ -327,7 +329,7 @@ def loads(text: str) -> StabilizerCode:
                      for i, e in enumerate(raw))
 
     try:
-        code = StabilizerCode(str(data["name"]), d, n, k,
+        code = StabilizerCode(data["name"], d, n, k,
                               gens("stabilizer", n - k),
                               gens("logical_x", k),
                               gens("logical_z", k))
@@ -369,7 +371,7 @@ def load(path) -> StabilizerCode:
 # Distance and ramp parameters.
 # ---------------------------------------------------------------------------
 
-def distance(code: StabilizerCode, cap: int = DEFAULT_DISTANCE_CAP) -> int:
+def distance(code: StabilizerCode) -> int:
     """Brute-force code distance.
 
     Minimum weight over Pauli products that commute with every stabilizer
@@ -377,9 +379,9 @@ def distance(code: StabilizerCode, cap: int = DEFAULT_DISTANCE_CAP) -> int:
     """
     d, n = code.d, code.n
     total = d ** (2 * n)
-    if total > cap:
-        raise ResourceLimitError(
-            f"distance enumeration needs {total} candidates, cap is {cap}")
+    if total > DEFAULT_DISTANCE_CAP:
+        raise ResourceLimitError(f"distance enumeration needs {total} "
+                                 f"candidates, cap is {DEFAULT_DISTANCE_CAP}")
     stab_rows = code.stabilizer_rows()
     candidates = np.array(
         list(itertools.product(range(d), repeat=2 * n)), dtype=np.int64)
@@ -400,9 +402,8 @@ def distance(code: StabilizerCode, cap: int = DEFAULT_DISTANCE_CAP) -> int:
 
 
 def ramp_parameters(code: StabilizerCode,
-                    delta: int | None = None,
-                    cap: int = DEFAULT_DISTANCE_CAP) -> tuple[int, int]:
+                    delta: int | None = None) -> tuple[int, int]:
     """(q, L) of the induced ramp scheme: q = n-delta+1, L = n-2*delta+2."""
     if delta is None:
-        delta = distance(code, cap=cap)
+        delta = distance(code)
     return code.n - delta + 1, code.n - 2 * delta + 2

@@ -166,12 +166,9 @@ class CanonicalForm:
     """Hyperbolic-pair / isotropic decomposition of an information group.
 
     basis holds a_1, b_1, ..., a_r, b_r, c_1, ..., c_s with pairing(a_i, b_i)
-    = 1 and every other mutual pairing zero.  ``transform`` is a symplectic
-    2k x 2k matrix whose columns are the images of the standard frame
-    (e_1..e_k, f_1..f_k): column i is the image of e_i, column k+i of f_i.
-    It maps the canonical generators X_i -> a_i, Z_i -> b_i (i <= r) and
-    Z_(r+j) -> c_j, so conjugating by it carries canonical-frame operators
-    into the original frame.
+    = 1 and every other mutual pairing zero.  ``partners`` holds w_1, ...,
+    w_s with pairing(w_j, c_j) = 1 and zero pairing against every other
+    basis vector and every other partner.
     """
 
     d: int
@@ -179,7 +176,7 @@ class CanonicalForm:
     r: int
     s: int
     basis: tuple[tuple[int, ...], ...]
-    transform: np.ndarray
+    partners: tuple[tuple[int, ...], ...]
 
     @property
     def key_length(self) -> int:
@@ -199,17 +196,8 @@ def commutant(group: InfoGroup) -> InfoGroup:
     return group_from_rows(d, k, base)
 
 
-def _solve_with_pairings(current: list[np.ndarray], targets: list[int],
-                         k: int, d: int) -> np.ndarray:
-    rows = pairing(np.array(current), np.eye(2 * k), d)
-    sol = mod_solve(rows, np.array(targets, dtype=np.int64), d)
-    if sol is None:  # unreachable for independent `current`
-        raise SchemeConsistencyError("symplectic completion system inconsistent")
-    return sol % d
-
-
 def canonical_form(group: InfoGroup) -> CanonicalForm:
-    """Symplectic Gram-Schmidt plus completion to a full symplectic frame.
+    """Symplectic Gram-Schmidt plus a conjugate partner per isotropic vector.
 
     Deterministic: always take the lowest-index remaining generator, pick its
     first partner with nonzero pairing, scale the partner so the pairing is
@@ -241,54 +229,26 @@ def canonical_form(group: InfoGroup) -> CanonicalForm:
         ]
         pairs.append((a, b))
 
-    r, s = len(pairs), len(isotropic)
+    r = len(pairs)
+    basis = [vec for pair in pairs for vec in pair] + isotropic
 
-    # Complete to a symplectic basis of Z_d^(2k): find a conjugate partner
-    # for each isotropic generator, then fill up with fresh hyperbolic pairs.
-    current: list[np.ndarray] = []
-    for a, b in pairs:
-        current.extend([a, b])
-    current.extend(isotropic)
-
+    # Each partner pairs to 1 with its own isotropic vector and to 0 with
+    # every other basis vector and every earlier partner.
+    current = list(basis)
     partners: list[np.ndarray] = []
-    for j, c in enumerate(isotropic):
+    for j in range(len(isotropic)):
         targets = [0] * len(current)
         targets[2 * r + j] = (-1) % d  # pairing(c_j, w) = -1, so pairing(w, c_j) = 1
-        w = _solve_with_pairings(current, targets, k, d)
-        partners.append(w)
-        current.append(w)
+        sol = mod_solve(pairing(np.array(current), np.eye(2 * k), d),
+                        np.array(targets, dtype=np.int64), d)
+        if sol is None:  # unreachable for independent `current`
+            raise SchemeConsistencyError("symplectic partner system inconsistent")
+        partners.append(sol % d)
+        current.append(partners[-1])
 
-    fillers: list[tuple[np.ndarray, np.ndarray]] = []
-    while len(current) < 2 * k:
-        if current:
-            null = mod_nullspace(pairing(np.array(current), np.eye(2 * k), d), d)
-            u = null[0] % d
-        else:
-            u = np.zeros(2 * k, dtype=np.int64)
-            u[0] = 1
-        current.append(u)
-        targets = [0] * (len(current) - 1) + [1]  # pairing(u, v) = 1
-        v = _solve_with_pairings(current, targets, k, d)
-        current.append(v)
-        fillers.append((u, v))
-
-    transform = np.zeros((2 * k, 2 * k), dtype=np.int64)
-    for i, (a, b) in enumerate(pairs):
-        transform[:, i] = a
-        transform[:, k + i] = b
-    for j in range(s):
-        transform[:, r + j] = partners[j]
-        transform[:, k + r + j] = isotropic[j]
-    for t, (u, v) in enumerate(fillers):
-        transform[:, r + s + t] = u
-        transform[:, k + r + s + t] = v
-
-    basis = [vec for pair in pairs for vec in pair] + isotropic
-    return CanonicalForm(
-        d, k, r, s,
-        tuple(tuple(int(x) for x in vec) for vec in basis),
-        transform,
-    )
+    as_tuples = lambda vecs: tuple(tuple(int(x) for x in v) for v in vecs)
+    return CanonicalForm(d, k, r, len(isotropic),
+                         as_tuples(basis), as_tuples(partners))
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +308,7 @@ def _rs_of(group: InfoGroup) -> tuple[int, int]:
     return r, group.rank - 2 * r
 
 
-def classify(code: StabilizerCode,
-             max_carriers: int = DEFAULT_CLASSIFY_CAP) -> SchemeTriplet:
+def classify(code: StabilizerCode) -> SchemeTriplet:
     """Classify every subset of carriers.
 
     In ``subsets_in_order`` the complement of the i-th subset is the
@@ -357,9 +316,9 @@ def classify(code: StabilizerCode,
     and by duality its complement gets the dual class and (k - r - s, s).
     """
     n, k = code.n, code.k
-    if n > max_carriers:
-        raise ResourceLimitError(
-            f"classification enumerates 2^{n} subsets, cap is n <= {max_carriers}")
+    if n > DEFAULT_CLASSIFY_CAP:
+        raise ResourceLimitError(f"classification enumerates 2^{n} subsets, "
+                                 f"cap is n <= {DEFAULT_CLASSIFY_CAP}")
 
     order = list(subsets_in_order(n))
     last = len(order) - 1

@@ -2,9 +2,9 @@
 
 Builds exact codewords and the encoding isometry from the stabilizer
 projector, computes reduced states, and re-derives information groups,
-perfect presence, absence, Choi purity, and twirl concealment directly from
-complex matrices.  Deliberately independent of the linear-algebra shortcuts
-it is used to certify.
+absence, Choi purity, and twirl concealment directly from complex matrices.
+Deliberately independent of the linear-algebra shortcuts it is used to
+certify.
 """
 
 from __future__ import annotations
@@ -31,15 +31,12 @@ __all__ = [
     "partial_trace",
     "reduced_state",
     "info_group_bruteforce",
-    "pauli_eigen_sectors",
-    "verify_perfect_presence",
     "verify_absence",
     "choi_check",
     "choi_decoupling",
     "verify_concealment",
     "expansion_consistency",
     "trace_distance",
-    "hs_inner",
     "random_secret",
     "basis_secret",
 ]
@@ -99,14 +96,13 @@ def _eigen_scalar_root(p: PauliProduct) -> complex:
     return np.exp(2j * np.pi * pd.phase / p.d**2)
 
 
-def _sector_projector(dense: np.ndarray, nu: complex, sector: int,
-                      d: int) -> np.ndarray:
-    omega = np.exp(2j * np.pi / d)
+def _sector_projector(dense: np.ndarray, nu: complex, d: int) -> np.ndarray:
+    """Projector onto the eigenvalue-nu sector: the mean of (dense/nu)^t."""
     dim = dense.shape[0]
     acc = np.zeros((dim, dim), dtype=complex)
     step = np.eye(dim, dtype=complex)
-    for t in range(d):
-        acc += step * omega**(-sector * t)
+    for _ in range(d):
+        acc += step
         step = step @ (dense / nu)
     return acc / d
 
@@ -127,7 +123,7 @@ def codewords(code: StabilizerCode, cap: int | None = None) -> tuple[np.ndarray,
     proj = np.array(code_projector(code, cap))
     for lz in code.logical_z:
         dense = pauli.dense_matrix(lz, cap=dim)
-        proj = proj @ _sector_projector(dense, _eigen_scalar_root(lz), 0, d)
+        proj = proj @ _sector_projector(dense, _eigen_scalar_root(lz), d)
 
     c0 = None
     for m in range(dim):
@@ -208,10 +204,6 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(a - b))))
 
 
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    return complex(np.trace(a.conj().T @ b))
-
-
 def random_secret(d: int, k: int, rng: np.random.Generator) -> np.ndarray:
     vec = rng.normal(size=d**k) + 1j * rng.normal(size=d**k)
     return vec / np.linalg.norm(vec)
@@ -233,8 +225,7 @@ def _encoded_logical(code: StabilizerCode, x, z,
 
 
 def info_group_bruteforce(code: StabilizerCode, subset,
-                          cap: int | None = None,
-                          tol: float = DETECTION_TOL) -> InfoGroup:
+                          cap: int | None = None) -> InfoGroup:
     """Test every input Pauli's traced image against zero; span the hits."""
     d, k = code.d, code.k
     subset = tuple(sorted(set(int(i) for i in subset)))
@@ -242,7 +233,7 @@ def info_group_bruteforce(code: StabilizerCode, subset,
     for exps in itertools.product(range(d), repeat=2 * k):
         x, z = exps[:k], exps[k:]
         traced = partial_trace(_encoded_logical(code, x, z, cap), d, subset)
-        if np.linalg.norm(traced) > tol:
+        if np.linalg.norm(traced) > DETECTION_TOL:
             hits.append(np.array(exps, dtype=np.int64))
     hits = np.array(hits, dtype=np.int64)
     group = group_from_rows(d, k, hits)
@@ -251,46 +242,6 @@ def info_group_bruteforce(code: StabilizerCode, subset,
             f"traced hits do not form a subgroup: {len(hits)} hits, "
             f"span rank {group.rank}")
     return group
-
-
-def pauli_eigen_sectors(p: PauliProduct,
-                        cap: int | None = None) -> list[tuple[complex, np.ndarray]]:
-    """Exact (eigenvalue, projector) pairs of a Pauli, via its cyclic powers."""
-    dim = p.d**p.m
-    _check_cap(dim, cap)
-    dense = pauli.dense_matrix(p, cap=dim)
-    nu = _eigen_scalar_root(p)
-    omega = np.exp(2j * np.pi / p.d)
-    sectors = []
-    for j in range(p.d):
-        proj = _sector_projector(dense, nu, j, p.d)
-        if abs(np.trace(proj)) > 1e-9:
-            sectors.append((nu * omega**j, proj))
-    return sectors
-
-
-def _sector_vector(proj: np.ndarray) -> np.ndarray:
-    for m in range(proj.shape[0]):
-        column = proj[:, m]
-        norm = np.linalg.norm(column)
-        if norm > 1e-8:
-            return column / norm
-    raise ValueError("empty eigensector")
-
-
-def verify_perfect_presence(code: StabilizerCode, subset, p: PauliProduct,
-                            cap: int | None = None,
-                            tol: float = DETECTION_TOL) -> bool:
-    """Encoded eigenvectors of distinct eigenvalues have orthogonal support on S."""
-    if p.d != code.d or p.m != code.k:
-        raise ValueError("operator must act on the k input qudits")
-    vectors = [_sector_vector(proj) for _, proj in pauli_eigen_sectors(p, cap)]
-    reduced = [reduced_state(encode(code, v, cap), subset, code.d)
-               for v in vectors]
-    for a, b in itertools.combinations(reduced, 2):
-        if abs(hs_inner(a, b)) > tol:
-            return False
-    return True
 
 
 def verify_absence(code: StabilizerCode, subset, secrets,

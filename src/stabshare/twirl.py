@@ -1,13 +1,12 @@
 """Twirl plans: hiding the intermediate structure with a keyed Pauli.
 
 The group generated by the union of all intermediate information groups is
-canonicalized into r hyperbolic pairs and s isotropic generators.  In the
-canonical frame the twirl generators are X_1, Z_1, ..., X_r, Z_r followed by
-the conjugate partners X_(r+1), ..., X_(r+s) of the isotropic generators;
-transporting them through the canonical transform gives plain Pauli products
-on the input qudits.  Averaging over all d^(2r+s) keyed products kills every
-nonidentity element of the intermediate group, so subsets that could see
-partial information see none.
+canonicalized into r hyperbolic pairs (a_i, b_i) and s isotropic generators
+c_j.  The twirl generators are the Pauli products a_1, b_1, ..., a_r, b_r
+followed by a conjugate partner w_j of each c_j on the input qudits.
+Averaging over all d^(2r+s) keyed products kills every nonidentity element
+of the intermediate group, so subsets that could see partial information
+see none.
 """
 
 from __future__ import annotations
@@ -120,16 +119,8 @@ def twirl_plan(code: StabilizerCode,
     group = intermediate_group(code, triplet)
     canonical = infogroup.canonical_form(group)
     k, d = code.k, code.d
-
-    gens: list[PauliProduct] = []
-    t = canonical.transform
-    for i in range(canonical.r):
-        gens.append(from_symplectic(d, t[:, i]))          # image of X_i
-        gens.append(from_symplectic(d, t[:, k + i]))      # image of Z_i
-    for j in range(canonical.s):
-        gens.append(from_symplectic(d, t[:, canonical.r + j]))  # partner of c_j
-
-    key_length = 2 * canonical.r + canonical.s
+    gens = tuple(from_symplectic(d, v) for v in
+                 canonical.basis[:2 * canonical.r] + canonical.partners)
     if not group.is_trivial and canonical.r + canonical.s != k:
         raise infogroup.SchemeConsistencyError(
             f"intermediate group has r+s = {canonical.r + canonical.s}, "
@@ -138,8 +129,8 @@ def twirl_plan(code: StabilizerCode,
         d=d, k=k,
         intermediate=group,
         canonical=canonical,
-        twirl_generators=tuple(gens),
-        key_length=key_length,
+        twirl_generators=gens,
+        key_length=canonical.key_length,
         prescription=_prescription(triplet),
     )
 

@@ -109,6 +109,22 @@ def test_cap_and_seed_belong_to_simulate_only(capsys, command, flag):
     assert f"unrecognized arguments: {flag} 4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--trace-tol", "--state-tol"])
+def test_simulate_tolerances_are_fixed(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "catalog:cnot_2_1", "--seed", "1", flag, "1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
+def test_classify_rejects_non_string_name(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(two_carrier_file(2, name=None))
+    status, out, err = run(capsys, "classify", str(bad))
+    assert (status, out) == (2, "")
+    assert "field name must be a string" in err
+
+
 def test_unknown_catalog_is_input_error(capsys):
     status, _, err = run(capsys, "classify", "catalog:toric")
     assert status == 2
@@ -235,14 +251,18 @@ def test_simulate_duality_fails_on_wrong_record(capsys, monkeypatch):
     assert duality["detail"].startswith("classify gives [3, 4] (r, s)")
 
 
-def test_simulate_solves_each_subset_once(capsys, monkeypatch):
+@pytest.mark.parametrize("check,solves", [
+    ("all", 30), ("concealment", 30), ("choi", 24), ("infogroup", 24),
+    ("duality", 24)])
+def test_simulate_solves_each_subset_once(capsys, monkeypatch, check, solves):
     calls = count_calls(monkeypatch, infogroup, "info_group", "commutant")
     status, _, _ = run(capsys, "simulate", "catalog:four_two_two",
-                       "--seed", "1", "--check", "all")
+                       "--seed", "1", "--check", check)
     assert status == 0
-    # 8 in classify, 16 shared by duality and infogroup, 6 maximal
-    # intermediate subsets in the twirl plan; 2 commutants per pair.
-    assert calls == {"info_group": 30, "commutant": 16}
+    # 8 in classify and 16 shared by duality and infogroup; only the checks
+    # that read the twirl plan solve its 6 maximal intermediate subsets.
+    # The duality check takes 2 commutants per pair.
+    assert calls == {"info_group": solves, "commutant": 16}
 
 
 def test_simulate_resource_cap(capsys):

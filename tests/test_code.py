@@ -254,6 +254,13 @@ def test_load_rejects_non_boolean_pauli_strings(value):
         loads(two_carrier_file(2, pauli_strings=value))
 
 
+@pytest.mark.parametrize("name", [None, [1, 2], 7, True, {"a": 1}])
+def test_load_rejects_non_string_name(name):
+    assert loads(two_carrier_file(2, name="pair")).name == "pair"
+    with pytest.raises(CodeFileError, match="field name must be a string"):
+        loads(two_carrier_file(2, name=name))
+
+
 def test_load_rejects_d_beyond_int64_range():
     # (D-1)^2 = 1 mod D, so the exact rank of this matrix is 1; int64
     # products wrap for this D and elimination would report rank 2.

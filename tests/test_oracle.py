@@ -104,26 +104,6 @@ def test_info_group_bruteforce_examples(cnot, four_two_two):
             sym.generators
 
 
-def test_pauli_eigen_sectors():
-    for p in [parse("Z"), parse("X"), parse("Y"), PauliProduct(3, (1,), (0,))]:
-        sectors = oracle.pauli_eigen_sectors(p)
-        dense = pauli.dense_matrix(p)
-        dim = dense.shape[0]
-        total = sum(proj for _, proj in sectors)
-        assert np.allclose(total, np.eye(dim))
-        for value, proj in sectors:
-            assert np.allclose(proj @ proj, proj)
-            assert np.allclose(dense @ proj, value * proj)
-
-
-def test_perfect_presence_cnot(cnot):
-    assert oracle.verify_perfect_presence(cnot, (1,), parse("Z"))
-    assert not oracle.verify_perfect_presence(cnot, (1,), parse("X"))
-    assert not oracle.verify_perfect_presence(cnot, (2,), parse("Y"))
-    for p in [parse("X"), parse("Y"), parse("Z")]:
-        assert oracle.verify_perfect_presence(cnot, (1, 2), p)
-
-
 def test_absence_examples(cnot, five_qubit):
     rng = np.random.default_rng(1)
     secrets = [oracle.random_secret(2, 1, rng) for _ in range(5)]
