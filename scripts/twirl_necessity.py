@@ -18,9 +18,7 @@ from stabshare import catalog, classify, oracle, twirl_plan
 
 
 def worst_leak(code, plan, triplet, secrets):
-    return max(
-        oracle.verify_concealment(code, plan, secrets, subset)
-        for subset in triplet.intermediate)
+    return oracle.verify_concealment(code, plan, secrets, triplet.intermediate)
 
 
 def main():

@@ -196,8 +196,8 @@ def run_checks(c: StabilizerCode, seed: int, which: str,
         return False, results
 
     triplet = infogroup.classify(c)
-    groups = [infogroup.info_group(c, subset)
-              for subset in infogroup.subsets_in_order(c.n)]
+    subsets = list(infogroup.subsets_in_order(c.n))
+    groups = [infogroup.info_group(c, subset) for subset in subsets]
     mismatch = _duality_mismatch(c, triplet, groups)
     add("duality", mismatch is None,
         detail=mismatch or "access/forbidden duality holds")
@@ -212,10 +212,9 @@ def run_checks(c: StabilizerCode, seed: int, which: str,
         add("monotonicity", ok)
 
     if which in ("all", "infogroup"):
-        mismatches = [
-            subset for subset, symbolic in
-            zip(infogroup.subsets_in_order(c.n), groups)
-            if symbolic != oracle.info_group_bruteforce(c, subset, cap=cap)]
+        brute = oracle.info_group_bruteforce(c, subsets, cap=cap)
+        mismatches = [subset for subset, symbolic, dense in
+                      zip(subsets, groups, brute) if symbolic != dense]
         add("infogroup", not mismatches,
             detail=f"{2**c.n} subsets compared" if not mismatches
             else f"mismatch at {mismatches[:3]}")
@@ -224,7 +223,7 @@ def run_checks(c: StabilizerCode, seed: int, which: str,
         forb = set(triplet.forbidden)
         worst = 0.0
         ok = True
-        for subset in infogroup.subsets_in_order(c.n):
+        for subset in subsets:
             dec = oracle.choi_decoupling(c, subset, cap=cap)
             decoupled = dec <= oracle.DETECTION_TOL
             if decoupled != (subset in forb):
@@ -237,25 +236,26 @@ def run_checks(c: StabilizerCode, seed: int, which: str,
     if which not in ("all", "concealment"):
         return all(r["pass"] for r in results), results
     plan = twirl.twirl_plan(c, triplet)
-    # The secrets hold D^k amplitudes each: build them only if a check reads them.
-    secrets = (_simulation_secrets(c, seed)
-               if which == "all" or not plan.is_empty else [])
+    # The secrets hold D^k amplitudes each: build them only if a check reads
+    # them, and only after the encoding (D^n >= D^k amplitudes) passed the cap.
+    secrets = []
+    if which == "all" or not plan.is_empty:
+        oracle.encoding_isometry(c, cap)
+        secrets = _simulation_secrets(c, seed)
     if not plan.is_empty:
-        worst = 0.0
-        for subset in triplet.intermediate:
-            worst = max(worst, oracle.verify_concealment(
-                c, plan, secrets, subset, cap=cap))
+        worst = oracle.verify_concealment(c, plan, secrets,
+                                          triplet.intermediate, cap=cap)
         add("concealment", worst < oracle.STATE_TOL, measured=worst,
             detail=f"{len(triplet.intermediate)} intermediate subsets, "
                    f"{len(secrets)} secrets")
 
     if which == "all":
         if triplet.forbidden:
-            worst = max(oracle.verify_absence(c, subset, secrets, cap=cap)
-                        for subset in triplet.forbidden)
+            worst = oracle.verify_absence(c, triplet.forbidden, secrets,
+                                          cap=cap)
             add("absence", worst < oracle.STATE_TOL, measured=worst)
-        worst = max(oracle.expansion_consistency(c, secrets[-1], subset, cap=cap)
-                    for subset in list(infogroup.subsets_in_order(c.n))[:4])
+        worst = oracle.expansion_consistency(c, secrets[-1], subsets[:4],
+                                             cap=cap)
         add("expansion", worst < oracle.STATE_TOL, measured=worst)
 
         if not plan.is_empty:

@@ -171,15 +171,20 @@ def encode(code: StabilizerCode, secret, cap: int | None = None) -> np.ndarray:
     return encoding_isometry(code, cap) @ secret
 
 
-def partial_trace(rho: np.ndarray, d: int, keep) -> np.ndarray:
-    """Trace out every site not in `keep` (1-based); rho is (d^m, d^m)."""
-    dim = rho.shape[0]
+def _sites(dim: int, d: int, keep) -> tuple[int, list[int]]:
+    """Site count m of a d^m-dimensional space and the sorted 0-based `keep`."""
     m = round(np.log(dim) / np.log(d)) if dim > 1 else 0
     if d**m != dim:
         raise ValueError(f"dimension {dim} is not a power of d={d}")
     keep0 = sorted(int(i) - 1 for i in keep)
     if any(i < 0 or i >= m for i in keep0):
         raise ValueError(f"keep sites {sorted(keep)} out of range 1..{m}")
+    return m, keep0
+
+
+def partial_trace(rho: np.ndarray, d: int, keep) -> np.ndarray:
+    """Trace out every site not in `keep` (1-based); rho is (d^m, d^m)."""
+    m, keep0 = _sites(rho.shape[0], d, keep)
     if not keep0:
         return np.array([[np.trace(rho)]])
     tensor = rho.reshape((d,) * (2 * m))
@@ -192,16 +197,46 @@ def partial_trace(rho: np.ndarray, d: int, keep) -> np.ndarray:
 
 
 def reduced_state(state_or_op, subset, d: int) -> np.ndarray:
-    """Partial trace onto `subset`; vectors are promoted to projectors."""
+    """Partial trace onto `subset`.
+
+    A vector is never expanded to its d^m x d^m projector: with its
+    amplitudes arranged as A = (kept sites) x (traced sites), the reduced
+    state is A A-dagger.
+    """
     arr = np.asarray(state_or_op, dtype=complex)
-    if arr.ndim == 1:
-        arr = np.outer(arr, arr.conj())
-    return partial_trace(arr, d, subset)
+    if arr.ndim != 1:
+        return partial_trace(arr, d, subset)
+    a = _kept_first(arr, d, subset)
+    return a @ a.conj().T
+
+
+def _kept_first(arr: np.ndarray, d: int, keep) -> np.ndarray:
+    """`arr`, whose first axis spans d^m sites, as (kept sites, traced
+    sites, remaining axes of `arr`)."""
+    m, keep0 = _sites(arr.shape[0], d, keep)
+    rest = [i for i in range(m) if i not in keep0]
+    tail = arr.shape[1:]
+    axes = keep0 + rest + list(range(m, m + len(tail)))
+    split = arr.reshape((d,) * m + tail).transpose(axes)
+    return split.reshape((d**len(keep0), d**len(rest)) + tail)
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     """(1/2) ||a - b||_1 for Hermitian a, b."""
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(a - b))))
+
+
+def _max_pairwise_distance(states) -> float:
+    """Largest trace distance over all pairs of `states`, from one stacked
+    eigvalsh call."""
+    if len(states) < 2:
+        return 0.0
+    states = np.asarray(states)
+    first, second = np.triu_indices(len(states), 1)
+    diffs = states[first]
+    diffs -= states[second]
+    eigs = np.linalg.eigvalsh(diffs)
+    return 0.5 * float(np.max(np.sum(np.abs(eigs), axis=-1)))
 
 
 def random_secret(d: int, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -224,38 +259,46 @@ def _encoded_logical(code: StabilizerCode, x, z,
     return v @ op @ v.conj().T
 
 
-def info_group_bruteforce(code: StabilizerCode, subset,
-                          cap: int | None = None) -> InfoGroup:
-    """Test every input Pauli's traced image against zero; span the hits."""
+def info_group_bruteforce(code: StabilizerCode, subsets,
+                          cap: int | None = None) -> list[InfoGroup]:
+    """G(S) of each subset: span the input Paulis whose traced image is nonzero.
+
+    Each encoded operator is built once and traced onto every subset before
+    the next one is built.
+    """
     d, k = code.d, code.k
-    subset = tuple(sorted(set(int(i) for i in subset)))
-    hits = []
+    subsets = [tuple(sorted(set(int(i) for i in s))) for s in subsets]
+    hits = [[] for _ in subsets]
     for exps in itertools.product(range(d), repeat=2 * k):
-        x, z = exps[:k], exps[k:]
-        traced = partial_trace(_encoded_logical(code, x, z, cap), d, subset)
-        if np.linalg.norm(traced) > DETECTION_TOL:
-            hits.append(np.array(exps, dtype=np.int64))
-    hits = np.array(hits, dtype=np.int64)
-    group = group_from_rows(d, k, hits)
-    if len(hits) != d**group.rank:
-        raise ValueError(
-            f"traced hits do not form a subgroup: {len(hits)} hits, "
-            f"span rank {group.rank}")
-    return group
+        image = _encoded_logical(code, exps[:k], exps[k:], cap)
+        for found, subset in zip(hits, subsets):
+            if np.linalg.norm(partial_trace(image, d, subset)) > DETECTION_TOL:
+                found.append(exps)
+    groups = []
+    for found in hits:
+        rows = np.array(found, dtype=np.int64)
+        group = group_from_rows(d, k, rows)
+        if len(rows) != d**group.rank:
+            raise ValueError(
+                f"traced hits do not form a subgroup: {len(rows)} hits, "
+                f"span rank {group.rank}")
+        groups.append(group)
+    return groups
 
 
-def verify_absence(code: StabilizerCode, subset, secrets,
+def verify_absence(code: StabilizerCode, subsets, secrets,
                    cap: int | None = None) -> float:
-    """Max trace distance among reduced secrets and the secret-free state."""
+    """Max trace distance, over the subsets, among reduced secrets and the
+    secret-free state."""
     d, k = code.d, code.k
     v = encoding_isometry(code, cap)
-    baseline = partial_trace(v @ v.conj().T / d**k, d, subset)
-    reduced = [reduced_state(encode(code, s, cap), subset, d) for s in secrets]
+    mixed = v @ v.conj().T / d**k
+    encoded = [encode(code, s, cap) for s in secrets]
     worst = 0.0
-    for state in reduced:
-        worst = max(worst, trace_distance(state, baseline))
-    for a, b in itertools.combinations(reduced, 2):
-        worst = max(worst, trace_distance(a, b))
+    for subset in subsets:
+        states = [partial_trace(mixed, d, subset)]
+        states += [reduced_state(state, subset, d) for state in encoded]
+        worst = max(worst, _max_pairwise_distance(states))
     return worst
 
 
@@ -311,47 +354,60 @@ def choi_decoupling(code: StabilizerCode, subset,
     return trace_distance(rho_rs, np.kron(rho_r, rho_s))
 
 
-def verify_concealment(code: StabilizerCode, plan, secrets, subset,
+def verify_concealment(code: StabilizerCode, plan, secrets, subsets,
                        cap: int | None = None) -> float:
-    """Max pairwise distance of key-averaged reduced states; must vanish."""
+    """Max pairwise distance of key-averaged reduced states; must vanish.
+
+    Each twirl operator acts once on all secrets, and each secret's keyed
+    states are averaged in the d^k logical space.  The lift V rho V-dagger
+    of an average is traced onto each subset block by block, as
+    (W rho) W-dagger with W the rows of V split into kept and traced
+    sites, so no d^n x d^n lift is held.
+    """
     from .twirl import enumerate_keys, twirl_operator
 
     d, k = code.d, code.k
-    n_keys = d**plan.key_length
-    averaged = []
-    for secret in secrets:
-        secret = np.asarray(secret, dtype=complex).reshape(-1)
-        acc = None
-        for key in enumerate_keys(plan):
-            u = pauli.dense_matrix(twirl_operator(plan, key), cap=d**k)
-            rho = reduced_state(encode(code, u @ secret, cap), subset, d)
-            acc = rho if acc is None else acc + rho
-        averaged.append(acc / n_keys)
+    inputs = np.array(secrets, dtype=complex).reshape(len(secrets), d**k).T
+    averaged = np.zeros((len(secrets), d**k, d**k), dtype=complex)
+    for key in enumerate_keys(plan):
+        keyed = pauli.dense_matrix(twirl_operator(plan, key), cap=d**k) @ inputs
+        averaged += np.einsum("is,js->sij", keyed, keyed.conj())
+    averaged /= d**plan.key_length
+    v = encoding_isometry(code, cap)
     worst = 0.0
-    for a, b in itertools.combinations(averaged, 2):
-        worst = max(worst, trace_distance(a, b))
+    for subset in subsets:
+        w = _kept_first(v, d, subset)
+        w_dagger = w.reshape(len(w), -1).conj().T
+        states = [(w @ rho).reshape(len(w), -1) @ w_dagger
+                  for rho in averaged]
+        worst = max(worst, _max_pairwise_distance(states))
     return worst
 
 
-def expansion_consistency(code: StabilizerCode, secret, subset,
+def expansion_consistency(code: StabilizerCode, secret, subsets,
                           cap: int | None = None) -> float:
-    """Max deviation between the direct reduced state and its Pauli expansion.
+    """Max deviation, over the subsets, between the direct reduced state and
+    its Pauli expansion.
 
     Expands |psi><psi| in the input Pauli basis with Fourier coefficients
     c(x,z) = <psi| (X^x Z^z)^dagger |psi> and pushes each term through the
-    encoding: the reassembled reduced state must match the direct one.
+    encoding: the reassembled reduced state must match the direct one.  Each
+    encoded operator is built once and traced onto every subset.
     """
     d, k = code.d, code.k
+    subsets = list(subsets)
     secret = np.asarray(secret, dtype=complex).reshape(-1)
-    direct = reduced_state(encode(code, secret, cap), subset, d)
-    total = np.zeros_like(direct)
+    state = encode(code, secret, cap)
+    direct = [reduced_state(state, subset, d) for subset in subsets]
+    totals = [np.zeros_like(rho) for rho in direct]
     for exps in itertools.product(range(d), repeat=2 * k):
         x, z = exps[:k], exps[k:]
         op = pauli.dense_matrix(PauliProduct(d, x, z), cap=d**k)
         coeff = np.vdot(op @ secret, secret)  # <psi| op^dagger |psi>
         if abs(coeff) < 1e-15:
             continue
-        total += coeff * partial_trace(
-            _encoded_logical(code, x, z, cap), d, subset)
-    total /= d**k
-    return float(np.max(np.abs(direct - total)))
+        image = _encoded_logical(code, x, z, cap)
+        for total, subset in zip(totals, subsets):
+            total += coeff * partial_trace(image, d, subset)
+    return max((float(np.max(np.abs(rho - total / d**k)))
+                for rho, total in zip(direct, totals)), default=0.0)

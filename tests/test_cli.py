@@ -2,14 +2,17 @@ import dataclasses
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from stabshare import catalog, classical, cli, infogroup
+from stabshare import catalog, classical, cli, infogroup, oracle, twirl
 from stabshare import code as code_mod
 from stabshare.cli import main
 
 from conftest import PHASE_OBSTRUCTED_LOGICAL, count_calls, two_carrier_file
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -270,6 +273,50 @@ def test_simulate_resource_cap(capsys):
                          "--seed", "1")
     assert status == 3
     assert "resource cap" in err
+
+
+def test_simulate_builds_each_dense_operator_once(capsys, monkeypatch):
+    encoded = count_calls(monkeypatch, oracle, "_encoded_logical")
+    twirls = count_calls(monkeypatch, twirl, "twirl_operator")
+    status, _, _ = run(capsys, "simulate", "catalog:four_two_two",
+                       "--seed", "1", "--check", "infogroup")
+    assert status == 0
+    # D^(2k) = 16 encoded operators, each traced onto all 16 subsets.
+    assert encoded == {"_encoded_logical": 16}
+    assert not twirls
+    encoded.clear()
+    status, _, _ = run(capsys, "simulate", "catalog:four_two_two",
+                       "--seed", "1", "--check", "all")
+    assert status == 0
+    # The expansion check builds the 16 once more for its own subsets; D^l
+    # = 16 twirl operators serve concealment and one more the sampled key.
+    assert encoded == {"_encoded_logical": 32}
+    assert twirls == {"twirl_operator": 17}
+    twirls.clear()
+    status, _, _ = run(capsys, "simulate", "catalog:four_two_two",
+                       "--seed", "1", "--check", "concealment")
+    assert status == 0
+    assert twirls == {"twirl_operator": 16}
+
+
+def _limit_memory():
+    import resource
+
+    limit = 2 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize("check", ["concealment", "all"])
+def test_simulate_caps_before_building_secrets(check):
+    # D^k = 65537^2 amplitudes per secret: the dense cap must stop the run
+    # before any secret is allocated.  The child's address space is limited
+    # so that a regression fails fast instead of exhausting memory.
+    proc = subprocess.run(
+        [sys.executable, "-m", "stabshare.cli", "simulate",
+         str(DATA / "rand_65537_7_2.json"), "--seed", "1", "--check", check],
+        capture_output=True, text=True, timeout=60, preexec_fn=_limit_memory)
+    assert proc.returncode == 3, proc.stderr
+    assert "resource cap exceeded" in proc.stderr
 
 
 def test_share_key_explicit(capsys):

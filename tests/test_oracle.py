@@ -1,13 +1,17 @@
+import itertools
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from stabshare import catalog, classify, info_group, oracle, pauli
+from stabshare import catalog, classify, info_group, load, oracle, pauli
 from stabshare.code import StabilizerCode
 from stabshare.infogroup import subsets_in_order
 from stabshare.pauli import PauliProduct, ResourceLimitError, parse
-from stabshare.twirl import twirl_plan
+from stabshare.twirl import enumerate_keys, twirl_operator, twirl_plan
 
 from conftest import random_code
 
@@ -95,23 +99,110 @@ def test_partial_trace_qutrit():
     assert np.allclose(oracle.reduced_state(state, (2,), 3), np.outer(b, b))
 
 
+@st.composite
+def _vector_and_keep(draw):
+    d = draw(st.sampled_from([2, 3, 5]))
+    m = draw(st.integers(0, 4))
+    mask = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    vec = rng.normal(size=d**m) + 1j * rng.normal(size=d**m)
+    return d, vec, tuple(i + 1 for i, kept in enumerate(mask) if kept)
+
+
+_QUTRIT_VECTOR = np.random.default_rng(2).normal(size=27) + 0j
+
+
+@given(_vector_and_keep())
+@example((3, _QUTRIT_VECTOR, ()))
+@example((3, _QUTRIT_VECTOR, (1, 2, 3)))
+@settings(max_examples=80, deadline=None)
+def test_reduced_state_of_vector_matches_projector_trace(case):
+    d, vec, keep = case
+    want = oracle.partial_trace(np.outer(vec, vec.conj()), d, keep)
+    got = oracle.reduced_state(vec, keep, d)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+def _random_density(rng, dim):
+    raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = raw @ raw.conj().T
+    return rho / np.trace(rho)
+
+
+@pytest.mark.parametrize("count,dim", [(1, 4), (2, 4), (7, 8), (8, 3)])
+def test_pairwise_distance_matches_trace_distance(count, dim):
+    rng = np.random.default_rng(count * dim)
+    states = [_random_density(rng, dim) for _ in range(count)]
+    want = max((oracle.trace_distance(a, b)
+                for a, b in itertools.combinations(states, 2)), default=0.0)
+    assert abs(oracle._max_pairwise_distance(states) - want) < 1e-12
+
+
+def _concealment_reference(code, plan, secrets, subsets):
+    """One reduced state per (subset, secret, key), as dense projectors."""
+    d, k = code.d, code.k
+    worst = 0.0
+    for subset in subsets:
+        averaged = []
+        keys = list(enumerate_keys(plan))
+        for secret in secrets:
+            acc = 0
+            for key in keys:
+                u = pauli.dense_matrix(twirl_operator(plan, key), cap=d**k)
+                state = oracle.encode(code, u @ secret)
+                acc = acc + oracle.partial_trace(
+                    np.outer(state, state.conj()), d, subset)
+            averaged.append(acc / len(keys))
+        for a, b in itertools.combinations(averaged, 2):
+            worst = max(worst, oracle.trace_distance(a, b))
+    return worst
+
+
+@pytest.mark.parametrize("source", ["cnot_2_1", "four_two_two", "rand_3_3_2"])
+def test_concealment_matches_per_key_reference(source):
+    if source == "rand_3_3_2":
+        c = load(Path(__file__).parent / "data" / "rand_3_3_2.json")
+    else:
+        c = catalog(source)
+    t = classify(c)
+    plan = twirl_plan(c, t)
+    rng = np.random.default_rng(4)
+    secrets = [oracle.basis_secret(c.d, c.k, j) for j in (0, 1)]
+    secrets += [oracle.random_secret(c.d, c.k, rng) for _ in range(3)]
+    # The full plan (distance ~0) and every plan with one generator dropped.
+    plans = [plan]
+    gens = plan.twirl_generators
+    for drop in range(len(gens)):
+        kept = gens[:drop] + gens[drop + 1:]
+        plans.append(replace(plan, twirl_generators=kept,
+                             key_length=len(kept)))
+    for p in plans:
+        want = _concealment_reference(c, p, secrets, t.intermediate)
+        got = oracle.verify_concealment(c, p, secrets, t.intermediate)
+        assert abs(got - want) < 1e-12, (source, p.twirl_generators, got, want)
+
+
 def test_info_group_bruteforce_examples(cnot, four_two_two):
-    assert oracle.info_group_bruteforce(cnot, (1,)).generators == ((0, 1),)
-    assert oracle.info_group_bruteforce(cnot, ()).is_trivial
-    for s in subsets_in_order(4):
-        sym = info_group(four_two_two, s)
-        assert oracle.info_group_bruteforce(four_two_two, s).generators == \
-            sym.generators
+    one, empty = oracle.info_group_bruteforce(cnot, [(1,), ()])
+    assert one.generators == ((0, 1),)
+    assert empty.is_trivial
+    subsets = list(subsets_in_order(4))
+    brutes = oracle.info_group_bruteforce(four_two_two, subsets)
+    for s, brute in zip(subsets, brutes, strict=True):
+        assert brute.generators == info_group(four_two_two, s).generators
 
 
 def test_absence_examples(cnot, five_qubit):
     rng = np.random.default_rng(1)
     secrets = [oracle.random_secret(2, 1, rng) for _ in range(5)]
-    for s in [(1, 2), (1, 4), (3, 5)]:
-        assert oracle.verify_absence(five_qubit, s, secrets) < 1e-10
+    assert oracle.verify_absence(five_qubit, [(1, 2), (1, 4), (3, 5)],
+                                 secrets) < 1e-10
     zero_one = [oracle.basis_secret(2, 1, 0), oracle.basis_secret(2, 1, 1)]
-    assert abs(oracle.verify_absence(cnot, (1,), zero_one) - 1.0) < 1e-12
-    assert oracle.verify_absence(cnot, (), zero_one) < 1e-12
+    assert abs(oracle.verify_absence(cnot, [(1,)], zero_one) - 1.0) < 1e-12
+    assert abs(oracle.verify_absence(cnot, [(), (1,)], zero_one) - 1.0) < 1e-12
+    assert oracle.verify_absence(cnot, [()], zero_one) < 1e-12
 
 
 def test_choi_check_full_set(cnot, five_qubit):
@@ -152,15 +243,14 @@ def test_concealment_cnot(cnot):
     secrets = [oracle.basis_secret(2, 1, 0), oracle.basis_secret(2, 1, 1),
                np.array([1, 1]) / np.sqrt(2)]
     secrets += [oracle.random_secret(2, 1, rng) for _ in range(3)]
-    for s in [(1,), (2,)]:
-        assert oracle.verify_concealment(cnot, plan, secrets, s) < 1e-10
+    assert oracle.verify_concealment(cnot, plan, secrets, [(1,), (2,)]) < 1e-10
 
 
 def test_concealment_fails_without_the_generator(cnot):
     plan = twirl_plan(cnot)
     crippled = replace(plan, twirl_generators=(), key_length=0)
     secrets = [oracle.basis_secret(2, 1, 0), oracle.basis_secret(2, 1, 1)]
-    dist = oracle.verify_concealment(cnot, crippled, secrets, (1,))
+    dist = oracle.verify_concealment(cnot, crippled, secrets, [(1,)])
     assert dist > 0.99
 
 
@@ -183,8 +273,8 @@ def test_expansion_consistency(catalog_codes):
     rng = np.random.default_rng(5)
     for c in catalog_codes:
         secret = oracle.random_secret(c.d, c.k, rng)
-        for s in [(1,), tuple(range(1, c.n + 1))]:
-            assert oracle.expansion_consistency(c, secret, s) < 1e-10
+        subsets = [(1,), tuple(range(1, c.n + 1))]
+        assert oracle.expansion_consistency(c, secret, subsets) < 1e-10
 
 
 def test_resource_caps():
@@ -212,10 +302,10 @@ def test_random_qutrit_codes_match_bruteforce():
     for (n, k) in [(2, 1), (3, 1), (3, 2)]:
         for trial in range(3):
             c = random_code(rng, 3, n, k, name=f"rand3_{n}{k}_{trial}")
-            for s in subsets_in_order(n):
-                sym = info_group(c, s)
-                brute = oracle.info_group_bruteforce(c, s)
-                assert sym.generators == brute.generators, (c, s)
+            subsets = list(subsets_in_order(n))
+            brutes = oracle.info_group_bruteforce(c, subsets)
+            for s, brute in zip(subsets, brutes, strict=True):
+                assert info_group(c, s).generators == brute.generators, (c, s)
 
 
 def test_qutrit_code_with_mixed_information_line():
@@ -230,9 +320,10 @@ def test_qutrit_code_with_mixed_information_line():
     from stabshare.code import validate
 
     assert validate(c).is_valid
-    for s in [(1,), (2,)]:
+    brutes = oracle.info_group_bruteforce(c, [(1,), (2,)])
+    for s, brute in zip([(1,), (2,)], brutes, strict=True):
         assert info_group(c, s).generators == ((1, 1),)
-        assert oracle.info_group_bruteforce(c, s).generators == ((1, 1),)
+        assert brute.generators == ((1, 1),)
 
 
 def test_qutrit_ghz_like_code():
@@ -245,7 +336,8 @@ def test_qutrit_ghz_like_code():
     from stabshare.code import validate
 
     assert validate(c).is_valid
-    for s in [(1,), (2,)]:
+    brutes = oracle.info_group_bruteforce(c, [(1,), (2,)])
+    for s, brute in zip([(1,), (2,)], brutes, strict=True):
         assert info_group(c, s).generators == ((0, 1),)
-        assert oracle.info_group_bruteforce(c, s).generators == ((0, 1),)
+        assert brute.generators == ((0, 1),)
     assert info_group(c, (1, 2)).is_full
