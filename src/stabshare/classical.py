@@ -234,8 +234,7 @@ def reconstruct(share_set: ClassicalShareSet, subset) -> list[int]:
 # Transport of a twirl key with the access structure of the quantum scheme.
 # ---------------------------------------------------------------------------
 
-def key_transport(plan, triplet, seed: int,
-                  key_digits=None) -> ClassicalShareSet:
+def key_transport(plan, triplet, seed: int) -> ClassicalShareSet:
     """Share a twirl key so exactly the authorized subsets can recover it.
 
     When the access structure is a threshold family the key rides on Shamir
@@ -244,19 +243,14 @@ def key_transport(plan, triplet, seed: int,
     live in Z_d and are embedded unchanged (the recorded source_modulus maps
     them back).
 
-    With key_digits omitted the key is drawn exactly as sample_twirl(plan,
-    seed) draws it, so the two stay in sync for the same seed.
+    The key is drawn exactly as sample_twirl(plan, seed) draws it, so the
+    two stay in sync for the same seed.
     """
     if plan.is_empty:
         raise ValueError("plan is empty; there is no key to transport")
     d, n = plan.d, triplet.n
     rng = random.Random(seed)
-    if key_digits is None:
-        key_digits = tuple(rng.randrange(d) for _ in range(plan.key_length))
-    key_digits = tuple(int(v) % d for v in key_digits)
-    if len(key_digits) != plan.key_length:
-        raise ValueError(
-            f"key has {len(key_digits)} digits, plan needs {plan.key_length}")
+    key_digits = tuple(rng.randrange(d) for _ in range(plan.key_length))
 
     modulus = smallest_prime_above(max(d, n))
     q = plan.prescription.threshold_q

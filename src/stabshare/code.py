@@ -16,7 +16,7 @@ import numpy as np
 
 from . import pauli
 from .pauli import PauliProduct, ResourceLimitError, pairing
-from .primefield import check_prime, is_prime, mod_rank, row_span_contains
+from .primefield import check_prime, is_prime, mod_rank
 
 __all__ = [
     "StabilizerCode",
@@ -372,33 +372,29 @@ def load(path) -> StabilizerCode:
 # ---------------------------------------------------------------------------
 
 def distance(code: StabilizerCode) -> int:
-    """Brute-force code distance.
+    """Brute-force code distance of a valid code.
 
     Minimum weight over Pauli products that commute with every stabilizer
-    generator but are not projectively in the stabilizer group.
+    generator but are not projectively in the stabilizer group.  For a valid
+    code the commutant of the stabilizer is span(St, L), whose own commutant
+    is span(St): a commuting candidate lies outside the stabilizer group iff
+    it pairs nonzero with some logical row.
     """
     d, n = code.d, code.n
     total = d ** (2 * n)
     if total > DEFAULT_DISTANCE_CAP:
         raise ResourceLimitError(f"distance enumeration needs {total} "
                                  f"candidates, cap is {DEFAULT_DISTANCE_CAP}")
-    stab_rows = code.stabilizer_rows()
     candidates = np.array(
         list(itertools.product(range(d), repeat=2 * n)), dtype=np.int64)
-    commuting = candidates[np.all(pairing(candidates, stab_rows, d) == 0, axis=1)]
-
-    best = None
-    stab_rank = mod_rank(stab_rows, d) if len(code.stabilizer) else 0
-    for v in commuting:
-        w = int(np.count_nonzero(v[:n] | v[n:]))
-        if w == 0 or (best is not None and w >= best):
-            continue
-        if stab_rank and row_span_contains(stab_rows, v, d):
-            continue
-        best = w
-    if best is None:
+    commuting = candidates[
+        np.all(pairing(candidates, code.stabilizer_rows(), d) == 0, axis=1)]
+    logical = commuting[
+        np.any(pairing(commuting, code.logical_rows(), d) != 0, axis=1)]
+    if not len(logical):
         raise ValueError("no logical operator found; code is not well formed")
-    return best
+    weights = np.count_nonzero(logical[:, :n] | logical[:, n:], axis=1)
+    return int(np.min(weights))
 
 
 def ramp_parameters(code: StabilizerCode,

@@ -2,7 +2,7 @@
 
 Builds exact codewords and the encoding isometry from the stabilizer
 projector, computes reduced states, and re-derives information groups,
-absence, Choi purity, and twirl concealment directly from complex matrices.
+absence, Choi decoupling, and twirl concealment directly from complex matrices.
 Deliberately independent of the linear-algebra shortcuts it is used to
 certify.
 """
@@ -22,7 +22,6 @@ from .pauli import DEFAULT_AMPLITUDE_CAP, PauliProduct, ResourceLimitError
 __all__ = [
     "DETECTION_TOL",
     "STATE_TOL",
-    "ALGEBRA_TOL",
     "stabilizer_elements",
     "code_projector",
     "codewords",
@@ -32,7 +31,6 @@ __all__ = [
     "reduced_state",
     "info_group_bruteforce",
     "verify_absence",
-    "choi_check",
     "choi_decoupling",
     "verify_concealment",
     "expansion_consistency",
@@ -42,10 +40,10 @@ __all__ = [
 ]
 
 # Separated so detection never flips on roundoff: 1e-9 decides whether a
-# traced operator is nonzero, 1e-10 compares states, 1e-12 checks algebra.
+# traced operator or a Choi marginal's correlation is nonzero, 1e-10
+# compares states.
 DETECTION_TOL = 1e-9
 STATE_TOL = 1e-10
-ALGEBRA_TOL = 1e-12
 
 
 def _check_cap(amplitudes: int, cap: int | None) -> None:
@@ -302,56 +300,31 @@ def verify_absence(code: StabilizerCode, subsets, secrets,
     return worst
 
 
-def _choi_marginal(code: StabilizerCode, subset,
-                   pre_operator: PauliProduct | None,
-                   cap: int | None) -> np.ndarray:
-    """Reference+subset marginal of (I (x) V U)|Psi+> for a known input U."""
+def choi_decoupling(code: StabilizerCode, subsets,
+                    cap: int | None = None) -> list[float]:
+    """Distance of each reference+subset Choi marginal from a product state.
+
+    Sends half of a maximally entangled state through the encoding, once for
+    all subsets.  A distance is zero iff the subset learns nothing about the
+    reference, i.e. iff the subset is forbidden; applied to the complement
+    it certifies that a subset can recover everything.  The marginals are
+    built one at a time, and each difference from the product state is
+    formed in place.
+    """
     d, n, k = code.d, code.n, code.k
     _check_cap(d**(n + k), cap)
-    v = np.array(encoding_isometry(code, cap))
-    if pre_operator is not None:
-        v = v @ pauli.dense_matrix(pre_operator, cap=d**k)
-    # Omega[(j, idx)] = V[idx, j] / sqrt(d^k); reference sites come first.
-    omega_vec = (v.T / np.sqrt(d**k)).reshape(-1)
-    keep = list(range(1, k + 1)) + [k + int(i) for i in subset]
-    return reduced_state(omega_vec, keep, d)
-
-
-def choi_check(code: StabilizerCode, subset,
-               pre_operator: PauliProduct | None = None,
-               cap: int | None = None) -> tuple[float, float]:
-    """Purity of the reference+subset Choi marginal and the reference defect.
-
-    Sends half of a maximally entangled state through the encoding (with an
-    optional known input Pauli applied first).  Purity 1 together with a
-    maximally mixed reference certifies a perfect channel into the subset.
-    The converse needs the traced-out carriers to hold no entropy of their
-    own (true for the full carrier set); membership testing for proper
-    subsets uses choi_decoupling instead.
-    """
-    d, k = code.d, code.k
-    rho_rs = _choi_marginal(code, subset, pre_operator, cap)
-    purity = float(np.real(np.trace(rho_rs @ rho_rs)))
-    rho_r = partial_trace(rho_rs, d, range(1, k + 1))
-    defect = trace_distance(rho_r, np.eye(d**k) / d**k)
-    return purity, defect
-
-
-def choi_decoupling(code: StabilizerCode, subset,
-                    pre_operator: PauliProduct | None = None,
-                    cap: int | None = None) -> float:
-    """Distance of the reference+subset Choi marginal from a product state.
-
-    Zero iff the subset learns nothing about the reference, i.e. iff the
-    subset is forbidden; applied to the complement it certifies that a
-    subset can recover everything.
-    """
-    d, k = code.d, code.k
-    rho_rs = _choi_marginal(code, subset, pre_operator, cap)
-    rho_r = partial_trace(rho_rs, d, range(1, k + 1))
-    m = round(np.log(rho_rs.shape[0]) / np.log(d))
-    rho_s = partial_trace(rho_rs, d, range(k + 1, m + 1))
-    return trace_distance(rho_rs, np.kron(rho_r, rho_s))
+    # omega[(j, idx)] = V[idx, j] / sqrt(d^k); reference sites come first.
+    omega = (encoding_isometry(code, cap).T / np.sqrt(d**k)).reshape(-1)
+    reference = list(range(1, k + 1))
+    out = []
+    for subset in subsets:
+        carriers = [k + int(i) for i in subset]
+        rho_rs = reduced_state(omega, reference + carriers, d)
+        rho_r = partial_trace(rho_rs, d, reference)
+        rho_s = partial_trace(rho_rs, d, range(k + 1, k + len(carriers) + 1))
+        rho_rs -= np.kron(rho_r, rho_s)
+        out.append(0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(rho_rs)))))
+    return out
 
 
 def verify_concealment(code: StabilizerCode, plan, secrets, subsets,

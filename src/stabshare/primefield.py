@@ -2,10 +2,10 @@
 
 Every function takes a plain integer array (or nested lists) and the
 modulus p, and returns reduced arrays: ``mod_rref`` is Gauss-Jordan
-elimination, and rank, solve, nullspace, row-space basis and span
-membership are built on it.  At the sizes this package targets (tens of
-rows) that is exact and instant, as long as the products it forms stay
-inside int64; ``StabilizerCode`` rejects any D for which they could not.
+elimination, and rank, solve, nullspace and row-space basis are built on
+it.  At the sizes this package targets (tens of rows) that is exact and
+instant, as long as the products it forms stay inside int64;
+``StabilizerCode`` rejects any D for which they could not.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ __all__ = [
     "mod_solve",
     "mod_nullspace",
     "row_space_basis",
-    "row_span_contains",
 ]
 
 
@@ -137,15 +136,3 @@ def row_space_basis(a, p: int) -> np.ndarray:
     """Canonical (echelon) basis of the row space; shape (rank, cols)."""
     red, rank, _ = mod_rref(a, p)
     return red[:rank]
-
-
-def row_span_contains(rows, v, p: int) -> bool:
-    """True iff v lies in the row span of `rows` over Z_p."""
-    base = _as_matrix(rows)
-    vec = np.asarray(v, dtype=np.int64).reshape(1, -1)
-    if base.shape[0] == 0:
-        return bool(np.all(vec % p == 0))
-    if vec.shape[1] != base.shape[1]:
-        raise ValueError("vector length does not match row length")
-    return mod_rank(base, p) == mod_rank(np.vstack([base, vec]), p)
-

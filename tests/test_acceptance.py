@@ -106,10 +106,16 @@ def test_criterion_4_cnot_end_to_end():
         assert oracle.verify_concealment(c, plan, secrets,
                                          [(1,), (2,)]) < 1e-10
 
+        # Keyed recovery: undoing the dense twirl on the keyed encoding
+        # returns the plain encoding.
+        v = oracle.encoding_isometry(c)
         for key in enumerate_keys(plan):
-            op = twirl_operator(plan, key)
-            purity, defect = oracle.choi_check(c, (1, 2), pre_operator=op)
-            assert abs(purity - 1.0) < 1e-10 and defect < 1e-10
+            u = dense_matrix(twirl_operator(plan, key), cap=2)
+            undo = v @ u.conj().T @ v.conj().T
+            for psi in secrets:
+                recovered = undo @ oracle.encode(c, u @ psi)
+                error = np.max(np.abs(recovered - oracle.encode(c, psi)))
+                assert error < 1e-10
 
 
 def test_criterion_5_ghz_family():

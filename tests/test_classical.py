@@ -229,10 +229,9 @@ def test_key_transport_explicit_key_and_errors():
     c = catalog("cnot_2_1")
     t = classify(c)
     plan = twirl_plan(c, t)
-    shares = key_transport(plan, t, seed=1, key_digits=(1,))
-    assert reconstruct(shares, (1, 2)) == [1]
-    with pytest.raises(ValueError, match="digits"):
-        key_transport(plan, t, seed=1, key_digits=(1, 0))
+    shares = key_transport(plan, t, seed=1)
+    key, _ = sample_twirl(plan, seed=1)
+    assert reconstruct(shares, (1, 2)) == list(key)
     empty = twirl_plan(catalog("five_qubit"))
     with pytest.raises(ValueError, match="empty"):
         key_transport(empty, classify(catalog("five_qubit")), seed=0)

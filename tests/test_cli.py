@@ -299,6 +299,34 @@ def test_simulate_builds_each_dense_operator_once(capsys, monkeypatch):
     assert twirls == {"twirl_operator": 16}
 
 
+def test_simulate_makes_one_choi_call_per_check(capsys, monkeypatch):
+    calls = count_calls(monkeypatch, oracle, "choi_decoupling")
+    status, _, _ = run(capsys, "simulate", "catalog:four_two_two",
+                       "--seed", "1", "--check", "all")
+    assert status == 0
+    # One call for all 16 subsets, one for keyed recovery's complement.
+    assert calls == {"choi_decoupling": 2}
+
+
+@pytest.mark.parametrize("check", ["concealment", "all"])
+def test_simulate_fails_on_wrong_empty_plan(capsys, monkeypatch, check):
+    real = twirl.twirl_plan
+
+    def empty(c, triplet=None):
+        # cnot_2_1 has intermediate subsets but this plan twirls nothing.
+        return dataclasses.replace(real(c, triplet), twirl_generators=(),
+                                   key_length=0)
+
+    monkeypatch.setattr(twirl, "twirl_plan", empty)
+    status, out, _ = run(capsys, "simulate", "catalog:cnot_2_1",
+                         "--seed", "1", "--check", check,
+                         "--format", "structured")
+    assert status == 1
+    conceal = next(r for r in json.loads(out)["results"]
+                   if r["check"] == "concealment")
+    assert conceal["pass"] is False
+
+
 def _limit_memory():
     import resource
 

@@ -1,4 +1,6 @@
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -11,14 +13,15 @@ PACKAGES = ("stabshare",) + tuple(
 
 DELETED = {
     "stabshare.primefield": ("FieldElement", "FieldMatrix", "row_reduce",
-                             "solve", "nullspace"),
+                             "solve", "nullspace", "row_span_contains"),
     "stabshare.pauli": ("PauliSubgroup", "subgroup_membership",
                         "commutation_exponent", "inverse"),
     "stabshare.infogroup": ("pairing_matrix", "_pairing_row",
                             "InfoGroup.contains"),
     "stabshare.twirl": ("twirl_average_is_zero",),
     "stabshare.oracle": ("verify_perfect_presence", "pauli_eigen_sectors",
-                         "hs_inner"),
+                         "hs_inner", "choi_check", "_choi_marginal",
+                         "ALGEBRA_TOL"),
     "stabshare.cli": ("RunConfig", "_config_from_args"),
 }
 
@@ -47,3 +50,34 @@ def test_deleted_names_are_gone(name):
         assert not _has(module, attr), f"{name}.{attr}"
         assert attr not in getattr(module, "__all__", ())
         assert not _has(stabshare, attr), f"stabshare.{attr}"
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Exports that nothing in src/ or scripts/ reads, kept on purpose.
+UNREAD_EXPORTS = {
+    "stabshare.code.save",  # the inverse of `load` in the public API
+    "stabshare.oracle.trace_distance",  # the tests' reference distance
+}
+
+
+def _program_references() -> set[str]:
+    """Every name loaded and every attribute read in src/ and scripts/.
+
+    Imports, definitions and `__all__` strings are not references."""
+    names = set()
+    for path in [*ROOT.glob("src/stabshare/*.py"), *ROOT.glob("scripts/*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def test_every_export_is_read_by_the_program():
+    used = _program_references()
+    unread = [f"{name}.{attr}" for name in PACKAGES[1:]
+              for attr in importlib.import_module(name).__all__
+              if attr not in used]
+    assert sorted(unread) == sorted(UNREAD_EXPORTS)

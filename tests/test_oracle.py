@@ -205,36 +205,52 @@ def test_absence_examples(cnot, five_qubit):
     assert oracle.verify_absence(cnot, [()], zero_one) < 1e-12
 
 
-def test_choi_check_full_set(cnot, five_qubit):
-    for c in (cnot, five_qubit):
-        purity, defect = oracle.choi_check(c, tuple(range(1, c.n + 1)))
-        assert abs(purity - 1.0) < 1e-12
-        assert defect < 1e-10
-
-
 def test_choi_decoupling_tracks_classification(five_qubit, four_two_two):
     for c in (five_qubit, four_two_two):
         t = classify(c)
         forbidden = set(t.forbidden)
         authorized = set(t.authorized)
-        for s in subsets_in_order(c.n):
-            dec = oracle.choi_decoupling(c, s)
-            comp = tuple(sorted(set(range(1, c.n + 1)) - set(s)))
+        subsets = list(subsets_in_order(c.n))
+        comps = [tuple(sorted(set(range(1, c.n + 1)) - set(s)))
+                 for s in subsets]
+        decs = oracle.choi_decoupling(c, subsets)
+        comp_decs = oracle.choi_decoupling(c, comps)
+        assert len(decs) == len(comp_decs) == len(subsets)
+        for s, dec, comp_dec in zip(subsets, decs, comp_decs):
             assert (dec < 1e-10) == (s in forbidden), (c.name, s)
-            assert (oracle.choi_decoupling(c, comp) < 1e-10) == \
-                (s in authorized), (c.name, s)
+            assert (comp_dec < 1e-10) == (s in authorized), (c.name, s)
 
 
-def test_choi_golden_values(five_qubit, four_two_two):
-    # Frozen from a verified run: mixedness of the traced-out carriers keeps
-    # the reference+subset marginal away from purity one on proper subsets.
-    purity, defect = oracle.choi_check(five_qubit, (1, 2, 3))
-    assert abs(purity - 0.25) < 1e-12 and defect < 1e-10
-    purity, _ = oracle.choi_check(five_qubit, (1, 2))
-    assert abs(purity - 0.125) < 1e-12
-    purity, defect = oracle.choi_check(four_two_two, (1, 2))
-    assert abs(purity - 0.25) < 1e-12 and defect < 1e-10
-    assert abs(oracle.choi_decoupling(four_two_two, (1, 2)) - 0.75) < 1e-12
+def test_choi_golden_values(four_two_two):
+    # Frozen from a verified run.
+    [dec] = oracle.choi_decoupling(four_two_two, [(1, 2)])
+    assert abs(dec - 0.75) < 1e-12
+
+
+def _reference_decoupling(v: np.ndarray, d: int, subset) -> float:
+    """Decoupling of the reference+subset marginal of (I (x) v)|Phi+>, from
+    the full Choi projector, one partial trace at a time."""
+    k = round(np.log(v.shape[1]) / np.log(d))
+    omega = (v.T / np.sqrt(d**k)).reshape(-1)
+    keep = list(range(1, k + 1)) + [k + i for i in subset]
+    rho_rs = oracle.partial_trace(np.outer(omega, omega.conj()), d, keep)
+    rho_r = oracle.partial_trace(rho_rs, d, range(1, k + 1))
+    rho_s = oracle.partial_trace(rho_rs, d, range(k + 1, len(keep) + 1))
+    return oracle.trace_distance(rho_rs, np.kron(rho_r, rho_s))
+
+
+@pytest.mark.parametrize("source", ["cnot_2_1", "four_two_two", "rand_3_3_2"])
+def test_choi_decoupling_matches_per_subset_reference(source):
+    if source == "rand_3_3_2":
+        c = load(Path(__file__).parent / "data" / "rand_3_3_2.json")
+    else:
+        c = catalog(source)
+    subsets = list(subsets_in_order(c.n))
+    v = oracle.encoding_isometry(c)
+    decs = oracle.choi_decoupling(c, subsets)
+    assert len(decs) == len(subsets)
+    for subset, dec in zip(subsets, decs):
+        assert abs(dec - _reference_decoupling(v, c.d, subset)) < 1e-12, subset
 
 
 def test_concealment_cnot(cnot):
@@ -256,17 +272,21 @@ def test_concealment_fails_without_the_generator(cnot):
 
 def test_keyed_recovery_is_channel_equivalent(four_two_two):
     # Encoding a twirled secret with a known key keeps every authorized
-    # subset's channel perfect: the complement stays decoupled.
-    from stabshare.twirl import enumerate_keys, twirl_operator
-
+    # subset's channel perfect: the complement stays decoupled.  The key's
+    # operator U acts on the reference alone, (I (x) V U)|Phi+> =
+    # (U^T (x) V)|Phi+>, so every keyed decoupling equals the unkeyed one.
     plan = twirl_plan(four_two_two)
     t = classify(four_two_two)
-    for key in list(enumerate_keys(plan))[:4]:
-        op = twirl_operator(plan, key)
-        for target in t.minimal_authorized[:2]:
-            comp = tuple(sorted(set(range(1, 5)) - set(target)))
-            assert oracle.choi_decoupling(four_two_two, comp,
-                                          pre_operator=op) < 1e-10
+    v = oracle.encoding_isometry(four_two_two)
+    comps = [tuple(sorted(set(range(1, 5)) - set(target)))
+             for target in t.minimal_authorized]
+    unkeyed = oracle.choi_decoupling(four_two_two, comps)
+    for key in enumerate_keys(plan):
+        u = pauli.dense_matrix(twirl_operator(plan, key), cap=4)
+        for comp, plain in zip(comps, unkeyed):
+            keyed = _reference_decoupling(v @ u, 2, comp)
+            assert abs(keyed - plain) < 1e-12, (key, comp)
+            assert keyed < 1e-10
 
 
 def test_expansion_consistency(catalog_codes):

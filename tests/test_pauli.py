@@ -20,7 +20,7 @@ from stabshare.pauli import (
     symplectic_vector,
     to_string,
 )
-from stabshare.primefield import row_span_contains
+from stabshare.infogroup import group_from_rows
 
 
 def comm(p: PauliProduct, q: PauliProduct) -> int:
@@ -276,16 +276,15 @@ def test_symplectic_round_trip():
 
 
 def test_subgroup_membership_examples():
-    vec = lambda text: symplectic_vector(parse(text))
-    single_z = np.array([vec("Z")])
-    assert row_span_contains(single_z, vec("Z"), 2)
-    assert not row_span_contains(single_z, vec("X"), 2)
-    full = np.array([vec("X"), vec("Z")])
-    assert row_span_contains(full, vec("Y"), 2)
-    assert row_span_contains(full, symplectic_vector(identity(2, 1)), 2)
-    trivial = np.zeros((0, 2), dtype=np.int64)
-    assert row_span_contains(trivial, symplectic_vector(identity(2, 1)), 2)
-    assert not row_span_contains(trivial, vec("Z"), 2)
+    span = lambda *texts: group_from_rows(
+        2, 1, [symplectic_vector(parse(t)) for t in texts])
+    assert span("Z") == span("Z", "I")
+    assert span("Z") != span("X")
+    assert span("Z") != span("X", "Z")
+    assert span("X", "Z") == span("X", "Z", "Y")
+    assert span("X", "Z") == span("X", "Y")
+    assert span() == span("I")
+    assert span() != span("Z")
 
 
 def test_exponents_reduced_mod_d():

@@ -10,7 +10,6 @@ from stabshare.primefield import (
     mod_rank,
     mod_rref,
     mod_solve,
-    row_span_contains,
 )
 
 PRIMES = [2, 3, 5, 7]
@@ -83,13 +82,6 @@ def test_empty_shapes():
     red, rank, pivots = mod_rref(np.zeros((0, 3), dtype=np.int64), 2)
     assert rank == 0 and pivots == []
     assert len(mod_nullspace(np.zeros((0, 3), dtype=np.int64), 2)) == 3
-
-
-def test_row_span_contains():
-    rows = [[1, 0, 1], [0, 1, 1]]
-    assert row_span_contains(rows, [1, 1, 0], 2)
-    assert not row_span_contains(rows, [0, 0, 1], 2)
-    assert row_span_contains(np.zeros((0, 3), dtype=np.int64), [0, 0, 0], 2)
 
 
 @st.composite
