@@ -112,6 +112,18 @@ GOLDEN = {
         0, "7733776b5b87cc34e8f1ed8ef34c59cffd1ecede3736beb85b1cb6191bd37130"),
     ("share-key", "ghz_9"): (
         0, "5b9960c9e90286dd5c1fc002a5381e60b5332fa056b3a750825c2be5b0e77365"),
+    ("classify", "ghz_10"): (
+        0, "61d7c55c6eb48dadfdcf864e30304d47d0d292c7e04ed273bf1ae1a33e92ac56"),
+    ("twirl-plan", "ghz_10"): (
+        0, "5cb838d20dcfc7096c0eb156be014c458594057faa349114c2f0bfd4e83111d9"),
+    ("classify", "ghz_11"): (
+        0, "f4a04564eca6b6804e942696f1d6ec7e49b705d4be93220fd0a965d68af7a13f"),
+    ("twirl-plan", "ghz_11"): (
+        0, "b29b993d12136b3a9e5b2380433c8fbc2187cf5ac6ad4f1c8206e0e208e37681"),
+    ("classify", "ghz_12"): (
+        0, "cf01eb65faeeda8f1a12316ccecfcc4abbfa800a8770729b1e8300287d30a3b0"),
+    ("twirl-plan", "ghz_12"): (
+        0, "93c939e5b1fb7560379e56602409b633f35b90f465858eef28272efd29da843a"),
     ("classify", "rand_3_3_2"): (
         0, "74bd5f095c30f67185dc6b63730e1e9e91b974924d35f8fdb50379dc7c993303"),
     ("twirl-plan", "rand_3_3_2"): (
