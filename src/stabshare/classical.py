@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass, replace
 
 from .primefield import check_prime, is_prime
+from .twirl import draw_key
 
 __all__ = [
     "ClassicalShareSet",
@@ -243,14 +244,14 @@ def key_transport(plan, triplet, seed: int) -> ClassicalShareSet:
     live in Z_d and are embedded unchanged (the recorded source_modulus maps
     them back).
 
-    The key is drawn exactly as sample_twirl(plan, seed) draws it, so the
-    two stay in sync for the same seed.
+    The key comes from ``draw_key`` on a generator seeded with `seed`, as in
+    sample_twirl(plan, seed), so the two give the same key.
     """
     if plan.is_empty:
         raise ValueError("plan is empty; there is no key to transport")
     d, n = plan.d, triplet.n
     rng = random.Random(seed)
-    key_digits = tuple(rng.randrange(d) for _ in range(plan.key_length))
+    key_digits = draw_key(plan, rng)
 
     modulus = smallest_prime_above(max(d, n))
     q = plan.prescription.threshold_q

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 
 import numpy as np
@@ -261,7 +262,7 @@ def run_checks(c: StabilizerCode, seed: int, which: str,
         add("expansion", worst < oracle.STATE_TOL, measured=worst)
 
         if not plan.is_empty:
-            key, _ = twirl.sample_twirl(plan, seed)
+            key = twirl.draw_key(plan, random.Random(seed))
             shares = classical.key_transport(plan, triplet, seed)
             target = triplet.minimal_authorized[0]
             recovered = classical.reconstruct(shares, target)

@@ -16,14 +16,25 @@ The complement needs no second solve: G(S-bar) is the symplectic
 commutant of G(S) inside Z_d^(2k) (Gheorghiu, Looi & Griffiths, PRA 81,
 032326 (2010)).  So their classes are dual (A and F swap, I stays I), and
 if G(S) has r hyperbolic pairs and s isotropic generators, G(S-bar) has
-k - r - s pairs and the same s (the two share their radical).  ``classify``
-solves the first half of the subsets in enumeration order and writes each
-complement's record by this rule.
+k - r - s pairs and the same s (the two share their radical).
+
+``classify`` makes no per-subset solve.  One depth-first walk of the subset
+lattice decides the carriers in turn, each into S or S-bar, and keeps the
+span of the logical-plus-stabilizer combinations that act as the identity
+on the carriers put in S-bar so far.  Putting a carrier in S-bar adds its x
+and z columns as two constraints, one pivot each, and at a leaf the span's
+logical coefficients span G(S): the cleaning-lemma view of G(S) as the
+logicals with a representative on S (Bravyi & Terhal, NJP 11, 043029
+(2009)), made incremental.  The walk visits only the subsets without
+carrier n; each other subset is the complement of one of them and gets its
+record by the rule above.  ``info_group`` remains the independent solve of
+one subset.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -301,6 +312,56 @@ class SchemeTriplet:
         return out
 
 
+def _restrict(rows: list[list[int]], col: int, d: int) -> list[list[int]]:
+    """Span of `rows` with a zero in column `col`, by one pivot.
+
+    The first row with a nonzero entry is the pivot: a multiple of it
+    clears the column from every later row, and it is dropped.
+    """
+    kept = []
+    pivot = None
+    for row in rows:
+        t = row[col]
+        if not t:
+            kept.append(row)
+        elif pivot is None:
+            pivot, inv = row, pow(t, -1, d)
+        else:
+            f = t * inv % d
+            kept.append([(a - f * b) % d for a, b in zip(row, pivot)])
+    return kept
+
+
+def _walk(code: StabilizerCode):
+    """Yield (mask, rows) for every subset S of {1..n-1}; rows span G(S).
+
+    `mask` has bit i-1 set for each carrier i in S.  A row holds 2k logical
+    coefficients, then the (x|z) image on the n carriers of the combination
+    of logical and stabilizer rows they describe.  Carrier n is put in S-bar
+    at the root, then carriers 1..n-1 are decided depth first.
+    """
+    d, n, k = code.d, code.n, code.k
+    stacked = np.vstack([code.logical_rows(), code.stabilizer_rows()]) % d
+    rows = [[int(j == i) for j in range(2 * k)] + [int(v) for v in image]
+            for i, image in enumerate(stacked)]
+
+    def out_of_s(rows, i):  # carrier i (1-based) goes in S-bar
+        x_col = 2 * k + i - 1
+        return _restrict(_restrict(rows, x_col, d), x_col + n, d)
+
+    stack = [(1, 0, out_of_s(rows, n))]
+    while stack:
+        i, mask, rows = stack.pop()
+        if i == n:
+            yield mask, [row[:2 * k] for row in rows]
+            continue
+        stack.append((i + 1, mask, out_of_s(rows, i)))
+        stack.append((i + 1, mask | 1 << (i - 1), rows))
+
+
+_DUAL_CLASS = {"A": "F", "F": "A", "I": "I"}
+
+
 def _rs_of(group: InfoGroup) -> tuple[int, int]:
     rows = group.generator_rows()
     rank2r = mod_rank(pairing(rows, rows, group.d), group.d) if group.rank else 0
@@ -311,25 +372,34 @@ def _rs_of(group: InfoGroup) -> tuple[int, int]:
 def classify(code: StabilizerCode) -> SchemeTriplet:
     """Classify every subset of carriers.
 
-    In ``subsets_in_order`` the complement of the i-th subset is the
-    (2^n - 1 - i)-th.  Each subset S of the first half is solved directly,
-    and by duality its complement gets the dual class and (k - r - s, s).
+    One walk of the subset lattice (``_walk``) yields G(S) for every S
+    without carrier n, and S gets its class and (r, s) from it.  By duality
+    the complement of S gets the dual class and (k - r - s, s).  The records
+    are built in ``subsets_in_order`` once the walk has ended.
     """
     n, k = code.n, code.k
     if n > DEFAULT_CLASSIFY_CAP:
         raise ResourceLimitError(f"classification enumerates 2^{n} subsets, "
                                  f"cap is n <= {DEFAULT_CLASSIFY_CAP}")
 
-    order = list(subsets_in_order(n))
-    last = len(order) - 1
-    records: list[SubsetRecord | None] = [None] * len(order)
-    for i in range(len(order) // 2):
-        g = info_group(code, order[i])
-        r, s = _rs_of(g)
-        records[i] = SubsetRecord(order[i], g.access_class, r, s)
-        records[last - i] = SubsetRecord(
-            order[last - i], {"A": "F", "F": "A"}.get(g.access_class, "I"),
-            k - r - s, s)
+    # The walk's results, by the leaf's bitmask (below 2^(n-1)).
+    full, half = (1 << n) - 1, 1 << (n - 1)
+    classes: list[str | None] = [None] * half
+    r_of, s_of = [0] * half, [0] * half
+    for mask, rows in _walk(code):
+        g = group_from_rows(code.d, k, rows)
+        classes[mask] = g.access_class
+        r_of[mask], s_of[mask] = _rs_of(g)
+    records = []
+    for subset in subsets_in_order(n):
+        mask = sum(1 << (c - 1) for c in subset)
+        if mask < half:
+            rec = SubsetRecord(subset, classes[mask], r_of[mask], s_of[mask])
+        else:  # the complement of a leaf: dual class, (k - r - s, s)
+            leaf = full ^ mask
+            rec = SubsetRecord(subset, _DUAL_CLASS[classes[leaf]],
+                               k - r_of[leaf] - s_of[leaf], s_of[leaf])
+        records.append(rec)
 
     by_class: dict[str, list[tuple[int, ...]]] = {"A": [], "F": [], "I": []}
     for rec in records:
@@ -365,5 +435,5 @@ def threshold_q(triplet: SchemeTriplet) -> int | None:
     if not triplet.authorized:
         return None
     q = min(len(s) for s in triplet.authorized)
-    expected = sum(1 for s in subsets_in_order(triplet.n) if len(s) >= q)
+    expected = sum(math.comb(triplet.n, j) for j in range(q, triplet.n + 1))
     return q if len(triplet.authorized) == expected else None

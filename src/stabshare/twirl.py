@@ -27,6 +27,7 @@ __all__ = [
     "TwirlPlan",
     "intermediate_group",
     "twirl_plan",
+    "draw_key",
     "sample_twirl",
     "twirl_operator",
     "enumerate_keys",
@@ -147,12 +148,20 @@ def twirl_operator(plan: TwirlPlan, key) -> PauliProduct:
     return out
 
 
+def draw_key(plan: TwirlPlan, rng: random.Random) -> tuple[int, ...]:
+    """A uniform key: ``plan.key_length`` digits in Z_d drawn from `rng`.
+
+    Every key is drawn here, so ``sample_twirl`` and ``key_transport`` give
+    the same key for the same seed.
+    """
+    return tuple(rng.randrange(plan.d) for _ in range(plan.key_length))
+
+
 def sample_twirl(plan: TwirlPlan, seed: int) -> tuple[tuple[int, ...], PauliProduct]:
     """Draw a uniform key with a seeded generator; returns (key, operator)."""
     if plan.is_empty:
         raise ValueError("plan is empty; nothing to sample")
-    rng = random.Random(seed)
-    key = tuple(rng.randrange(plan.d) for _ in range(plan.key_length))
+    key = draw_key(plan, random.Random(seed))
     return key, twirl_operator(plan, key)
 
 

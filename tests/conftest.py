@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from stabshare import catalog, validate
+from stabshare import catalog, infogroup, validate
 from stabshare.code import StabilizerCode
 from stabshare.pauli import from_symplectic, pairing
 
@@ -63,6 +63,20 @@ def count_calls(monkeypatch, module, *names) -> Counter:
     for name in names:
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     return calls
+
+
+def walk_leaves(monkeypatch) -> list[int]:
+    """Record the bitmask of every leaf that ``infogroup._walk`` yields."""
+    leaves = []
+    real = infogroup._walk
+
+    def recording(code):
+        for mask, rows in real(code):
+            leaves.append(mask)
+            yield mask, rows
+
+    monkeypatch.setattr(infogroup, "_walk", recording)
+    return leaves
 
 
 def two_carrier_file(d: int, **fields) -> str:

@@ -10,7 +10,8 @@ from stabshare import catalog, classical, cli, infogroup, oracle, twirl
 from stabshare import code as code_mod
 from stabshare.cli import main
 
-from conftest import PHASE_OBSTRUCTED_LOGICAL, count_calls, two_carrier_file
+from conftest import (PHASE_OBSTRUCTED_LOGICAL, count_calls, two_carrier_file,
+                      walk_leaves)
 
 DATA = Path(__file__).parent / "data"
 
@@ -254,18 +255,41 @@ def test_simulate_duality_fails_on_wrong_record(capsys, monkeypatch):
     assert duality["detail"].startswith("classify gives [3, 4] (r, s)")
 
 
+def test_simulate_duality_fails_on_wrong_walk_leaf(capsys, monkeypatch):
+    real = infogroup._walk
+
+    def corrupted(c):
+        # Leaf {1, 2, 3} (bitmask 0b111) loses every generator of its group.
+        for mask, rows in real(c):
+            yield mask, [] if mask == 0b111 else rows
+
+    monkeypatch.setattr(infogroup, "_walk", corrupted)
+    status, out, _ = run(capsys, "simulate", "catalog:four_two_two",
+                         "--seed", "3", "--check", "duality",
+                         "--format", "structured")
+    assert status == 1
+    duality = next(r for r in json.loads(out)["results"]
+                   if r["check"] == "duality")
+    assert duality["pass"] is False
+    assert duality["detail"] == "classify puts [1, 2, 3] in F, its group in A"
+
+
 @pytest.mark.parametrize("check,solves", [
     ("all", 30), ("concealment", 30), ("choi", 24), ("infogroup", 24),
     ("duality", 24)])
 def test_simulate_solves_each_subset_once(capsys, monkeypatch, check, solves):
     calls = count_calls(monkeypatch, infogroup, "info_group", "commutant")
+    leaves = walk_leaves(monkeypatch)
     status, _, _ = run(capsys, "simulate", "catalog:four_two_two",
                        "--seed", "1", "--check", check)
     assert status == 0
-    # 8 in classify and 16 shared by duality and infogroup; only the checks
-    # that read the twirl plan solve its 6 maximal intermediate subsets.
-    # The duality check takes 2 commutants per pair.
-    assert calls == {"info_group": solves, "commutant": 16}
+    # `solves` counts every group solved.  classify's lattice walk solves
+    # the 8 subsets without carrier 4; `info_group` solves the 16 direct
+    # groups shared by duality and infogroup and, only in the checks that
+    # read the twirl plan, its 6 maximal intermediate subsets.  The duality
+    # check takes 2 commutants per pair.
+    assert len(leaves) == 8
+    assert calls == {"info_group": solves - len(leaves), "commutant": 16}
 
 
 def test_simulate_resource_cap(capsys):
@@ -289,9 +313,10 @@ def test_simulate_builds_each_dense_operator_once(capsys, monkeypatch):
                        "--seed", "1", "--check", "all")
     assert status == 0
     # The expansion check builds the 16 once more for its own subsets; D^l
-    # = 16 twirl operators serve concealment and one more the sampled key.
+    # = 16 twirl operators serve concealment.  The key check draws its key
+    # without building an operator.
     assert encoded == {"_encoded_logical": 32}
-    assert twirls == {"twirl_operator": 17}
+    assert twirls == {"twirl_operator": 16}
     twirls.clear()
     status, _, _ = run(capsys, "simulate", "catalog:four_two_two",
                        "--seed", "1", "--check", "concealment")

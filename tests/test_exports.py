@@ -58,6 +58,8 @@ ROOT = Path(__file__).resolve().parents[1]
 UNREAD_EXPORTS = {
     "stabshare.code.save",  # the inverse of `load` in the public API
     "stabshare.oracle.trace_distance",  # the tests' reference distance
+    # A key and its twirl operator in one call; perfbench's pipeline runs it.
+    "stabshare.twirl.sample_twirl",
 }
 
 

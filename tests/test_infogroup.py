@@ -1,10 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabshare import catalog, infogroup, oracle
-from stabshare.code import StabilizerCode
+from stabshare.code import StabilizerCode, load
 from stabshare.infogroup import (
     InfoGroup,
     canonical_form,
@@ -22,7 +24,9 @@ from stabshare.pauli import ResourceLimitError, multiply, pairing
 from stabshare.primefield import mod_rank
 from stabshare.twirl import intermediate_group
 
-from conftest import count_calls, random_code
+from conftest import count_calls, random_code, walk_leaves
+
+DATA_CODES = sorted((Path(__file__).parent / "data").glob("*.json"))
 
 
 def all_subsets_of_size(n, sizes):
@@ -293,8 +297,12 @@ def test_one_carrier_neighbours():
 
 def test_classify_solves_half_the_subsets(monkeypatch):
     calls = count_calls(monkeypatch, infogroup, "info_group", "commutant")
+    leaves = walk_leaves(monkeypatch)
     classify(catalog("ghz_n", 8))
-    assert calls == {"info_group": 128}
+    # The lattice walk solves each subset without carrier 8 once, and the
+    # duality rule writes the other 128 records: no per-subset solve.
+    assert not calls
+    assert sorted(leaves) == list(range(128))
 
 
 def _reference_records(c):
@@ -305,6 +313,57 @@ def _reference_records(c):
         form = canonical_form(g)
         out.append((s, g.access_class, form.r, form.s))
     return out
+
+
+def _assert_walk_matches_direct_solves(c):
+    """The lattice walk against ``info_group``, and classify's records."""
+    n = c.n
+    leaves = [(tuple(i + 1 for i in range(n) if mask >> i & 1), rows)
+              for mask, rows in infogroup._walk(c)]
+    # One leaf for each subset without carrier n.
+    assert sorted(s for s, _ in leaves) == sorted(
+        s for s in subsets_in_order(n) if n not in s)
+    for s, rows in leaves:
+        assert group_from_rows(c.d, c.k, rows) == info_group(c, s), s
+    t = classify(c)
+    assert [(r.subset, r.cls, r.r, r.s) for r in t.records] == \
+        _reference_records(c)
+
+
+@given(d=st.sampled_from([2, 3, 5, 7]),
+       nk=st.integers(1, 6).flatmap(
+           lambda n: st.tuples(st.just(n), st.integers(1, n))),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_walk_matches_info_group_on_random_codes(d, nk, seed):
+    # k = n draws codes with no stabilizer at all.
+    n, k = nk
+    _assert_walk_matches_direct_solves(
+        random_code(np.random.default_rng(seed), d, n, k))
+
+
+@pytest.mark.parametrize("path", DATA_CODES, ids=lambda p: p.stem)
+def test_walk_matches_info_group_on_data_codes(path):
+    _assert_walk_matches_direct_solves(load(path))
+
+
+def _enumerated_threshold(t):
+    """q if the authorized sets are exactly those of size >= q, by listing."""
+    if not t.authorized:
+        return None
+    q = min(len(s) for s in t.authorized)
+    at_least_q = [s for s in subsets_in_order(t.n) if len(s) >= q]
+    return q if sorted(t.authorized) == sorted(at_least_q) else None
+
+
+@pytest.mark.parametrize("c", [
+    *(pytest.param(catalog(name), id=name) for name in
+      ("cnot_2_1", "five_qubit", "four_two_two", "steane")),
+    *(pytest.param(catalog("ghz_n", n), id=f"ghz_{n}") for n in range(3, 11)),
+    *(pytest.param(load(path), id=path.stem) for path in DATA_CODES)])
+def test_threshold_q_matches_enumeration(c):
+    t = classify(c)
+    assert threshold_q(t) == _enumerated_threshold(t)
 
 
 @given(d=st.sampled_from([2, 3, 5, 7]),
