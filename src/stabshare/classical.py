@@ -159,9 +159,10 @@ def _check_antichain(minimal_sets) -> tuple[tuple[int, ...], ...]:
     sets = tuple(tuple(sorted(set(int(i) for i in s))) for s in minimal_sets)
     if not sets:
         raise ValueError("minimal authorized sets must be nonempty")
-    for a in sets:
-        for b in sets:
-            if a != b and set(a) <= set(b):
+    frozen = [frozenset(s) for s in sets]
+    for a, fa in zip(sets, frozen):
+        for b, fb in zip(sets, frozen):
+            if fa < fb:
                 raise ValueError(
                     f"minimal sets must form an antichain: {a} is inside {b}")
     return sets

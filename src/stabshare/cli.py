@@ -195,6 +195,10 @@ def run_checks(c: StabilizerCode, seed: int, which: str,
         detail="; ".join(report.violations) if report.violations else "valid")
     if not report.is_valid:
         return False, results
+    if which != "duality":
+        # Every other check reads the encoding: meet the dense cap before
+        # solving 2^n groups.
+        oracle.encoding_isometry(c, cap)
 
     triplet = infogroup.classify(c)
     subsets = list(infogroup.subsets_in_order(c.n))
@@ -238,12 +242,11 @@ def run_checks(c: StabilizerCode, seed: int, which: str,
         return all(r["pass"] for r in results), results
     plan = twirl.twirl_plan(c, triplet)
     # The secrets hold D^k amplitudes each: build them only if a check reads
-    # them, and only after the encoding (D^n >= D^k amplitudes) passed the cap.
+    # them.  The encoding (D^n >= D^k amplitudes) has passed the cap.
     # Concealment is gated on the intermediate subsets, not on the plan, so
     # an empty plan for a code that needs a twirl fails the check.
     secrets = []
     if which == "all" or triplet.intermediate:
-        oracle.encoding_isometry(c, cap)
         secrets = _simulation_secrets(c, seed)
     if triplet.intermediate:
         worst = oracle.verify_concealment(c, plan, secrets,

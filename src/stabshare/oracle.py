@@ -1,10 +1,15 @@
 """Dense-state brute-force engine for verifying every symbolic claim.
 
-Builds exact codewords and the encoding isometry from the stabilizer
-projector, computes reduced states, and re-derives information groups,
-absence, Choi decoupling, and twirl concealment directly from complex matrices.
-Deliberately independent of the linear-algebra shortcuts it is used to
-certify.
+Builds exact codewords and the encoding isometry from one projector
+routine, the joint +1 eigenspace of commuting Paulis: the stabilizer
+generators give the code space, and the logical Z pin |c_0> in it.  Every
+check that pushes a logical operator through the encoding uses one
+reduction, Tr_S-bar(V op V-dagger) summed over the traced basis states
+without forming the d^n x d^n lift; the direct sides (reduced states of
+encoded vectors and the Choi marginals) keep their own code path.  From
+these the oracle re-derives information groups, absence, Choi decoupling
+and twirl concealment directly from complex matrices, independent of the
+linear-algebra shortcuts it is used to certify.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from .pauli import DEFAULT_AMPLITUDE_CAP, PauliProduct, ResourceLimitError
 __all__ = [
     "DETECTION_TOL",
     "STATE_TOL",
-    "stabilizer_elements",
     "code_projector",
     "codewords",
     "encoding_isometry",
@@ -58,27 +62,25 @@ def _digits(value: int, d: int, width: int) -> tuple[int, ...]:
     return tuple((value // d**(width - 1 - i)) % d for i in range(width))
 
 
-def stabilizer_elements(code: StabilizerCode) -> list[PauliProduct]:
-    """All d^(n-k) group elements as exact symbolic products."""
-    gens = code.stabilizer
-    out = []
-    for exps in itertools.product(range(code.d), repeat=len(gens)):
-        element = pauli.identity(code.d, code.n)
-        for g, e in zip(gens, exps):
-            element = element * pauli.power(g, e)
-        out.append(element)
+def _plus_one_projector(paulis, dim: int) -> np.ndarray:
+    """Product over the commuting order-d `paulis` of (1/d) sum_t g^t.
+
+    This is the projector onto their joint +1 eigenspace.  Callers check
+    the result: (1/d) sum_t g^t is no projector when g^d is not the identity.
+    """
+    out = np.eye(dim, dtype=complex)
+    for g in paulis:
+        out = out @ sum(pauli.dense_matrix(pauli.power(g, t), cap=dim)
+                        for t in range(g.d)) / g.d
     return out
 
 
 @functools.lru_cache(maxsize=32)
 def code_projector(code: StabilizerCode, cap: int | None = None) -> np.ndarray:
-    """Uniform average of all stabilizer group elements; must be a projector."""
+    """Projector onto the code space; fails if the generators do not give one."""
     dim = code.d**code.n
     _check_cap(dim, cap)
-    total = np.zeros((dim, dim), dtype=complex)
-    for element in stabilizer_elements(code):
-        total += pauli.dense_matrix(element, cap=dim)
-    proj = total / code.d**(code.n - code.k)
+    proj = _plus_one_projector(code.stabilizer, dim)
     if np.max(np.abs(proj @ proj - proj)) > 1e-9 or abs(np.trace(proj)) < 0.5:
         raise ValueError(
             "stabilizer group does not average to a projector; "
@@ -87,41 +89,21 @@ def code_projector(code: StabilizerCode, cap: int | None = None) -> np.ndarray:
     return proj
 
 
-def _eigen_scalar_root(p: PauliProduct) -> complex:
-    """nu with nu^d equal to the scalar p^d, so (p/nu)^d is the identity."""
-    pd = pauli.power(p, p.d)
-    # p^d is a pure phase; its exponent fixes the branch.
-    return np.exp(2j * np.pi * pd.phase / p.d**2)
-
-
-def _sector_projector(dense: np.ndarray, nu: complex, d: int) -> np.ndarray:
-    """Projector onto the eigenvalue-nu sector: the mean of (dense/nu)^t."""
-    dim = dense.shape[0]
-    acc = np.zeros((dim, dim), dtype=complex)
-    step = np.eye(dim, dtype=complex)
-    for _ in range(d):
-        acc += step
-        step = step @ (dense / nu)
-    return acc / d
-
-
 @functools.lru_cache(maxsize=32)
 def codewords(code: StabilizerCode, cap: int | None = None) -> tuple[np.ndarray, ...]:
     """The d^k orthonormal codewords.
 
     |c_0> is the first standard basis vector with a nonzero projection onto
-    the code space, pinned to the principal joint eigensector of the
-    logical-Z representatives (for the catalog codes, whose logical Z are
-    diagonal, this is the plain projector scan).  |c_j> applies the logical-X
-    representatives with the base-d digits of j as exponents.
+    the code space's joint +1 eigenspace of the logical-Z representatives
+    (for the catalog codes, whose logical Z are diagonal, this is the plain
+    projector scan).  |c_j> applies the logical-X representatives with the
+    base-d digits of j as exponents.
     """
     d, n, k = code.d, code.n, code.k
     dim = d**n
     _check_cap(dim, cap)
-    proj = np.array(code_projector(code, cap))
-    for lz in code.logical_z:
-        dense = pauli.dense_matrix(lz, cap=dim)
-        proj = proj @ _sector_projector(dense, _eigen_scalar_root(lz), d)
+    base = code_projector(code, cap)
+    proj = base @ _plus_one_projector(code.logical_z, dim)
 
     c0 = None
     for m in range(dim):
@@ -144,7 +126,6 @@ def codewords(code: StabilizerCode, cap: int | None = None) -> tuple[np.ndarray,
     gram = np.array([[np.vdot(a, b) for b in words] for a in words])
     if np.max(np.abs(gram - np.eye(d**k))) > 1e-9:
         raise ValueError("codewords are not orthonormal; invalid logical set")
-    base = np.array(code_projector(code, cap))
     for w in words:
         if np.linalg.norm(base @ w - w) > 1e-9:
             raise ValueError("codeword escapes the stabilized subspace")
@@ -219,6 +200,16 @@ def _kept_first(arr: np.ndarray, d: int, keep) -> np.ndarray:
     return split.reshape((d**len(keep0), d**len(rest)) + tail)
 
 
+def _traced(w: np.ndarray, op: np.ndarray) -> np.ndarray:
+    """Tr_S-bar(V op V-dagger) as the sum over the traced basis states t of
+    W_t op W_t-dagger, where w = _kept_first(V, d, S).
+
+    The d^n x d^n lift V op V-dagger is never formed.
+    """
+    rows = len(w)
+    return (w @ op).reshape(rows, -1) @ w.reshape(rows, -1).conj().T
+
+
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     """(1/2) ||a - b||_1 for Hermitian a, b."""
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(a - b))))
@@ -248,33 +239,24 @@ def basis_secret(d: int, k: int, j: int) -> np.ndarray:
     return vec
 
 
-def _encoded_logical(code: StabilizerCode, x, z,
-                     cap: int | None = None) -> np.ndarray:
-    """V (X^x Z^z) V-dagger as a dense carrier operator."""
-    v = encoding_isometry(code, cap)
-    op = pauli.dense_matrix(PauliProduct(code.d, tuple(x), tuple(z)),
-                            cap=code.d**code.k)
-    return v @ op @ v.conj().T
-
-
 def info_group_bruteforce(code: StabilizerCode, subsets,
                           cap: int | None = None) -> list[InfoGroup]:
     """G(S) of each subset: span the input Paulis whose traced image is nonzero.
 
-    Each encoded operator is built once and traced onto every subset before
-    the next one is built.
+    Each of the d^(2k) input Paulis is built once, as a d^k x d^k matrix,
+    and traced onto every subset through the encoding.
     """
     d, k = code.d, code.k
-    subsets = [tuple(sorted(set(int(i) for i in s))) for s in subsets]
-    hits = [[] for _ in subsets]
-    for exps in itertools.product(range(d), repeat=2 * k):
-        image = _encoded_logical(code, exps[:k], exps[k:], cap)
-        for found, subset in zip(hits, subsets):
-            if np.linalg.norm(partial_trace(image, d, subset)) > DETECTION_TOL:
-                found.append(exps)
+    v = encoding_isometry(code, cap)
+    paulis = [(exps, pauli.dense_matrix(PauliProduct(d, exps[:k], exps[k:]),
+                                        cap=d**k))
+              for exps in itertools.product(range(d), repeat=2 * k)]
     groups = []
-    for found in hits:
-        rows = np.array(found, dtype=np.int64)
+    for subset in subsets:
+        w = _kept_first(v, d, set(subset))
+        rows = np.array([exps for exps, op in paulis
+                         if np.linalg.norm(_traced(w, op)) > DETECTION_TOL],
+                        dtype=np.int64)
         group = group_from_rows(d, k, rows)
         if len(rows) != d**group.rank:
             raise ValueError(
@@ -290,11 +272,11 @@ def verify_absence(code: StabilizerCode, subsets, secrets,
     secret-free state."""
     d, k = code.d, code.k
     v = encoding_isometry(code, cap)
-    mixed = v @ v.conj().T / d**k
+    free = np.eye(d**k) / d**k
     encoded = [encode(code, s, cap) for s in secrets]
     worst = 0.0
     for subset in subsets:
-        states = [partial_trace(mixed, d, subset)]
+        states = [_traced(_kept_first(v, d, subset), free)]
         states += [reduced_state(state, subset, d) for state in encoded]
         worst = max(worst, _max_pairwise_distance(states))
     return worst
@@ -332,10 +314,8 @@ def verify_concealment(code: StabilizerCode, plan, secrets, subsets,
     """Max pairwise distance of key-averaged reduced states; must vanish.
 
     Each twirl operator acts once on all secrets, and each secret's keyed
-    states are averaged in the d^k logical space.  The lift V rho V-dagger
-    of an average is traced onto each subset block by block, as
-    (W rho) W-dagger with W the rows of V split into kept and traced
-    sites, so no d^n x d^n lift is held.
+    states are averaged in the d^k logical space before the average is
+    traced onto each subset through the encoding.
     """
     from .twirl import enumerate_keys, twirl_operator
 
@@ -350,9 +330,7 @@ def verify_concealment(code: StabilizerCode, plan, secrets, subsets,
     worst = 0.0
     for subset in subsets:
         w = _kept_first(v, d, subset)
-        w_dagger = w.reshape(len(w), -1).conj().T
-        states = [(w @ rho).reshape(len(w), -1) @ w_dagger
-                  for rho in averaged]
+        states = [_traced(w, rho) for rho in averaged]
         worst = max(worst, _max_pairwise_distance(states))
     return worst
 
@@ -365,22 +343,22 @@ def expansion_consistency(code: StabilizerCode, secret, subsets,
     Expands |psi><psi| in the input Pauli basis with Fourier coefficients
     c(x,z) = <psi| (X^x Z^z)^dagger |psi> and pushes each term through the
     encoding: the reassembled reduced state must match the direct one.  Each
-    encoded operator is built once and traced onto every subset.
+    input Pauli is built once and traced onto every subset.
     """
     d, k = code.d, code.k
     subsets = list(subsets)
     secret = np.asarray(secret, dtype=complex).reshape(-1)
     state = encode(code, secret, cap)
+    v = encoding_isometry(code, cap)
+    lifts = [_kept_first(v, d, subset) for subset in subsets]
     direct = [reduced_state(state, subset, d) for subset in subsets]
     totals = [np.zeros_like(rho) for rho in direct]
     for exps in itertools.product(range(d), repeat=2 * k):
-        x, z = exps[:k], exps[k:]
-        op = pauli.dense_matrix(PauliProduct(d, x, z), cap=d**k)
+        op = pauli.dense_matrix(PauliProduct(d, exps[:k], exps[k:]), cap=d**k)
         coeff = np.vdot(op @ secret, secret)  # <psi| op^dagger |psi>
         if abs(coeff) < 1e-15:
             continue
-        image = _encoded_logical(code, x, z, cap)
-        for total, subset in zip(totals, subsets):
-            total += coeff * partial_trace(image, d, subset)
+        for total, w in zip(totals, lifts):
+            total += coeff * _traced(w, op)
     return max((float(np.max(np.abs(rho - total / d**k)))
                 for rho, total in zip(direct, totals)), default=0.0)

@@ -20,7 +20,7 @@ import numpy as np
 from . import infogroup
 from .code import StabilizerCode
 from .infogroup import CanonicalForm, InfoGroup, SchemeTriplet
-from .pauli import PauliProduct, from_symplectic, power
+from .pauli import PauliProduct, from_symplectic, identity, power
 
 __all__ = [
     "ClassicalPrescription",
@@ -142,7 +142,7 @@ def twirl_operator(plan: TwirlPlan, key) -> PauliProduct:
     if len(key) != plan.key_length:
         raise ValueError(
             f"key has {len(key)} digits, plan needs {plan.key_length}")
-    out = PauliProduct(plan.d, (0,) * plan.k, (0,) * plan.k)
+    out = identity(plan.d, plan.k)
     for g, e in zip(plan.twirl_generators, key):
         out = out * power(g, e)
     return out

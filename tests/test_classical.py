@@ -164,6 +164,12 @@ def test_monotone_reconstructs_iff_superset_of_minimal():
 def test_monotone_antichain_enforced():
     with pytest.raises(ValueError, match="antichain"):
         monotone_share([1], [(1,), (1, 2)], modulus=3, seed=0)
+    with pytest.raises(ValueError,
+                       match=r"\(2, 3\) is inside \(1, 2, 3\)$"):
+        monotone_share([1], [(1, 2, 3), (3, 2), (1, 4)], modulus=5, seed=0)
+    # A repeated minimal set is not a strict inclusion.
+    shares = monotone_share([1], [(1, 2), (2, 1)], modulus=3, seed=0)
+    assert reconstruct(shares, (1, 2)) == [1]
     with pytest.raises(ValueError, match="nonempty"):
         monotone_share([1], [], modulus=3, seed=0)
 

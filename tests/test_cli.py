@@ -1,12 +1,13 @@
 import dataclasses
 import json
+from collections import Counter
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from stabshare import catalog, classical, cli, infogroup, oracle, twirl
+from stabshare import catalog, classical, cli, infogroup, oracle, pauli, twirl
 from stabshare import code as code_mod
 from stabshare.cli import main
 
@@ -292,36 +293,89 @@ def test_simulate_solves_each_subset_once(capsys, monkeypatch, check, solves):
     assert calls == {"info_group": solves - len(leaves), "commutant": 16}
 
 
-def test_simulate_resource_cap(capsys):
-    status, _, err = run(capsys, "simulate", "catalog:ghz_n", "--n", "13",
-                         "--seed", "1")
-    assert status == 3
-    assert "resource cap" in err
+def test_simulate_resource_cap(capsys, monkeypatch):
+    calls = count_calls(monkeypatch, infogroup, "classify", "info_group")
+    for check in ("all", "concealment", "choi", "infogroup"):
+        status, _, err = run(capsys, "simulate", "catalog:ghz_n", "--n", "13",
+                             "--seed", "1", "--check", check)
+        assert status == 3, check
+        assert "resource cap" in err
+        # The dense cap is met before a single group is solved.
+        assert not calls, check
+    # The duality check builds no dense object, so the cap does not stop it.
+    dense = count_calls(monkeypatch, oracle, "encoding_isometry")
+    status, out, _ = run(capsys, "simulate", "catalog:ghz_n", "--n", "13",
+                         "--seed", "1", "--check", "duality")
+    assert status == 0
+    assert "access/forbidden duality holds" in out
+    assert not dense
 
 
 def test_simulate_builds_each_dense_operator_once(capsys, monkeypatch):
-    encoded = count_calls(monkeypatch, oracle, "_encoded_logical")
+    real = pauli.dense_matrix
+    sites = Counter()
+
+    def counting(p, *args, **kwargs):
+        sites[p.m] += 1
+        return real(p, *args, **kwargs)
+
+    monkeypatch.setattr(pauli, "dense_matrix", counting)
     twirls = count_calls(monkeypatch, twirl, "twirl_operator")
     status, _, _ = run(capsys, "simulate", "catalog:four_two_two",
                        "--seed", "1", "--check", "infogroup")
     assert status == 0
-    # D^(2k) = 16 encoded operators, each traced onto all 16 subsets.
-    assert encoded == {"_encoded_logical": 16}
+    # D^(2k) = 16 dense logical Paulis, each traced onto all 16 subsets.
+    assert sites[2] == 16
     assert not twirls
-    encoded.clear()
+    sites.clear()
     status, _, _ = run(capsys, "simulate", "catalog:four_two_two",
                        "--seed", "1", "--check", "all")
     assert status == 0
     # The expansion check builds the 16 once more for its own subsets; D^l
-    # = 16 twirl operators serve concealment.  The key check draws its key
-    # without building an operator.
-    assert encoded == {"_encoded_logical": 32}
+    # = 16 twirl operators serve concealment, each made dense once.  The key
+    # check draws its key without building an operator.
+    assert sites[2] == 16 + 16 + 16
     assert twirls == {"twirl_operator": 16}
+    sites.clear()
     twirls.clear()
     status, _, _ = run(capsys, "simulate", "catalog:four_two_two",
                        "--seed", "1", "--check", "concealment")
     assert status == 0
+    assert sites[2] == 16
     assert twirls == {"twirl_operator": 16}
+
+
+# GHZ_3 in the X basis.  Its twirl leaves X-bar = ZZZ, whose restriction to
+# any traced set is diagonal, so a reduction that drops a traced basis
+# state also breaks concealment.
+GHZ_X_3 = {"name": "ghz_x_3", "D": 2, "n": 3, "k": 1, "pauli_strings": True,
+           "stabilizer": ["XXI", "IXX"], "logical_x": ["ZZZ"],
+           "logical_z": ["XII"]}
+
+
+@pytest.mark.parametrize("check,failing", [
+    ("infogroup", {"infogroup"}),
+    ("concealment", {"concealment"}),
+    ("all", {"infogroup", "concealment", "absence", "expansion"})])
+def test_simulate_fails_on_lossy_reduction(capsys, monkeypatch, tmp_path,
+                                           check, failing):
+    real = oracle._traced
+
+    def lossy(w, op):
+        # Drop the first traced basis state wherever more than one is traced.
+        return real(w[:, 1:] if w.shape[1] > 1 else w, op)
+
+    path = tmp_path / "ghz_x_3.json"
+    path.write_text(json.dumps(GHZ_X_3))
+    status, out, _ = run(capsys, "simulate", str(path), "--seed", "1",
+                         "--check", check, "--format", "structured")
+    assert status == 0
+    monkeypatch.setattr(oracle, "_traced", lossy)
+    status, out, _ = run(capsys, "simulate", str(path), "--seed", "1",
+                         "--check", check, "--format", "structured")
+    assert status == 1
+    results = json.loads(out)["results"]
+    assert {r["check"] for r in results if not r["pass"]} == failing
 
 
 def test_simulate_makes_one_choi_call_per_check(capsys, monkeypatch):

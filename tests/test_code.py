@@ -186,8 +186,8 @@ def test_codewords_satisfy_stabilizer_exactly(catalog_codes):
 
     for c in catalog_codes:
         words = oracle.codewords(c)
-        for element in oracle.stabilizer_elements(c):
-            dense = pauli.dense_matrix(element, cap=2**c.n)
+        for generator in c.stabilizer:
+            dense = pauli.dense_matrix(generator, cap=2**c.n)
             for w in words:
                 assert np.max(np.abs(dense @ w - w)) < 1e-12, c.name
 

@@ -21,7 +21,9 @@ DELETED = {
     "stabshare.twirl": ("twirl_average_is_zero",),
     "stabshare.oracle": ("verify_perfect_presence", "pauli_eigen_sectors",
                          "hs_inner", "choi_check", "_choi_marginal",
-                         "ALGEBRA_TOL"),
+                         "ALGEBRA_TOL", "stabilizer_elements",
+                         "_encoded_logical", "_sector_projector",
+                         "_eigen_scalar_root"),
     "stabshare.cli": ("RunConfig", "_config_from_args"),
 }
 

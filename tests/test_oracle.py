@@ -33,10 +33,9 @@ def test_ghz3_codewords():
 def test_five_qubit_codewords_are_stabilized(five_qubit):
     words = oracle.codewords(five_qubit)
     assert len(words) == 2
-    elements = oracle.stabilizer_elements(five_qubit)
-    assert len(elements) == 16
-    for element in elements:
-        dense = pauli.dense_matrix(element, cap=32)
+    assert len(five_qubit.stabilizer) == 4
+    for generator in five_qubit.stabilizer:
+        dense = pauli.dense_matrix(generator, cap=32)
         for w in words:
             assert np.max(np.abs(dense @ w - w)) < 1e-12
     assert abs(np.vdot(words[0], words[1])) < 1e-12
@@ -121,6 +120,29 @@ def test_reduced_state_of_vector_matches_projector_trace(case):
     d, vec, keep = case
     want = oracle.partial_trace(np.outer(vec, vec.conj()), d, keep)
     got = oracle.reduced_state(vec, keep, d)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+@st.composite
+def _code_op_and_keep(draw):
+    d = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, {2: 5, 3: 3, 5: 2}[d]))
+    k = draw(st.integers(1, n))
+    mask = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    op = rng.normal(size=(d**k, d**k)) + 1j * rng.normal(size=(d**k, d**k))
+    return (random_code(rng, d, n, k), op,
+            tuple(i + 1 for i, kept in enumerate(mask) if kept))
+
+
+@given(_code_op_and_keep())
+@settings(max_examples=60, deadline=None)
+def test_traced_lift_matches_partial_trace(case):
+    c, op, keep = case
+    v = oracle.encoding_isometry(c)
+    want = oracle.partial_trace(v @ op @ v.conj().T, c.d, keep)
+    got = oracle._traced(oracle._kept_first(v, c.d, keep), op)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) < 1e-12
 
