@@ -196,9 +196,11 @@ def run_checks(c: StabilizerCode, seed: int, which: str,
     if not report.is_valid:
         return False, results
     if which != "duality":
-        # Every other check reads the encoding: meet the dense cap before
-        # solving 2^n groups.
-        oracle.encoding_isometry(c, cap)
+        # Meet the dense caps before solving 2^n groups: every other check
+        # reads the D^n encoding, and choi the D^(n+k) Choi vector too.
+        oracle.check_cap(c.d**c.n, cap)
+        if which in ("all", "choi"):
+            oracle.check_cap(c.d**(c.n + c.k), cap)
 
     triplet = infogroup.classify(c)
     subsets = list(infogroup.subsets_in_order(c.n))

@@ -10,6 +10,15 @@ encoded vectors and the Choi marginals) keep their own code path.  From
 these the oracle re-derives information groups, absence, Choi decoupling
 and twirl concealment directly from complex matrices, independent of the
 linear-algebra shortcuts it is used to certify.
+
+The Choi and concealment distances are computed on each subset's support.
+With W = V split into kept sites S and traced sites, every state those
+two checks compare on S is supported on the column span of W, a
+d^|S| x d^(n-|S|+k) matrix, and every Choi marginal on R (x) col(W).  A
+reduced QR, W = Q R, gives an orthonormal basis Q of that span without
+truncation or rank tolerance, and Q-dagger W = R.  Compressing by Q is an
+isometry on the support, so it keeps every trace distance exactly while
+each state shrinks to r = min(d^|S|, d^(n-|S|+k)) dimensions, a power of d.
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ from .pauli import DEFAULT_AMPLITUDE_CAP, PauliProduct, ResourceLimitError
 __all__ = [
     "DETECTION_TOL",
     "STATE_TOL",
+    "check_cap",
     "code_projector",
     "codewords",
     "encoding_isometry",
@@ -50,7 +60,9 @@ DETECTION_TOL = 1e-9
 STATE_TOL = 1e-10
 
 
-def _check_cap(amplitudes: int, cap: int | None) -> None:
+def check_cap(amplitudes: int, cap: int | None) -> None:
+    """Raise ResourceLimitError if a dense object of `amplitudes` entries
+    exceeds the cap (None means the default)."""
     cap = DEFAULT_AMPLITUDE_CAP if cap is None else cap
     if amplitudes > cap:
         raise ResourceLimitError(
@@ -79,7 +91,7 @@ def _plus_one_projector(paulis, dim: int) -> np.ndarray:
 def code_projector(code: StabilizerCode, cap: int | None = None) -> np.ndarray:
     """Projector onto the code space; fails if the generators do not give one."""
     dim = code.d**code.n
-    _check_cap(dim, cap)
+    check_cap(dim, cap)
     proj = _plus_one_projector(code.stabilizer, dim)
     if np.max(np.abs(proj @ proj - proj)) > 1e-9 or abs(np.trace(proj)) < 0.5:
         raise ValueError(
@@ -101,7 +113,7 @@ def codewords(code: StabilizerCode, cap: int | None = None) -> tuple[np.ndarray,
     """
     d, n, k = code.d, code.n, code.k
     dim = d**n
-    _check_cap(dim, cap)
+    check_cap(dim, cap)
     base = code_projector(code, cap)
     proj = base @ _plus_one_projector(code.logical_z, dim)
 
@@ -210,6 +222,17 @@ def _traced(w: np.ndarray, op: np.ndarray) -> np.ndarray:
     return (w @ op).reshape(rows, -1) @ w.reshape(rows, -1).conj().T
 
 
+def _on_support(w: np.ndarray) -> np.ndarray:
+    """Q-dagger w for an orthonormal basis Q of the column span of
+    w = _kept_first(V, d, S), read as a d^|S| x (all other axes) matrix.
+
+    This is the R of a reduced QR, reshaped back: its first axis has
+    r = min(d^|S|, d^(n-|S|+k)) entries and the other axes are w's.
+    """
+    r = np.linalg.qr(w.reshape(len(w), -1), mode="r")
+    return r.reshape((-1,) + w.shape[1:])
+
+
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     """(1/2) ||a - b||_1 for Hermitian a, b."""
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(a - b))))
@@ -240,8 +263,10 @@ def basis_secret(d: int, k: int, j: int) -> np.ndarray:
 
 
 def info_group_bruteforce(code: StabilizerCode, subsets,
-                          cap: int | None = None) -> list[InfoGroup]:
+                          cap: int | None = None) -> list[InfoGroup | None]:
     """G(S) of each subset: span the input Paulis whose traced image is nonzero.
+
+    A subset whose hits do not form a subgroup gets None.
 
     Each of the d^(2k) input Paulis is built once, as a d^k x d^k matrix,
     and traced onto every subset through the encoding.
@@ -258,11 +283,9 @@ def info_group_bruteforce(code: StabilizerCode, subsets,
                          if np.linalg.norm(_traced(w, op)) > DETECTION_TOL],
                         dtype=np.int64)
         group = group_from_rows(d, k, rows)
-        if len(rows) != d**group.rank:
-            raise ValueError(
-                f"traced hits do not form a subgroup: {len(rows)} hits, "
-                f"span rank {group.rank}")
-        groups.append(group)
+        # A valid encoding's hits always form a subgroup.  Other hits give
+        # None, which equals no symbolic group, so a comparison fails.
+        groups.append(group if len(rows) == d**group.rank else None)
     return groups
 
 
@@ -286,24 +309,27 @@ def choi_decoupling(code: StabilizerCode, subsets,
                     cap: int | None = None) -> list[float]:
     """Distance of each reference+subset Choi marginal from a product state.
 
-    Sends half of a maximally entangled state through the encoding, once for
-    all subsets.  A distance is zero iff the subset learns nothing about the
-    reference, i.e. iff the subset is forbidden; applied to the complement
-    it certifies that a subset can recover everything.  The marginals are
-    built one at a time, and each difference from the product state is
-    formed in place.
+    Sends half of a maximally entangled state through the encoding.  A
+    distance is zero iff the subset learns nothing about the reference,
+    i.e. iff the subset is forbidden; applied to the complement it
+    certifies that a subset can recover everything.  Each subset's Choi
+    vector is built on the subset's support (see the module docstring),
+    and its difference from the product state is formed in place.
     """
     d, n, k = code.d, code.n, code.k
-    _check_cap(d**(n + k), cap)
-    # omega[(j, idx)] = V[idx, j] / sqrt(d^k); reference sites come first.
-    omega = (encoding_isometry(code, cap).T / np.sqrt(d**k)).reshape(-1)
+    check_cap(d**(n + k), cap)
+    v = encoding_isometry(code, cap)
     reference = list(range(1, k + 1))
     out = []
     for subset in subsets:
-        carriers = [k + int(i) for i in subset]
-        rho_rs = reduced_state(omega, reference + carriers, d)
+        # omega[(j, a, t)] = (Q-dagger W)[a, t, j] / sqrt(d^k); the
+        # reference comes first, then the support's m sites.
+        w = _on_support(_kept_first(v, d, subset))
+        omega = (w.transpose(2, 0, 1) / np.sqrt(d**k)).reshape(-1)
+        m = min(len(subset), n - len(subset) + k)
+        rho_rs = reduced_state(omega, range(1, k + m + 1), d)
         rho_r = partial_trace(rho_rs, d, reference)
-        rho_s = partial_trace(rho_rs, d, range(k + 1, k + len(carriers) + 1))
+        rho_s = partial_trace(rho_rs, d, range(k + 1, k + m + 1))
         rho_rs -= np.kron(rho_r, rho_s)
         out.append(0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(rho_rs)))))
     return out
@@ -315,7 +341,7 @@ def verify_concealment(code: StabilizerCode, plan, secrets, subsets,
 
     Each twirl operator acts once on all secrets, and each secret's keyed
     states are averaged in the d^k logical space before the average is
-    traced onto each subset through the encoding.
+    traced onto each subset's support (see the module docstring).
     """
     from .twirl import enumerate_keys, twirl_operator
 
@@ -329,7 +355,7 @@ def verify_concealment(code: StabilizerCode, plan, secrets, subsets,
     v = encoding_isometry(code, cap)
     worst = 0.0
     for subset in subsets:
-        w = _kept_first(v, d, subset)
+        w = _on_support(_kept_first(v, d, subset))
         states = [_traced(w, rho) for rho in averaged]
         worst = max(worst, _max_pairwise_distance(states))
     return worst

@@ -311,6 +311,39 @@ def test_simulate_resource_cap(capsys, monkeypatch):
     assert not dense
 
 
+@pytest.mark.parametrize("check", ["choi", "all"])
+def test_simulate_meets_the_choi_cap_first(capsys, monkeypatch, check):
+    # ghz_12's encoding has D^n = 4096 amplitudes, within the default cap;
+    # its Choi vector has D^(n+k) = 8192.
+    calls = count_calls(monkeypatch, infogroup, "classify", "info_group")
+    status, _, err = run(capsys, "simulate", "catalog:ghz_n", "--n", "12",
+                         "--seed", "1", "--check", check)
+    assert status == 3
+    assert err == ("resource cap exceeded: dense object needs 8192 "
+                   "amplitudes, cap is 4096\n")
+    assert not calls
+
+
+def test_simulate_reports_a_dense_contradiction_as_a_failed_check(
+        capsys, monkeypatch):
+    real = oracle._traced
+
+    def lossy(w, op):
+        # Drop the only traced basis state of the full subset: every traced
+        # image there vanishes, even the identity's.
+        return real(w[:, 1:] if w.shape[1] == 1 else w, op)
+
+    monkeypatch.setattr(oracle, "_traced", lossy)
+    status, out, err = run(capsys, "simulate", "catalog:four_two_two",
+                           "--seed", "1", "--check", "infogroup",
+                           "--format", "structured")
+    assert status == 1
+    assert not err
+    [rec] = [r for r in json.loads(out)["results"] if not r["pass"]]
+    assert rec == {"check": "infogroup", "pass": False,
+                   "detail": "mismatch at [(1, 2, 3, 4)]"}
+
+
 def test_simulate_builds_each_dense_operator_once(capsys, monkeypatch):
     real = pauli.dense_matrix
     sites = Counter()
@@ -345,28 +378,22 @@ def test_simulate_builds_each_dense_operator_once(capsys, monkeypatch):
     assert twirls == {"twirl_operator": 16}
 
 
-# GHZ_3 in the X basis.  Its twirl leaves X-bar = ZZZ, whose restriction to
-# any traced set is diagonal, so a reduction that drops a traced basis
-# state also breaks concealment.
-GHZ_X_3 = {"name": "ghz_x_3", "D": 2, "n": 3, "k": 1, "pauli_strings": True,
-           "stabilizer": ["XXI", "IXX"], "logical_x": ["ZZZ"],
-           "logical_z": ["XII"]}
-
-
 @pytest.mark.parametrize("check,failing", [
     ("infogroup", {"infogroup"}),
     ("concealment", {"concealment"}),
     ("all", {"infogroup", "concealment", "absence", "expansion"})])
-def test_simulate_fails_on_lossy_reduction(capsys, monkeypatch, tmp_path,
-                                           check, failing):
+def test_simulate_fails_on_lossy_reduction(capsys, monkeypatch, check,
+                                           failing):
     real = oracle._traced
 
     def lossy(w, op):
         # Drop the first traced basis state wherever more than one is traced.
         return real(w[:, 1:] if w.shape[1] > 1 else w, op)
 
-    path = tmp_path / "ghz_x_3.json"
-    path.write_text(json.dumps(GHZ_X_3))
+    # GHZ_3 in the X basis.  Its twirl leaves X-bar = ZZZ, whose
+    # restriction to any traced set is diagonal, so a reduction that drops
+    # a traced basis state also breaks concealment.
+    path = DATA / "ghz_x_3.json"
     status, out, _ = run(capsys, "simulate", str(path), "--seed", "1",
                          "--check", check, "--format", "structured")
     assert status == 0

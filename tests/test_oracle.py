@@ -275,6 +275,45 @@ def test_choi_decoupling_matches_per_subset_reference(source):
         assert abs(dec - _reference_decoupling(v, c.d, subset)) < 1e-12, subset
 
 
+@st.composite
+def _code_and_plans(draw):
+    """A random code with k < n (so the full subset's support is proper),
+    its twirl plan, that plan with one generator dropped, and secrets."""
+    d = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(2, {2: 4, 3: 3, 5: 2}[d]))
+    k = draw(st.integers(1, n - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = random_code(rng, d, n, k)
+    plan = twirl_plan(c, classify(c))
+    plans = [plan]
+    gens = plan.twirl_generators
+    if gens:
+        drop = draw(st.integers(0, len(gens) - 1))
+        kept = gens[:drop] + gens[drop + 1:]
+        plans.append(replace(plan, twirl_generators=kept, key_length=len(kept)))
+    secrets = [oracle.basis_secret(d, k, j) for j in (0, d**k - 1)]
+    secrets += [oracle.random_secret(d, k, rng) for _ in range(2)]
+    return c, plans, secrets
+
+
+@given(_code_and_plans())
+@settings(max_examples=30, deadline=None)
+def test_support_reduction_matches_full_size_references(case):
+    # Every subset size is checked, including |S| > (n + k)/2, where the
+    # support has fewer than d^|S| dimensions.
+    c, plans, secrets = case
+    subsets = list(subsets_in_order(c.n))
+    v = oracle.encoding_isometry(c)
+    for subset, dec in zip(subsets, oracle.choi_decoupling(c, subsets),
+                           strict=True):
+        assert abs(dec - _reference_decoupling(v, c.d, subset)) < 1e-12, subset
+    for p in plans:
+        for subset in subsets:
+            want = _concealment_reference(c, p, secrets, [subset])
+            got = oracle.verify_concealment(c, p, secrets, [subset])
+            assert abs(got - want) < 1e-12, (subset, p.twirl_generators)
+
+
 def test_concealment_cnot(cnot):
     plan = twirl_plan(cnot)
     rng = np.random.default_rng(7)
