@@ -155,6 +155,8 @@ def _duality_mismatch(c: StabilizerCode, triplet: infogroup.SchemeTriplet,
     For every subset S the commutant of G(S) must equal the directly solved
     G(S-bar), and so give S-bar the class that `classify` reported; when
     `classify` kept its records, their (r, s) must match the direct group's.
+    Last, the intermediate group that the twirl is built from must be the
+    span of the direct groups of the intermediate subsets.
     """
     classes = ({s: "A" for s in triplet.authorized}
                | {s: "F" for s in triplet.forbidden})
@@ -174,6 +176,13 @@ def _duality_mismatch(c: StabilizerCode, triplet: infogroup.SchemeTriplet,
                 if (rec.r, rec.s) != rs:
                     return (f"classify gives {list(comp)} (r, s) = "
                             f"{(rec.r, rec.s)}, its group {rs}")
+    inter = set(triplet.intermediate)
+    rows = [row for subset, g in zip(order, groups) if subset in inter
+            for row in g.generators]
+    spanned = infogroup.group_from_rows(c.d, c.k, np.array(rows, dtype=np.int64))
+    if twirl.intermediate_group(c, triplet) != spanned:
+        return ("intermediate group from classify differs from the span of "
+                "the direct G(S) over the intermediate subsets")
     return None
 
 

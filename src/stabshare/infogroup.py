@@ -27,8 +27,15 @@ logical coefficients span G(S): the cleaning-lemma view of G(S) as the
 logicals with a representative on S (Bravyi & Terhal, NJP 11, 043029
 (2009)), made incremental.  The walk visits only the subsets without
 carrier n; each other subset is the complement of one of them and gets its
-record by the rule above.  ``info_group`` remains the independent solve of
-one subset.
+record by the rule above.
+
+The walk also yields what the twirl needs.  Over the intermediate leaves L,
+``classify`` keeps the span of the G(L) and their intersection, updating
+either only when a leaf's group is not already inside it; the intermediate
+group is the span plus the commutant of the intersection (see
+``twirl.intermediate_group``).  ``info_group`` remains the independent
+solve of one subset, for ``classify --subset`` and the checks of
+``simulate``.
 """
 
 from __future__ import annotations
@@ -292,6 +299,11 @@ class SchemeTriplet:
     maximal_forbidden: tuple[tuple[int, ...], ...]
     size_summary: tuple[tuple[int, int, int, int], ...]  # (size, nA, nF, nI)
     records: tuple[SubsetRecord, ...] | None  # kept for n <= FULL_LISTING_MAX_N
+    # Over the intermediate subsets L without carrier n: the span of the
+    # G(L) and their intersection (the full group if there is no such L).
+    # Not part of the structured output.
+    leaf_span: InfoGroup
+    leaf_core: InfoGroup
 
     def to_dict(self) -> dict:
         out = {
@@ -359,6 +371,29 @@ def _walk(code: StabilizerCode):
         stack.append((i + 1, mask | 1 << (i - 1), rows))
 
 
+def _contains(a: InfoGroup, b: InfoGroup) -> bool:
+    """Whether a is a subgroup of b.
+
+    b's generators are in reduced echelon form, so a row of a lies in b
+    iff subtracting its entries at b's pivots times b's rows leaves zero.
+    """
+    if a.is_trivial or b.is_full or a == b:
+        return True
+    if a.rank > b.rank:
+        return False
+    rows, basis = a.generator_rows(), b.generator_rows()
+    pivots = (basis != 0).argmax(axis=1)
+    return not ((rows - rows[:, pivots] @ basis) % a.d).any()
+
+
+def _meet(a: InfoGroup, b: InfoGroup) -> InfoGroup:
+    """a ∩ b: x . A for every solution (x, y) of x . A + y . B = 0."""
+    d, rows = a.d, a.generator_rows()
+    kernel = mod_nullspace(np.vstack([rows, b.generator_rows()]).T, d)
+    coeffs = np.array(kernel, dtype=np.int64).reshape(-1, a.rank + b.rank)
+    return group_from_rows(d, a.k, coeffs[:, :a.rank] @ rows % d)
+
+
 _DUAL_CLASS = {"A": "F", "F": "A", "I": "I"}
 
 
@@ -375,7 +410,9 @@ def classify(code: StabilizerCode) -> SchemeTriplet:
     One walk of the subset lattice (``_walk``) yields G(S) for every S
     without carrier n, and S gets its class and (r, s) from it.  By duality
     the complement of S gets the dual class and (k - r - s, s).  The records
-    are built in ``subsets_in_order`` once the walk has ended.
+    are built in ``subsets_in_order`` once the walk has ended.  The walk's
+    intermediate leaves also give ``leaf_span`` and ``leaf_core``; each
+    changes rank monotonically, so each is rebuilt at most 2k times.
     """
     n, k = code.n, code.k
     if n > DEFAULT_CLASSIFY_CAP:
@@ -386,10 +423,17 @@ def classify(code: StabilizerCode) -> SchemeTriplet:
     full, half = (1 << n) - 1, 1 << (n - 1)
     classes: list[str | None] = [None] * half
     r_of, s_of = [0] * half, [0] * half
+    span = InfoGroup(code.d, k, ())
+    core = group_from_rows(code.d, k, np.eye(2 * k))
     for mask, rows in _walk(code):
         g = group_from_rows(code.d, k, rows)
         classes[mask] = g.access_class
         r_of[mask], s_of[mask] = _rs_of(g)
+        if classes[mask] == "I":
+            if not _contains(g, span):
+                span = group_from_rows(code.d, k, span.generators + g.generators)
+            if not _contains(core, g):
+                core = _meet(core, g)
     records = []
     for subset in subsets_in_order(n):
         mask = sum(1 << (c - 1) for c in subset)
@@ -427,6 +471,8 @@ def classify(code: StabilizerCode) -> SchemeTriplet:
         maximal_forbidden=maximal_f,
         size_summary=tuple(summary),
         records=tuple(records) if n <= FULL_LISTING_MAX_N else None,
+        leaf_span=span,
+        leaf_core=core,
     )
 
 

@@ -20,7 +20,8 @@ import numpy as np
 from . import infogroup
 from .code import StabilizerCode
 from .infogroup import CanonicalForm, InfoGroup, SchemeTriplet
-from .pauli import PauliProduct, from_symplectic, identity, power
+from .pauli import PauliProduct, from_symplectic, identity, pairing, power
+from .primefield import mod_rank
 
 __all__ = [
     "ClassicalPrescription",
@@ -88,17 +89,20 @@ def intermediate_group(code: StabilizerCode,
 
     A plain set union of subgroups is generally not closed, so this is the
     span closure: the smallest group containing every intermediate G(S).
-    G(S) only grows as carriers are added, so the maximal intermediate
-    subsets (no one-carrier superset is intermediate) span the same group,
-    and only their groups are solved.
+    The complement of an intermediate subset is intermediate, so every
+    intermediate S is either a leaf L of ``classify``'s walk (a subset
+    without carrier n) or the complement of one, with G(L-bar) = C(G(L)),
+    the commutant.  Since the sum of commutants is the commutant of the
+    intersection, the group is
+
+        sum_L G(L) + C(intersection_L G(L)) = leaf_span + C(leaf_core),
+
+    exactly, whether or not G(S) grows with S.  No subset is solved here.
     """
-    inter = set(triplet.intermediate)
-    rows = []
-    for subset in triplet.intermediate:
-        if not any(t in inter for t in infogroup.one_larger(subset, code.n)):
-            rows.extend(infogroup.info_group(code, subset).generators)
-    base = np.array(rows, dtype=np.int64) if rows else np.zeros((0, 2 * code.k))
-    return infogroup.group_from_rows(code.d, code.k, base)
+    rows = (triplet.leaf_span.generators
+            + infogroup.commutant(triplet.leaf_core).generators)
+    return infogroup.group_from_rows(code.d, code.k,
+                                     np.array(rows, dtype=np.int64))
 
 
 def _prescription(triplet: SchemeTriplet) -> ClassicalPrescription:
@@ -126,6 +130,16 @@ def twirl_plan(code: StabilizerCode,
         raise infogroup.SchemeConsistencyError(
             f"intermediate group has r+s = {canonical.r + canonical.s}, "
             f"expected k = {k}")
+    # Key-length certificate: every nonzero element of the group pairs
+    # nontrivially with some twirl generator, so none survives the twirl,
+    # and no generator is spare.
+    hits = mod_rank(pairing(group.generator_rows(),
+                            canonical.basis[:2 * canonical.r]
+                            + canonical.partners, d), d) if gens else 0
+    if not (hits == group.rank == canonical.key_length):
+        raise infogroup.SchemeConsistencyError(
+            f"twirl generators pair with rank {hits}, intermediate group "
+            f"has rank {group.rank}, key length {canonical.key_length}")
     return TwirlPlan(
         d=d, k=k,
         intermediate=group,

@@ -275,22 +275,48 @@ def test_simulate_duality_fails_on_wrong_walk_leaf(capsys, monkeypatch):
     assert duality["detail"] == "classify puts [1, 2, 3] in F, its group in A"
 
 
-@pytest.mark.parametrize("check,solves", [
-    ("all", 30), ("concealment", 30), ("choi", 24), ("infogroup", 24),
-    ("duality", 24)])
-def test_simulate_solves_each_subset_once(capsys, monkeypatch, check, solves):
+def test_simulate_duality_fails_on_wrong_intermediate_group(capsys,
+                                                           monkeypatch):
+    def span_only(c, triplet):
+        # Drops the commutant of the leaves' intersection, which on this
+        # code adds generators the leaves' span lacks.
+        return triplet.leaf_span
+
+    monkeypatch.setattr(twirl, "intermediate_group", span_only)
+    status, out, _ = run(capsys, "simulate", str(DATA / "rand_3_3_2.json"),
+                         "--seed", "3", "--check", "duality",
+                         "--format", "structured")
+    assert status == 1
+    duality = next(r for r in json.loads(out)["results"]
+                   if r["check"] == "duality")
+    assert duality["pass"] is False
+    assert duality["detail"].startswith(
+        "intermediate group from classify differs")
+
+
+# The ids name each check with the group-solve count it had when the twirl
+# plan still solved its maximal intermediate subsets on their own.
+@pytest.mark.parametrize("check,commutants", [
+    pytest.param("all", 18, id="all-30"),
+    pytest.param("concealment", 18, id="concealment-30"),
+    pytest.param("choi", 17, id="choi-24"),
+    pytest.param("infogroup", 17, id="infogroup-24"),
+    pytest.param("duality", 17, id="duality-24")])
+def test_simulate_solves_each_subset_once(capsys, monkeypatch, check,
+                                          commutants):
     calls = count_calls(monkeypatch, infogroup, "info_group", "commutant")
     leaves = walk_leaves(monkeypatch)
     status, _, _ = run(capsys, "simulate", "catalog:four_two_two",
                        "--seed", "1", "--check", check)
     assert status == 0
-    # `solves` counts every group solved.  classify's lattice walk solves
-    # the 8 subsets without carrier 4; `info_group` solves the 16 direct
-    # groups shared by duality and infogroup and, only in the checks that
-    # read the twirl plan, its 6 maximal intermediate subsets.  The duality
-    # check takes 2 commutants per pair.
+    # classify's lattice walk solves the 8 subsets without carrier 4, and
+    # `info_group` solves the 16 direct groups shared by duality and
+    # infogroup under every check: the intermediate group comes from the
+    # walk, with no solve of its own.  The duality check takes 2 commutants
+    # per pair and 1 in `intermediate_group` for its cross-check; the checks
+    # that read the twirl plan take 1 more there.
     assert len(leaves) == 8
-    assert calls == {"info_group": solves - len(leaves), "commutant": 16}
+    assert calls == {"info_group": 16, "commutant": commutants}
 
 
 def test_simulate_resource_cap(capsys, monkeypatch):

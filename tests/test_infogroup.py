@@ -366,6 +366,24 @@ def test_threshold_q_matches_enumeration(c):
     assert threshold_q(t) == _enumerated_threshold(t)
 
 
+@pytest.mark.parametrize("c", [
+    *(pytest.param(catalog(name), id=name) for name in
+      ("cnot_2_1", "five_qubit", "four_two_two", "steane")),
+    *(pytest.param(catalog("ghz_n", n), id=f"ghz_{n}") for n in range(3, 11)),
+    *(pytest.param(load(path), id=path.stem) for path in DATA_CODES)])
+def test_intermediate_group_spans_the_direct_groups(c):
+    t = classify(c)
+    rows = [row for s in t.intermediate for row in info_group(c, s).generators]
+    spanned = group_from_rows(c.d, c.k, np.array(rows).reshape(-1, 2 * c.k))
+    group = intermediate_group(c, t)
+    assert group == spanned
+    if t.intermediate:
+        assert not group.is_trivial
+        # Coisotropic: the group contains its own commutant, hence r + s = k.
+        with_commutant = group.generators + commutant(group).generators
+        assert group_from_rows(c.d, c.k, with_commutant) == group
+
+
 @given(d=st.sampled_from([2, 3, 5, 7]),
        nk=st.integers(1, 6).flatmap(
            lambda n: st.tuples(st.just(n), st.integers(1, n))),

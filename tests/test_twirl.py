@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from stabshare import catalog, classify
+from stabshare import catalog, classify, infogroup
 from stabshare.pauli import pairing, parse, symplectic_vector
 from stabshare.twirl import (
     enumerate_keys,
@@ -26,6 +28,24 @@ def test_intermediate_group_examples(cnot, five_qubit):
     assert intermediate_group(g5, t5).generators == ((0, 1),)
     tf = classify(five_qubit)
     assert intermediate_group(five_qubit, tf).is_trivial
+
+
+def test_plan_certifies_key_length(monkeypatch):
+    real = infogroup.canonical_form
+
+    def unpaired(group):
+        # The partner of c_1 becomes c_1 itself, which pairs to 0 with c_1:
+        # r + s is unchanged, but c_1 now survives the twirl.
+        form = real(group)
+        c_1 = form.basis[2 * form.r]
+        return dataclasses.replace(form, partners=(c_1,) + form.partners[1:])
+
+    c = catalog("cnot_2_1")
+    assert twirl_plan(c).key_length == 1
+    monkeypatch.setattr(infogroup, "canonical_form", unpaired)
+    with pytest.raises(infogroup.SchemeConsistencyError,
+                       match="pair with rank 0"):
+        twirl_plan(c)
 
 
 def test_cnot_plan_is_x_twirl():
