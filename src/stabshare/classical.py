@@ -223,12 +223,16 @@ def _monotone_reconstruct(share_set: ClassicalShareSet, subset) -> list[int]:
 
 
 def reconstruct(share_set: ClassicalShareSet, subset) -> list[int]:
-    """Recover the key digits available to `subset`, or refuse."""
+    """Recover the key digits available to `subset`, or refuse; a player
+    outside 1..n raises ValueError in either backend."""
+    players = [int(i) for i in subset]
+    if unknown := [i for i in players if not 1 <= i <= share_set.n]:
+        raise ValueError(f"player {unknown[0]} is outside 1..{share_set.n}")
     if share_set.kind == "threshold":
-        chosen = {int(i): share_set.shares[int(i)] for i in subset}
+        chosen = {i: share_set.shares[i] for i in players}
         return shamir_reconstruct(chosen, share_set.q, share_set.modulus)
     if share_set.kind == "monotone":
-        return _monotone_reconstruct(share_set, subset)
+        return _monotone_reconstruct(share_set, players)
     raise ValueError(f"unknown scheme kind {share_set.kind!r}")
 
 

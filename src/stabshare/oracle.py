@@ -1,8 +1,11 @@
 """Dense-state brute-force engine for verifying every symbolic claim.
 
-Builds exact codewords and the encoding isometry from one projector
-routine, the joint +1 eigenspace of commuting Paulis: the stabilizer
-generators give the code space, and the logical Z pin |c_0> in it.  Every
+Paulis act on dense data through one routine, `pauli.apply`: a phase and
+a roll per site, with no matrix built.  The encoding isometry V comes from
+it alone.  Projecting the identity's columns onto the joint +1 eigenspace
+of the stabilizer and logical-Z generators pins |c_0>, and the logical X
+carry it to the other codewords, so no d^n x d^n matrix is formed or
+multiplied.  Twirl operators act on the secrets the same way.  Every
 check that pushes a logical operator through the encoding uses one
 reduction, Tr_S-bar(V op V-dagger) summed over the traced basis states
 without forming the d^n x d^n lift; the direct sides (reduced states of
@@ -37,8 +40,6 @@ __all__ = [
     "DETECTION_TOL",
     "STATE_TOL",
     "check_cap",
-    "code_projector",
-    "codewords",
     "encoding_isometry",
     "encode",
     "partial_trace",
@@ -74,82 +75,63 @@ def _digits(value: int, d: int, width: int) -> tuple[int, ...]:
     return tuple((value // d**(width - 1 - i)) % d for i in range(width))
 
 
-def _plus_one_projector(paulis, dim: int) -> np.ndarray:
-    """Product over the commuting order-d `paulis` of (1/d) sum_t g^t.
+def _plus_one_projector(paulis, arr: np.ndarray) -> np.ndarray:
+    """The product over the commuting order-d `paulis` of (1/d) sum_t g^t,
+    applied to `arr`: its columns projected onto their joint +1 eigenspace.
 
-    This is the projector onto their joint +1 eigenspace.  Callers check
-    the result: (1/d) sum_t g^t is no projector when g^d is not the identity.
+    Callers check the result: (1/d) sum_t g^t is no projector when g^d is
+    not the identity.
     """
-    out = np.eye(dim, dtype=complex)
     for g in paulis:
-        out = out @ sum(pauli.dense_matrix(pauli.power(g, t), cap=dim)
-                        for t in range(g.d)) / g.d
-    return out
-
-
-@functools.lru_cache(maxsize=32)
-def code_projector(code: StabilizerCode, cap: int | None = None) -> np.ndarray:
-    """Projector onto the code space; fails if the generators do not give one."""
-    dim = code.d**code.n
-    check_cap(dim, cap)
-    proj = _plus_one_projector(code.stabilizer, dim)
-    if np.max(np.abs(proj @ proj - proj)) > 1e-9 or abs(np.trace(proj)) < 0.5:
-        raise ValueError(
-            "stabilizer group does not average to a projector; "
-            "the code is not well formed")
-    proj.setflags(write=False)
-    return proj
-
-
-@functools.lru_cache(maxsize=32)
-def codewords(code: StabilizerCode, cap: int | None = None) -> tuple[np.ndarray, ...]:
-    """The d^k orthonormal codewords.
-
-    |c_0> is the first standard basis vector with a nonzero projection onto
-    the code space's joint +1 eigenspace of the logical-Z representatives
-    (for the catalog codes, whose logical Z are diagonal, this is the plain
-    projector scan).  |c_j> applies the logical-X representatives with the
-    base-d digits of j as exponents.
-    """
-    d, n, k = code.d, code.n, code.k
-    dim = d**n
-    check_cap(dim, cap)
-    base = code_projector(code, cap)
-    proj = base @ _plus_one_projector(code.logical_z, dim)
-
-    c0 = None
-    for m in range(dim):
-        column = proj[:, m]
-        norm = np.linalg.norm(column)
-        if norm > 1e-8:
-            c0 = column / norm
-            break
-    if c0 is None:
-        raise ValueError("code projector is zero; the code is not well formed")
-
-    lx_dense = [pauli.dense_matrix(g, cap=dim) for g in code.logical_x]
-    words = []
-    for j in range(d**k):
-        vec = c0
-        for site, e in enumerate(_digits(j, d, k)):
-            vec = np.linalg.matrix_power(lx_dense[site], e) @ vec
-        words.append(vec)
-
-    gram = np.array([[np.vdot(a, b) for b in words] for a in words])
-    if np.max(np.abs(gram - np.eye(d**k))) > 1e-9:
-        raise ValueError("codewords are not orthonormal; invalid logical set")
-    for w in words:
-        if np.linalg.norm(base @ w - w) > 1e-9:
-            raise ValueError("codeword escapes the stabilized subspace")
-        w.setflags(write=False)
-    return tuple(words)
+        total = arr.astype(complex)
+        term = arr
+        for _ in range(1, g.d):
+            term = pauli.apply(g, term)
+            total += term
+        arr = total / g.d
+    return arr
 
 
 @functools.lru_cache(maxsize=32)
 def encoding_isometry(code: StabilizerCode, cap: int | None = None) -> np.ndarray:
-    """V = sum_j |c_j><j| as a d^n x d^k matrix."""
-    words = codewords(code, cap)
+    """V = sum_j |c_j><j| as a d^n x d^k matrix of orthonormal codewords.
+
+    The stabilizer and logical-Z generators are n commuting Paulis, so
+    their joint +1 eigenspace is one line: |c_0> is the first nonzero
+    column of its projector, normalized.  |c_j> applies the logical-X
+    product with the base-d digits of j as exponents.  Raises ValueError
+    unless the codewords are orthonormal and fixed by every stabilizer
+    generator.
+    """
+    d, n, k = code.d, code.n, code.k
+    dim = d**n
+    check_cap(dim, cap)
+    # Project the identity's columns 64 at a time, up to the block that
+    # holds the first nonzero one; no d^n x d^n array is built.
+    for start in range(0, dim, 64):
+        columns = np.eye(dim, min(64, dim - start), -start)
+        block = _plus_one_projector(code.stabilizer + code.logical_z, columns)
+        norms = np.linalg.norm(block, axis=0)
+        nonzero = np.flatnonzero(norms > 1e-8)
+        if len(nonzero):
+            c0 = block[:, nonzero[0]] / norms[nonzero[0]]
+            break
+    else:
+        raise ValueError("code projector is zero; the code is not well formed")
+    words = []
+    for j in range(d**k):
+        lx = pauli.identity(d, n)
+        for g, e in zip(code.logical_x, _digits(j, d, k)):
+            lx = pauli.multiply(lx, pauli.power(g, e))
+        words.append(pauli.apply(lx, c0))
     v = np.column_stack(words)
+    if np.max(np.abs(v.conj().T @ v - np.eye(d**k))) > 1e-9:
+        raise ValueError("codewords are not orthonormal; invalid logical set")
+    for g in code.stabilizer:
+        if np.max(np.abs(pauli.apply(g, v) - v)) > 1e-9:
+            raise ValueError(
+                f"stabilizer generator {pauli.to_string(g)} does not fix the "
+                "encoding; the code is not well formed")
     v.setflags(write=False)
     return v
 
@@ -349,7 +331,7 @@ def verify_concealment(code: StabilizerCode, plan, secrets, subsets,
     inputs = np.array(secrets, dtype=complex).reshape(len(secrets), d**k).T
     averaged = np.zeros((len(secrets), d**k, d**k), dtype=complex)
     for key in enumerate_keys(plan):
-        keyed = pauli.dense_matrix(twirl_operator(plan, key), cap=d**k) @ inputs
+        keyed = pauli.apply(twirl_operator(plan, key), inputs)
         averaged += np.einsum("is,js->sij", keyed, keyed.conj())
     averaged /= d**plan.key_length
     v = encoding_isometry(code, cap)

@@ -13,12 +13,13 @@ factor w^-1 per unit of each exponent:
 
 All projective operations (membership, rank, pairings) ignore phases; the
 phase is tracked exactly so the dense-matrix oracle can cross-check every
-identity.
+identity.  A product is a monomial matrix, so `apply` acts on dense data
+with one phase and one roll per non-identity site and never builds the
+matrix; `dense_matrix` is `apply` to the identity.
 """
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass
 
@@ -36,6 +37,7 @@ __all__ = [
     "pairing",
     "symplectic_vector",
     "from_symplectic",
+    "apply",
     "dense_matrix",
     "to_string",
     "parse",
@@ -154,15 +156,27 @@ def from_symplectic(d: int, vec, phase: int = 0) -> PauliProduct:
     return PauliProduct(d, tuple(v[:m]), tuple(v[m:]), phase)
 
 
-@functools.lru_cache(maxsize=32)
-def _single_qudit_xz(d: int) -> tuple[np.ndarray, np.ndarray]:
-    x = np.zeros((d, d), dtype=complex)
-    z = np.zeros((d, d), dtype=complex)
-    omega = np.exp(2j * np.pi / d)
-    for j in range(d):
-        x[j, (j + 1) % d] = 1.0
-        z[j, j] = omega**j
-    return x, z
+def apply(p: PauliProduct, arr) -> np.ndarray:
+    """p @ arr, where arr's first axis spans the d^m basis states, without
+    p's matrix: per non-identity site, Z^b scales basis state j by w^(b j)
+    and X^a rolls that site's axis by -a."""
+    d, m = p.d, p.m
+    arr = np.asarray(arr)
+    if not arr.ndim or len(arr) != d**m:
+        raise ValueError(
+            f"array of shape {arr.shape} does not span {d**m} basis states")
+    tail = arr.shape[1:]
+    out = arr.reshape((d,) * m + tail).astype(complex)
+    roots = np.exp(2j * np.pi * np.arange(d) / d)
+    for site, (a, b) in enumerate(zip(p.x, p.z)):
+        if b:
+            shape = (d,) + (1,) * (m - 1 - site + len(tail))
+            out *= roots[b * np.arange(d) % d].reshape(shape)
+        if a:
+            out = np.roll(out, -a, axis=site)
+    if p.phase:
+        out *= roots[p.phase]
+    return out.reshape(arr.shape)
 
 
 def dense_matrix(p: PauliProduct, cap: int = DEFAULT_AMPLITUDE_CAP) -> np.ndarray:
@@ -171,12 +185,7 @@ def dense_matrix(p: PauliProduct, cap: int = DEFAULT_AMPLITUDE_CAP) -> np.ndarra
     if dim > cap:
         raise ResourceLimitError(
             f"dense Pauli needs {dim} amplitudes, cap is {cap}")
-    xm, zm = _single_qudit_xz(p.d)
-    out = np.array([[np.exp(2j * np.pi * p.phase / p.d)]])
-    for a, b in zip(p.x, p.z):
-        site = np.linalg.matrix_power(xm, a) @ np.linalg.matrix_power(zm, b)
-        out = np.kron(out, site)
-    return out
+    return apply(p, np.eye(dim))
 
 
 # ---------------------------------------------------------------------------

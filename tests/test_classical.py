@@ -148,6 +148,19 @@ def test_monotone_two_minimal_sets():
             reconstruct(shares, bad)
 
 
+@pytest.mark.parametrize("shares", [
+    shamir_share([1, 0], 2, 3, 5, 1),
+    monotone_share([1, 0], [(1, 2), (2, 3)], modulus=5, seed=9)],
+    ids=["threshold", "monotone"])
+@pytest.mark.parametrize("outsider", [9, 0, -1])
+def test_reconstruct_rejects_unknown_player(shares, outsider):
+    # Even with an authorized set present, a player outside 1..n is refused.
+    with pytest.raises(ValueError, match=f"player {outsider} is outside 1..3"):
+        reconstruct(shares, [1, 2, outsider])
+    with pytest.raises(ValueError, match=f"player {outsider} is outside 1..3"):
+        reconstruct(shares, [outsider])
+
+
 def test_monotone_reconstructs_iff_superset_of_minimal():
     minimal = [(1, 2), (3, 4), (2, 4)]
     shares = monotone_share([2, 3], minimal, modulus=5, seed=1)

@@ -390,17 +390,18 @@ def test_simulate_builds_each_dense_operator_once(capsys, monkeypatch):
     status, _, _ = run(capsys, "simulate", "catalog:four_two_two",
                        "--seed", "1", "--check", "all")
     assert status == 0
-    # The expansion check builds the 16 once more for its own subsets; D^l
-    # = 16 twirl operators serve concealment, each made dense once.  The key
-    # check draws its key without building an operator.
-    assert sites[2] == 16 + 16 + 16
+    # The expansion check builds the 16 once more for its own subsets.  The
+    # D^l = 16 twirl operators serve concealment, each applied once without
+    # being made dense.  The key check draws its key without building an
+    # operator.
+    assert sites[2] == 16 + 16
     assert twirls == {"twirl_operator": 16}
     sites.clear()
     twirls.clear()
     status, _, _ = run(capsys, "simulate", "catalog:four_two_two",
                        "--seed", "1", "--check", "concealment")
     assert status == 0
-    assert sites[2] == 16
+    assert not sites  # neither the encoding nor a twirl operator is dense
     assert twirls == {"twirl_operator": 16}
 
 

@@ -185,7 +185,7 @@ def test_codewords_satisfy_stabilizer_exactly(catalog_codes):
     import numpy as np
 
     for c in catalog_codes:
-        words = oracle.codewords(c)
+        words = oracle.encoding_isometry(c).T
         for generator in c.stabilizer:
             dense = pauli.dense_matrix(generator, cap=2**c.n)
             for w in words:

@@ -15,7 +15,8 @@ DELETED = {
     "stabshare.primefield": ("FieldElement", "FieldMatrix", "row_reduce",
                              "solve", "nullspace", "row_span_contains"),
     "stabshare.pauli": ("PauliSubgroup", "subgroup_membership",
-                        "commutation_exponent", "inverse"),
+                        "commutation_exponent", "inverse",
+                        "_single_qudit_xz"),
     "stabshare.infogroup": ("pairing_matrix", "_pairing_row",
                             "InfoGroup.contains"),
     "stabshare.twirl": ("twirl_average_is_zero",),
@@ -23,7 +24,8 @@ DELETED = {
                          "hs_inner", "choi_check", "_choi_marginal",
                          "ALGEBRA_TOL", "stabilizer_elements",
                          "_encoded_logical", "_sector_projector",
-                         "_eigen_scalar_root"),
+                         "_eigen_scalar_root", "code_projector",
+                         "codewords"),
     "stabshare.cli": ("RunConfig", "_config_from_args"),
 }
 

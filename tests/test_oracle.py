@@ -17,13 +17,13 @@ from conftest import random_code
 
 
 def test_cnot_codewords(cnot):
-    words = oracle.codewords(cnot)
+    words = oracle.encoding_isometry(cnot).T
     assert np.allclose(words[0], [1, 0, 0, 0])
     assert np.allclose(words[1], [0, 0, 0, 1])
 
 
 def test_ghz3_codewords():
-    words = oracle.codewords(catalog("ghz_n", 3))
+    words = oracle.encoding_isometry(catalog("ghz_n", 3)).T
     zero = np.zeros(8); zero[0] = 1
     one = np.zeros(8); one[-1] = 1
     assert np.allclose(words[0], zero)
@@ -31,7 +31,7 @@ def test_ghz3_codewords():
 
 
 def test_five_qubit_codewords_are_stabilized(five_qubit):
-    words = oracle.codewords(five_qubit)
+    words = oracle.encoding_isometry(five_qubit).T
     assert len(words) == 2
     assert len(five_qubit.stabilizer) == 4
     for generator in five_qubit.stabilizer:
@@ -41,13 +41,33 @@ def test_five_qubit_codewords_are_stabilized(five_qubit):
     assert abs(np.vdot(words[0], words[1])) < 1e-12
 
 
+@pytest.mark.parametrize("name", ["ghz_6", "rand_3_3_2"])
+def test_encoding_builds_no_dense_pauli(monkeypatch, name):
+    code = (catalog("ghz_n", 6) if name == "ghz_6"
+            else load(Path(__file__).parent / "data" / f"{name}.json"))
+    built = []
+    real = pauli.dense_matrix
+
+    def counting(p, *args, **kwargs):
+        built.append(p.m)
+        return real(p, *args, **kwargs)
+
+    monkeypatch.setattr(pauli, "dense_matrix", counting)
+    # A fresh name and the uncached function keep every cache out of the way.
+    fresh = replace(code, name=f"{code.name}-uncached")
+    v = oracle.encoding_isometry.__wrapped__(fresh)
+    assert v.shape == (code.d**code.n, code.d**code.k)
+    assert np.allclose(v.conj().T @ v, np.eye(code.d**code.k))
+    assert not built
+
+
 def test_encode_examples(cnot):
     plus = np.array([1, 1]) / np.sqrt(2)
     bell = oracle.encode(cnot, plus)
     assert np.allclose(bell, np.array([1, 0, 0, 1]) / np.sqrt(2))
     for j in (0, 1):
         assert np.allclose(oracle.encode(cnot, oracle.basis_secret(2, 1, j)),
-                           oracle.codewords(cnot)[j])
+                           oracle.encoding_isometry(cnot)[:, j])
     g = catalog("ghz_n", 3)
     alpha, beta = 0.6, 0.8j
     state = oracle.encode(g, [alpha, beta])
@@ -361,9 +381,9 @@ def test_expansion_consistency(catalog_codes):
 def test_resource_caps():
     big = catalog("ghz_n", 13)
     with pytest.raises(ResourceLimitError):
-        oracle.codewords(big)
+        oracle.encoding_isometry(big)
     with pytest.raises(ResourceLimitError):
-        oracle.codewords(catalog("ghz_n", 5), cap=8)
+        oracle.encoding_isometry(catalog("ghz_n", 5), cap=8)
 
 
 def test_invalid_code_rejected_by_projector():
@@ -374,8 +394,8 @@ def test_invalid_code_rejected_by_projector():
     worse = StabilizerCode("phase-broken", 2, 2, 1,
                            (parse("YI"),), (parse("IX"),), (parse("IZ"),))
     with pytest.raises(ValueError, match="not well formed"):
-        oracle.code_projector(worse)
-    assert oracle.code_projector(bad) is not None  # valid single-X stabilizer
+        oracle.encoding_isometry(worse)
+    assert oracle.encoding_isometry(bad) is not None  # valid single-X stabilizer
 
 
 def test_random_qutrit_codes_match_bruteforce():
