@@ -148,15 +148,16 @@ def _simulation_secrets(c: StabilizerCode, seed: int) -> list[np.ndarray]:
 
 
 def _duality_mismatch(c: StabilizerCode, triplet: infogroup.SchemeTriplet,
-                      groups: list[infogroup.InfoGroup]) -> str | None:
+                      groups: list[infogroup.InfoGroup],
+                      intermediate: infogroup.InfoGroup) -> str | None:
     """First disagreement between commutants, direct solves and `classify`.
 
     `groups` holds the direct G(S) of every subset in enumeration order.
     For every subset S the commutant of G(S) must equal the directly solved
     G(S-bar), and so give S-bar the class that `classify` reported; when
     `classify` kept its records, their (r, s) must match the direct group's.
-    Last, the intermediate group that the twirl is built from must be the
-    span of the direct groups of the intermediate subsets.
+    Last, `intermediate`, the group that the twirl is built from, must be
+    the span of the direct groups of the intermediate subsets.
     """
     classes = ({s: "A" for s in triplet.authorized}
                | {s: "F" for s in triplet.forbidden})
@@ -180,7 +181,7 @@ def _duality_mismatch(c: StabilizerCode, triplet: infogroup.SchemeTriplet,
     rows = [row for subset, g in zip(order, groups) if subset in inter
             for row in g.generators]
     spanned = infogroup.group_from_rows(c.d, c.k, np.array(rows, dtype=np.int64))
-    if twirl.intermediate_group(c, triplet) != spanned:
+    if intermediate != spanned:
         return ("intermediate group from classify differs from the span of "
                 "the direct G(S) over the intermediate subsets")
     return None
@@ -214,7 +215,8 @@ def run_checks(c: StabilizerCode, seed: int, which: str,
     triplet = infogroup.classify(c)
     subsets = list(infogroup.subsets_in_order(c.n))
     groups = [infogroup.info_group(c, subset) for subset in subsets]
-    mismatch = _duality_mismatch(c, triplet, groups)
+    intermediate = twirl.intermediate_group(c, triplet)
+    mismatch = _duality_mismatch(c, triplet, groups, intermediate)
     add("duality", mismatch is None,
         detail=mismatch or "access/forbidden duality holds")
     if mismatch is not None:
@@ -251,7 +253,7 @@ def run_checks(c: StabilizerCode, seed: int, which: str,
 
     if which not in ("all", "concealment"):
         return all(r["pass"] for r in results), results
-    plan = twirl.twirl_plan(c, triplet)
+    plan = twirl.twirl_plan(c, triplet, intermediate)
     # The secrets hold D^k amplitudes each: build them only if a check reads
     # them.  The encoding (D^n >= D^k amplitudes) has passed the cap.
     # Concealment is gated on the intermediate subsets, not on the plan, so

@@ -22,6 +22,13 @@ reduced QR, W = Q R, gives an orthonormal basis Q of that span without
 truncation or rank tolerance, and Q-dagger W = R.  Compressing by Q is an
 isometry on the support, so it keeps every trace distance exactly while
 each state shrinks to r = min(d^|S|, d^(n-|S|+k)) dimensions, a power of d.
+
+The checks take their subsets in chunks of one size.  `_lifts` gathers a
+chunk's W from V with one indexed `take`, as (c, d^|S|, d^(n-|S|), d^k),
+so each QR, reduction and eigvalsh call of a check covers a whole chunk
+instead of one subset.  A chunk holds as many subsets as keep its W, one
+d^|S| x d^|S| operator and one Choi marginal on the support per subset
+within DEFAULT_AMPLITUDE_CAP amplitudes, and at least one subset.
 """
 
 from __future__ import annotations
@@ -156,17 +163,19 @@ def _sites(dim: int, d: int, keep) -> tuple[int, list[int]]:
 
 
 def partial_trace(rho: np.ndarray, d: int, keep) -> np.ndarray:
-    """Trace out every site not in `keep` (1-based); rho is (d^m, d^m)."""
-    m, keep0 = _sites(rho.shape[0], d, keep)
+    """Trace out every site not in `keep` (1-based); rho is (d^m, d^m), or
+    a stack of such matrices along leading axes."""
+    m, keep0 = _sites(rho.shape[-1], d, keep)
+    lead = rho.shape[:-2]
     if not keep0:
-        return np.array([[np.trace(rho)]])
-    tensor = rho.reshape((d,) * (2 * m))
+        return np.trace(rho, axis1=-2, axis2=-1).reshape(lead + (1, 1))
+    tensor = rho.reshape(lead + (d,) * (2 * m))
     row_idx = list(range(m))
     col_idx = [m + i if i in keep0 else i for i in range(m)]
-    out_idx = [i for i in keep0] + [m + i for i in keep0]
-    reduced = np.einsum(tensor, row_idx + col_idx, out_idx)
+    out_idx = keep0 + [m + i for i in keep0]
+    reduced = np.einsum(tensor, [..., *row_idx, *col_idx], [..., *out_idx])
     size = d ** len(keep0)
-    return reduced.reshape(size, size)
+    return reduced.reshape(lead + (size, size))
 
 
 def reduced_state(state_or_op, subset, d: int) -> np.ndarray:
@@ -194,25 +203,77 @@ def _kept_first(arr: np.ndarray, d: int, keep) -> np.ndarray:
     return split.reshape((d**len(keep0), d**len(rest)) + tail)
 
 
-def _traced(w: np.ndarray, op: np.ndarray) -> np.ndarray:
-    """Tr_S-bar(V op V-dagger) as the sum over the traced basis states t of
-    W_t op W_t-dagger, where w = _kept_first(V, d, S).
+def _lifts(v: np.ndarray, d: int, subsets):
+    """Yield (positions, w) for chunks of equal-size subsets: w stacks
+    _kept_first(v, d, subsets[i]) for i in positions, as
+    (c, d^|S|, d^(n-|S|), remaining axes of v).
 
-    The d^n x d^n lift V op V-dagger is never formed.
+    Row (a, t) of subset S is the sum of the base-d place values of the
+    kept digits a and the traced digits t, so one `take` from v gathers a
+    whole chunk.  Chunks are capped as the module docstring says.
     """
-    rows = len(w)
-    return (w @ op).reshape(rows, -1) @ w.reshape(rows, -1).conj().T
+    n = _sites(len(v), d, ())[0]
+    orders, sizes = [], []
+    for subset in subsets:
+        keep = sorted({int(site) - 1 for site in subset})
+        if keep and (keep[0] < 0 or keep[-1] >= n):
+            raise ValueError(
+                f"keep sites {sorted(subset)} out of range 1..{n}")
+        # Kept sites first, then the traced ones, both ascending.
+        orders.append(keep + [site for site in range(n) if site not in keep])
+        sizes.append(len(keep))
+    places = (d ** np.arange(n - 1, -1, -1))[
+        np.array(orders, dtype=np.int64).reshape(len(orders), n)]
+    sizes = np.array(sizes)
+    for m in sorted(set(sizes.tolist())):
+        kept = np.indices((d,) * m).reshape(m, d**m)
+        traced = np.indices((d,) * (n - m)).reshape(n - m, d**(n - m))
+        # Per subset: its W, one d^|S| x d^|S| operator and its Choi
+        # marginal on the support, (d^k r)^2 amplitudes.
+        r = min(d**m, v.size // d**m)
+        size = max(v.size, d**(2 * m), (v.size // len(v) * r)**2)
+        step = max(1, DEFAULT_AMPLITUDE_CAP // size)
+        positions = np.flatnonzero(sizes == m)
+        for start in range(0, len(positions), step):
+            chunk = positions[start:start + step]
+            rows = ((places[chunk, :m] @ kept)[:, :, None]
+                    + (places[chunk, m:] @ traced)[:, None, :])
+            yield chunk, v.take(rows, axis=0)
+
+
+def _traced(w: np.ndarray, op: np.ndarray) -> np.ndarray:
+    """Tr_S-bar(V op V-dagger) for each subset of a chunk, as the sum over
+    the traced basis states t of W_t op W_t-dagger.
+
+    w stacks _kept_first(V, d, S), or its `_on_support`, as (c, rows,
+    traced, d^k); op is (d^k, d^k) or a stack (p, d^k, d^k), and the
+    result is (c, rows, rows) or (c, p, rows, rows).  The d^n x d^n lift
+    V op V-dagger is never formed.
+    """
+    rows, span = w.shape[1], w.shape[2] * w.shape[3]
+    w = w.reshape(w.shape[:1] + (1,) * (op.ndim - 2) + w.shape[1:])
+    pushed = w @ op[..., None, :, :]
+    flat = w.reshape(w.shape[:-3] + (rows, span))
+    return (pushed.reshape(pushed.shape[:-3] + (rows, span))
+            @ flat.conj().swapaxes(-1, -2))
 
 
 def _on_support(w: np.ndarray) -> np.ndarray:
-    """Q-dagger w for an orthonormal basis Q of the column span of
-    w = _kept_first(V, d, S), read as a d^|S| x (all other axes) matrix.
+    """Q-dagger w for an orthonormal basis Q of the column span of each
+    subset's w = _kept_first(V, d, S), read as a d^|S| x (all other axes)
+    matrix; w is a chunk (c, d^|S|, ...).
 
-    This is the R of a reduced QR, reshaped back: its first axis has
+    This is the R of a reduced QR, reshaped back: its second axis has
     r = min(d^|S|, d^(n-|S|+k)) entries and the other axes are w's.
     """
-    r = np.linalg.qr(w.reshape(len(w), -1), mode="r")
-    return r.reshape((-1,) + w.shape[1:])
+    r = np.linalg.qr(w.reshape(w.shape[:2] + (-1,)), mode="r")
+    return r.reshape(r.shape[:2] + w.shape[2:])
+
+
+def _frobenius(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix in a stack; vecdot copies nothing."""
+    flat = stack.reshape(len(stack), -1)
+    return np.sqrt(np.vecdot(flat, flat).real)
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -221,16 +282,21 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _max_pairwise_distance(states) -> float:
-    """Largest trace distance over all pairs of `states`, from one stacked
-    eigvalsh call."""
-    if len(states) < 2:
-        return 0.0
+    """Largest trace distance over all pairs of `states`, shaped
+    (..., count, r, r), with pairs taken within each leading index.
+
+    One stacked eigvalsh call compares each state with all later ones, so
+    no stack of all count (count - 1) / 2 differences is held at once.
+    """
     states = np.asarray(states)
-    first, second = np.triu_indices(len(states), 1)
-    diffs = states[first]
-    diffs -= states[second]
-    eigs = np.linalg.eigvalsh(diffs)
-    return 0.5 * float(np.max(np.sum(np.abs(eigs), axis=-1)))
+    if states.ndim < 3:
+        return 0.0
+    worst = 0.0
+    for i in range(states.shape[-3] - 1):
+        diffs = states[..., i + 1:, :, :] - states[..., i:i + 1, :, :]
+        norms = np.sum(np.abs(np.linalg.eigvalsh(diffs)), axis=-1)
+        worst = max(worst, 0.5 * float(np.max(norms)))
+    return worst
 
 
 def random_secret(d: int, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -251,38 +317,51 @@ def info_group_bruteforce(code: StabilizerCode, subsets,
     A subset whose hits do not form a subgroup gets None.
 
     Each of the d^(2k) input Paulis is built once, as a d^k x d^k matrix,
-    and traced onto every subset through the encoding.
+    and traced onto every chunk of subsets through the encoding.  Equal
+    hits give equal groups, so each distinct hit pattern is solved once.
     """
     d, k = code.d, code.k
     v = encoding_isometry(code, cap)
-    paulis = [(exps, pauli.dense_matrix(PauliProduct(d, exps[:k], exps[k:]),
-                                        cap=d**k))
-              for exps in itertools.product(range(d), repeat=2 * k)]
-    groups = []
-    for subset in subsets:
-        w = _kept_first(v, d, set(subset))
-        rows = np.array([exps for exps, op in paulis
-                         if np.linalg.norm(_traced(w, op)) > DETECTION_TOL],
-                        dtype=np.int64)
-        group = group_from_rows(d, k, rows)
-        # A valid encoding's hits always form a subgroup.  Other hits give
-        # None, which equals no symbolic group, so a comparison fails.
-        groups.append(group if len(rows) == d**group.rank else None)
+    exps = list(itertools.product(range(d), repeat=2 * k))
+    ops = [pauli.dense_matrix(PauliProduct(d, e[:k], e[k:]), cap=d**k)
+           for e in exps]
+    exps = np.array(exps, dtype=np.int64)
+    subsets = list(subsets)
+    groups: list[InfoGroup | None] = [None] * len(subsets)
+    solved: dict[bytes, InfoGroup | None] = {}
+    for positions, w in _lifts(v, d, subsets):
+        norms = [_frobenius(_traced(w, op)) for op in ops]
+        for i, hits in zip(positions, np.array(norms).T > DETECTION_TOL):
+            key = hits.tobytes()
+            if key not in solved:
+                rows = exps[hits]
+                group = group_from_rows(d, k, rows)
+                # A valid encoding's hits always form a subgroup.  Other
+                # hits give None, which equals no symbolic group, so a
+                # comparison fails.
+                solved[key] = group if len(rows) == d**group.rank else None
+            groups[i] = solved[key]
     return groups
 
 
 def verify_absence(code: StabilizerCode, subsets, secrets,
                    cap: int | None = None) -> float:
     """Max trace distance, over the subsets, among reduced secrets and the
-    secret-free state."""
+    secret-free state.
+
+    The secret-free state goes through `_traced`; each secret's state is
+    A A-dagger of its encoded vector A = W s, arranged as (kept, traced).
+    """
     d, k = code.d, code.k
     v = encoding_isometry(code, cap)
     free = np.eye(d**k) / d**k
-    encoded = [encode(code, s, cap) for s in secrets]
+    inputs = np.array(secrets, dtype=complex).reshape(len(secrets), d**k).T
     worst = 0.0
-    for subset in subsets:
-        states = [_traced(_kept_first(v, d, subset), free)]
-        states += [reduced_state(state, subset, d) for state in encoded]
+    for _, w in _lifts(v, d, subsets):
+        encoded = np.moveaxis(w @ inputs, -1, 1)  # (c, secret, kept, traced)
+        states = np.concatenate(
+            [_traced(w, free)[:, None],
+             encoded @ encoded.conj().swapaxes(-1, -2)], axis=1)
         worst = max(worst, _max_pairwise_distance(states))
     return worst
 
@@ -301,19 +380,25 @@ def choi_decoupling(code: StabilizerCode, subsets,
     d, n, k = code.d, code.n, code.k
     check_cap(d**(n + k), cap)
     v = encoding_isometry(code, cap)
+    subsets = list(subsets)
     reference = list(range(1, k + 1))
-    out = []
-    for subset in subsets:
-        # omega[(j, a, t)] = (Q-dagger W)[a, t, j] / sqrt(d^k); the
-        # reference comes first, then the support's m sites.
-        w = _on_support(_kept_first(v, d, subset))
-        omega = (w.transpose(2, 0, 1) / np.sqrt(d**k)).reshape(-1)
-        m = min(len(subset), n - len(subset) + k)
-        rho_rs = reduced_state(omega, range(1, k + m + 1), d)
+    out = [0.0] * len(subsets)
+    for positions, w in _lifts(v, d, subsets):
+        # a[(j, a), t] = (Q-dagger W)[a, t, j] / sqrt(d^k): the Choi vector
+        # with the reference first, then the support's m sites, then the
+        # traced sites.
+        w = _on_support(w)
+        c, r = w.shape[:2]
+        m = _sites(r, d, ())[0]
+        a = w.transpose(0, 3, 1, 2).reshape(c, d**k * r, -1) / np.sqrt(d**k)
+        rho_rs = a @ a.conj().swapaxes(-1, -2)
         rho_r = partial_trace(rho_rs, d, reference)
         rho_s = partial_trace(rho_rs, d, range(k + 1, k + m + 1))
-        rho_rs -= np.kron(rho_r, rho_s)
-        out.append(0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(rho_rs)))))
+        rho_rs -= (rho_r[:, :, None, :, None]
+                   * rho_s[:, None, :, None, :]).reshape(rho_rs.shape)
+        dists = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(rho_rs)), axis=-1)
+        for i, dist in zip(positions, dists):
+            out[i] = float(dist)
     return out
 
 
@@ -322,7 +407,7 @@ def verify_concealment(code: StabilizerCode, plan, secrets, subsets,
     """Max pairwise distance of key-averaged reduced states; must vanish.
 
     Each twirl operator acts once on all secrets, and each secret's keyed
-    states are averaged in the d^k logical space before the average is
+    states are averaged in the d^k logical space before the averages are
     traced onto each subset's support (see the module docstring).
     """
     from .twirl import enumerate_keys, twirl_operator
@@ -336,9 +421,8 @@ def verify_concealment(code: StabilizerCode, plan, secrets, subsets,
     averaged /= d**plan.key_length
     v = encoding_isometry(code, cap)
     worst = 0.0
-    for subset in subsets:
-        w = _on_support(_kept_first(v, d, subset))
-        states = [_traced(w, rho) for rho in averaged]
+    for _, w in _lifts(v, d, subsets):
+        states = _traced(_on_support(w), averaged)
         worst = max(worst, _max_pairwise_distance(states))
     return worst
 
@@ -351,22 +435,22 @@ def expansion_consistency(code: StabilizerCode, secret, subsets,
     Expands |psi><psi| in the input Pauli basis with Fourier coefficients
     c(x,z) = <psi| (X^x Z^z)^dagger |psi> and pushes each term through the
     encoding: the reassembled reduced state must match the direct one.  Each
-    input Pauli is built once and traced onto every subset.
+    input Pauli is built once and traced onto every chunk of subsets.
     """
     d, k = code.d, code.k
     subsets = list(subsets)
     secret = np.asarray(secret, dtype=complex).reshape(-1)
     state = encode(code, secret, cap)
-    v = encoding_isometry(code, cap)
-    lifts = [_kept_first(v, d, subset) for subset in subsets]
-    direct = [reduced_state(state, subset, d) for subset in subsets]
-    totals = [np.zeros_like(rho) for rho in direct]
+    terms = []
     for exps in itertools.product(range(d), repeat=2 * k):
         op = pauli.dense_matrix(PauliProduct(d, exps[:k], exps[k:]), cap=d**k)
         coeff = np.vdot(op @ secret, secret)  # <psi| op^dagger |psi>
-        if abs(coeff) < 1e-15:
-            continue
-        for total, w in zip(totals, lifts):
-            total += coeff * _traced(w, op)
-    return max((float(np.max(np.abs(rho - total / d**k)))
-                for rho, total in zip(direct, totals)), default=0.0)
+        if abs(coeff) >= 1e-15:
+            terms.append((coeff, op))
+    worst = 0.0
+    for positions, w in _lifts(encoding_isometry(code, cap), d, subsets):
+        total = sum(coeff * _traced(w, op) for coeff, op in terms)
+        for i, expanded in zip(positions, total / d**k):
+            direct = reduced_state(state, subsets[i], d)
+            worst = max(worst, float(np.max(np.abs(direct - expanded))))
+    return worst

@@ -116,12 +116,16 @@ def _prescription(triplet: SchemeTriplet) -> ClassicalPrescription:
     )
 
 
-def twirl_plan(code: StabilizerCode,
-               triplet: SchemeTriplet | None = None) -> TwirlPlan:
-    """Derive the minimal twirl for a code (empty plan when I is empty)."""
+def twirl_plan(code: StabilizerCode, triplet: SchemeTriplet | None = None,
+               group: InfoGroup | None = None) -> TwirlPlan:
+    """Derive the minimal twirl for a code (empty plan when I is empty).
+
+    `group` is the triplet's intermediate group, if the caller has built it.
+    """
     if triplet is None:
         triplet = infogroup.classify(code)
-    group = intermediate_group(code, triplet)
+    if group is None:
+        group = intermediate_group(code, triplet)
     canonical = infogroup.canonical_form(group)
     k, d = code.k, code.d
     gens = tuple(from_symplectic(d, v) for v in

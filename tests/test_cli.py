@@ -297,8 +297,8 @@ def test_simulate_duality_fails_on_wrong_intermediate_group(capsys,
 # The ids name each check with the group-solve count it had when the twirl
 # plan still solved its maximal intermediate subsets on their own.
 @pytest.mark.parametrize("check,commutants", [
-    pytest.param("all", 18, id="all-30"),
-    pytest.param("concealment", 18, id="concealment-30"),
+    pytest.param("all", 17, id="all-30"),
+    pytest.param("concealment", 17, id="concealment-30"),
     pytest.param("choi", 17, id="choi-24"),
     pytest.param("infogroup", 17, id="infogroup-24"),
     pytest.param("duality", 17, id="duality-24")])
@@ -313,8 +313,8 @@ def test_simulate_solves_each_subset_once(capsys, monkeypatch, check,
     # `info_group` solves the 16 direct groups shared by duality and
     # infogroup under every check: the intermediate group comes from the
     # walk, with no solve of its own.  The duality check takes 2 commutants
-    # per pair and 1 in `intermediate_group` for its cross-check; the checks
-    # that read the twirl plan take 1 more there.
+    # per pair and 1 in `intermediate_group`, built once: its cross-check
+    # and the twirl plan read the same group.
     assert len(leaves) == 8
     assert calls == {"info_group": 16, "commutant": commutants}
 
@@ -357,7 +357,7 @@ def test_simulate_reports_a_dense_contradiction_as_a_failed_check(
     def lossy(w, op):
         # Drop the only traced basis state of the full subset: every traced
         # image there vanishes, even the identity's.
-        return real(w[:, 1:] if w.shape[1] == 1 else w, op)
+        return real(w[:, :, 1:] if w.shape[2] == 1 else w, op)
 
     monkeypatch.setattr(oracle, "_traced", lossy)
     status, out, err = run(capsys, "simulate", "catalog:four_two_two",
@@ -415,7 +415,7 @@ def test_simulate_fails_on_lossy_reduction(capsys, monkeypatch, check,
 
     def lossy(w, op):
         # Drop the first traced basis state wherever more than one is traced.
-        return real(w[:, 1:] if w.shape[1] > 1 else w, op)
+        return real(w[:, :, 1:] if w.shape[2] > 1 else w, op)
 
     # GHZ_3 in the X basis.  Its twirl leaves X-bar = ZZZ, whose
     # restriction to any traced set is diagonal, so a reduction that drops
@@ -445,10 +445,10 @@ def test_simulate_makes_one_choi_call_per_check(capsys, monkeypatch):
 def test_simulate_fails_on_wrong_empty_plan(capsys, monkeypatch, check):
     real = twirl.twirl_plan
 
-    def empty(c, triplet=None):
+    def empty(c, triplet=None, group=None):
         # cnot_2_1 has intermediate subsets but this plan twirls nothing.
-        return dataclasses.replace(real(c, triplet), twirl_generators=(),
-                                   key_length=0)
+        return dataclasses.replace(real(c, triplet, group),
+                                   twirl_generators=(), key_length=0)
 
     monkeypatch.setattr(twirl, "twirl_plan", empty)
     status, out, _ = run(capsys, "simulate", "catalog:cnot_2_1",

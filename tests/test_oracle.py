@@ -107,6 +107,10 @@ def test_partial_trace_properties():
         red = oracle.partial_trace(rho, 2, keep)
         assert abs(np.trace(red) - 1) < 1e-12
         assert np.min(np.linalg.eigvalsh((red + red.conj().T) / 2)) > -1e-12
+        # A stack is traced matrix by matrix.
+        stacked = oracle.partial_trace(np.array([rho, rho.T]), 2, keep)
+        assert np.allclose(stacked[0], red)
+        assert np.allclose(stacked[1], oracle.partial_trace(rho.T, 2, keep))
     with pytest.raises(ValueError, match="out of range"):
         oracle.partial_trace(rho, 2, (4,))
 
@@ -162,7 +166,7 @@ def test_traced_lift_matches_partial_trace(case):
     c, op, keep = case
     v = oracle.encoding_isometry(c)
     want = oracle.partial_trace(v @ op @ v.conj().T, c.d, keep)
-    got = oracle._traced(oracle._kept_first(v, c.d, keep), op)
+    [got] = oracle._traced(oracle._kept_first(v, c.d, keep)[None], op)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) < 1e-12
 
@@ -180,6 +184,78 @@ def test_pairwise_distance_matches_trace_distance(count, dim):
     want = max((oracle.trace_distance(a, b)
                 for a, b in itertools.combinations(states, 2)), default=0.0)
     assert abs(oracle._max_pairwise_distance(states) - want) < 1e-12
+    # A stack (c, count, r, r) compares states within each of its c groups.
+    stacked = np.array([[_random_density(rng, dim) for _ in range(count)]
+                        for _ in range(3)])
+    want = max((oracle.trace_distance(a, b) for group in stacked
+                for a, b in itertools.combinations(group, 2)), default=0.0)
+    assert abs(oracle._max_pairwise_distance(stacked) - want) < 1e-12
+
+
+@st.composite
+def _code_and_subsets(draw):
+    """A random code and a list of its subsets, in any order and possibly
+    repeated; n reaches the sizes where equal-size subsets span chunks."""
+    d = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, {2: 8, 3: 5, 5: 4}[d]))
+    k = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    masks = draw(st.lists(st.integers(0, 2**n - 1), max_size=3 * 2**n))
+    subsets = [tuple(i + 1 for i in range(n) if mask >> i & 1)
+               for mask in masks]
+    return random_code(rng, d, n, k), subsets
+
+
+@given(_code_and_subsets())
+@example((catalog("ghz_n", 8), list(subsets_in_order(8))))
+@settings(max_examples=60, deadline=None)
+def test_lifts_gather_each_subsets_kept_first(case):
+    c, subsets = case
+    v = oracle.encoding_isometry(c)
+    seen = []
+    for positions, w in oracle._lifts(v, c.d, subsets):
+        size = len(subsets[positions[0]])
+        assert len(positions) == len(w) >= 1
+        # The chunk's W, and per subset one d^|S| x d^|S| operator and one
+        # Choi marginal on the support, stay within the amplitude cap
+        # unless the chunk holds one subset.
+        choi = (c.d**c.k * min(c.d**size, c.d**(c.n - size + c.k)))**2
+        assert (len(w) == 1 or len(w) * max(v.size, c.d**(2 * size), choi)
+                <= pauli.DEFAULT_AMPLITUDE_CAP)
+        for i, lift in zip(positions, w):
+            assert len(subsets[i]) == size
+            assert np.array_equal(lift, oracle._kept_first(v, c.d, subsets[i]))
+        seen.extend(positions)
+    assert sorted(seen) == list(range(len(subsets)))
+
+
+@pytest.mark.parametrize("name", ["ghz_8", "rand_3_3_2"])
+def test_chunked_checks_match_one_subset_calls(name):
+    c = (catalog("ghz_n", 8) if name == "ghz_8"
+         else load(Path(__file__).parent / "data" / f"{name}.json"))
+    subsets = list(subsets_in_order(c.n))
+    if name == "ghz_8":
+        fours = [s for s in subsets if len(s) == 4]
+        chunks = list(oracle._lifts(oracle.encoding_isometry(c), c.d, fours))
+        assert len(fours) == 70 and len(chunks) > 2
+    rng = np.random.default_rng(9)
+    secrets = [oracle.basis_secret(c.d, c.k, 0)]
+    secrets += [oracle.random_secret(c.d, c.k, rng) for _ in range(3)]
+    # An empty twirl makes the intermediate subsets' distances nonzero.
+    plan = twirl_plan(c, classify(c))
+    plan = replace(plan, twirl_generators=(), key_length=0)
+    singles = [[s] for s in subsets]
+    assert oracle.info_group_bruteforce(c, subsets) == [
+        oracle.info_group_bruteforce(c, one)[0] for one in singles]
+    decs = oracle.choi_decoupling(c, subsets)
+    for dec, one in zip(decs, singles, strict=True):
+        assert abs(dec - oracle.choi_decoupling(c, one)[0]) < 1e-13, one
+    for check in [
+            lambda group: oracle.verify_concealment(c, plan, secrets, group),
+            lambda group: oracle.verify_absence(c, group, secrets)]:
+        each = [check(one) for one in singles]
+        assert max(each) > 0.1
+        assert abs(check(subsets) - max(each)) < 1e-13
 
 
 def _concealment_reference(code, plan, secrets, subsets):
