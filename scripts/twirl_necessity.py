@@ -10,15 +10,31 @@ Usage: python3 scripts/twirl_necessity.py [--seed N]
 """
 
 import argparse
+import itertools
 from dataclasses import replace
 
 import numpy as np
 
 from stabshare import catalog, classify, oracle, twirl_plan
+from stabshare.pauli import dense_matrix
+from stabshare.twirl import twirl_operator
 
 
 def worst_leak(code, plan, triplet, secrets):
-    return oracle.verify_concealment(code, plan, secrets, triplet.intermediate)
+    """Exact worst trace distance, over the intermediate subsets and every
+    pair of `secrets`, between key-averaged reduced states: each secret is
+    encoded once per key."""
+    d = code.d
+    twirls = [dense_matrix(twirl_operator(plan, key), cap=d**code.k)
+              for key in itertools.product(range(d), repeat=plan.key_length)]
+    worst = 0.0
+    for subset in triplet.intermediate:
+        states = [sum(oracle.reduced_state(oracle.encode(code, u @ secret),
+                                           subset, d) for u in twirls)
+                  / len(twirls) for secret in secrets]
+        for a, b in itertools.combinations(states, 2):
+            worst = max(worst, oracle.trace_distance(a, b))
+    return worst
 
 
 def main():

@@ -139,14 +139,6 @@ def cmd_twirl_plan(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _simulation_secrets(c: StabilizerCode, seed: int) -> list[np.ndarray]:
-    rng = np.random.default_rng(seed)
-    secrets = [oracle.basis_secret(c.d, c.k, j)
-               for j in range(min(c.d**c.k, 2))]
-    secrets += [oracle.random_secret(c.d, c.k, rng) for _ in range(5)]
-    return secrets
-
-
 def _duality_mismatch(c: StabilizerCode, triplet: infogroup.SchemeTriplet,
                       groups: list[infogroup.InfoGroup],
                       intermediate: infogroup.InfoGroup) -> str | None:
@@ -254,21 +246,20 @@ def run_checks(c: StabilizerCode, seed: int, which: str,
     if which not in ("all", "concealment"):
         return all(r["pass"] for r in results), results
     plan = twirl.twirl_plan(c, triplet, intermediate)
-    # The secrets hold D^k amplitudes each: build them only if a check reads
-    # them.  The encoding (D^n >= D^k amplitudes) has passed the cap.
     # Concealment is gated on the intermediate subsets, not on the plan, so
     # an empty plan for a code that needs a twirl fails the check.
-    secrets = []
-    if which == "all" or triplet.intermediate:
-        secrets = _simulation_secrets(c, seed)
     if triplet.intermediate:
-        worst = oracle.verify_concealment(c, plan, secrets,
-                                          triplet.intermediate, cap=cap)
+        worst = oracle.verify_concealment(c, plan, triplet.intermediate,
+                                          cap=cap)
         add("concealment", worst < oracle.STATE_TOL, measured=worst,
             detail=f"{len(triplet.intermediate)} intermediate subsets, "
-                   f"{len(secrets)} secrets")
+                   "every secret")
 
     if which == "all":
+        rng = np.random.default_rng(seed)
+        secrets = [oracle.basis_secret(c.d, c.k, j)
+                   for j in range(min(c.d**c.k, 2))]
+        secrets += [oracle.random_secret(c.d, c.k, rng) for _ in range(5)]
         if triplet.forbidden:
             worst = oracle.verify_absence(c, triplet.forbidden, secrets,
                                           cap=cap)

@@ -5,23 +5,33 @@ a roll per site, with no matrix built.  The encoding isometry V comes from
 it alone.  Projecting the identity's columns onto the joint +1 eigenspace
 of the stabilizer and logical-Z generators pins |c_0>, and the logical X
 carry it to the other codewords, so no d^n x d^n matrix is formed or
-multiplied.  Twirl operators act on the secrets the same way.  Every
-check that pushes a logical operator through the encoding uses one
-reduction, Tr_S-bar(V op V-dagger) summed over the traced basis states
-without forming the d^n x d^n lift; the direct sides (reduced states of
-encoded vectors and the Choi marginals) keep their own code path.  From
-these the oracle re-derives information groups, absence, Choi decoupling
-and twirl concealment directly from complex matrices, independent of the
-linear-algebra shortcuts it is used to certify.
+multiplied.  Every check that pushes a logical operator through the
+encoding uses one reduction, Tr_S-bar(V op V-dagger) summed over the
+traced basis states without forming the d^n x d^n lift; the direct sides
+(reduced states of encoded vectors and the Choi marginals) keep their own
+code path.  From these the oracle re-derives information groups, absence,
+Choi decoupling and twirl concealment directly from complex matrices,
+independent of the linear-algebra shortcuts it is used to certify.
 
-The Choi and concealment distances are computed on each subset's support.
-With W = V split into kept sites S and traced sites, every state those
-two checks compare on S is supported on the column span of W, a
+The Choi distances and traced norms are computed on each subset's support.
+With W = V split into kept sites S and traced sites, every traced operator
+A_S(X) = Tr_S-bar(V X V-dagger) is supported on the column span of W, a
 d^|S| x d^(n-|S|+k) matrix, and every Choi marginal on R (x) col(W).  A
 reduced QR, W = Q R, gives an orthonormal basis Q of that span without
 truncation or rank tolerance, and Q-dagger W = R.  Compressing by Q is an
-isometry on the support, so it keeps every trace distance exactly while
-each state shrinks to r = min(d^|S|, d^(n-|S|+k)) dimensions, a power of d.
+isometry on the support, so it keeps trace distances and Frobenius norms
+exactly while each operator shrinks to r = min(d^|S|, d^(n-|S|+k))
+dimensions, a power of d.
+
+The information-group and concealment checks trace one stack, the d^(2k)
+logical Paulis P, onto the support.  G(S) is spanned by the P with
+A_S(P) != 0.  Any two secrets differ by rho - sigma = d^-k sum_{P != I}
+c_P P with |c_P| <= 2, and for the twirl channel T, A_S(T(P)) has rank at
+most r, so for every pair of secrets
+
+    (1/2) ||A_S(T(rho - sigma))||_1 <= d^-k sum_{P != I} sqrt(r) ||A_S(T(P))||_F,
+
+which is zero iff no Pauli that survives the twirl reaches S.
 
 The checks take their subsets in chunks of one size.  `_lifts` gathers a
 chunk's W from V with one indexed `take`, as (c, d^|S|, d^(n-|S|), d^k),
@@ -34,7 +44,6 @@ within DEFAULT_AMPLITUDE_CAP amplitudes, and at least one subset.
 from __future__ import annotations
 
 import functools
-import itertools
 
 import numpy as np
 
@@ -271,9 +280,32 @@ def _on_support(w: np.ndarray) -> np.ndarray:
 
 
 def _frobenius(stack: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix in a stack; vecdot copies nothing."""
-    flat = stack.reshape(len(stack), -1)
+    """Frobenius norms over a stack's last two axes; vecdot copies nothing."""
+    flat = stack.reshape(stack.shape[:-2] + (-1,))
     return np.sqrt(np.vecdot(flat, flat).real)
+
+
+def _logical_paulis(d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every k-qudit Pauli X^x Z^z, identity first: the (x|z) exponent rows,
+    (d^(2k), 2k), and the stack of their d^k x d^k matrices."""
+    exps = np.indices((d,) * (2 * k)).reshape(2 * k, -1).T
+    ops = np.array([pauli.dense_matrix(PauliProduct(d, e[:k], e[k:]),
+                                       cap=d**k) for e in exps])
+    return exps, ops
+
+
+def _traced_norms(code: StabilizerCode, subsets, ops: np.ndarray,
+                  cap: int | None):
+    """Yield (positions, r, norms) for each `_lifts` chunk: norms[i, p] is
+    ||A_S(ops[p])||_F for the chunk's i-th subset S, taken on its
+    r-dimensional support.  The stack goes through `_traced` in slices that
+    push at most DEFAULT_AMPLITUDE_CAP amplitudes of the chunk's W each."""
+    for positions, w in _lifts(encoding_isometry(code, cap), code.d, subsets):
+        w = _on_support(w)
+        step = max(1, DEFAULT_AMPLITUDE_CAP // w.size)
+        yield positions, w.shape[1], np.concatenate(
+            [_frobenius(_traced(w, ops[i:i + step]))
+             for i in range(0, len(ops), step)], axis=1)
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -289,8 +321,6 @@ def _max_pairwise_distance(states) -> float:
     no stack of all count (count - 1) / 2 differences is held at once.
     """
     states = np.asarray(states)
-    if states.ndim < 3:
-        return 0.0
     worst = 0.0
     for i in range(states.shape[-3] - 1):
         diffs = states[..., i + 1:, :, :] - states[..., i:i + 1, :, :]
@@ -316,22 +346,17 @@ def info_group_bruteforce(code: StabilizerCode, subsets,
 
     A subset whose hits do not form a subgroup gets None.
 
-    Each of the d^(2k) input Paulis is built once, as a d^k x d^k matrix,
-    and traced onto every chunk of subsets through the encoding.  Equal
-    hits give equal groups, so each distinct hit pattern is solved once.
+    The d^(2k) input Paulis are traced onto every chunk of subsets as one
+    stack (see the module docstring).  Equal hits give equal groups, so
+    each distinct hit pattern is solved once.
     """
     d, k = code.d, code.k
-    v = encoding_isometry(code, cap)
-    exps = list(itertools.product(range(d), repeat=2 * k))
-    ops = [pauli.dense_matrix(PauliProduct(d, e[:k], e[k:]), cap=d**k)
-           for e in exps]
-    exps = np.array(exps, dtype=np.int64)
+    exps, ops = _logical_paulis(d, k)
     subsets = list(subsets)
     groups: list[InfoGroup | None] = [None] * len(subsets)
     solved: dict[bytes, InfoGroup | None] = {}
-    for positions, w in _lifts(v, d, subsets):
-        norms = [_frobenius(_traced(w, op)) for op in ops]
-        for i, hits in zip(positions, np.array(norms).T > DETECTION_TOL):
+    for positions, _, norms in _traced_norms(code, subsets, ops, cap):
+        for i, hits in zip(positions, norms > DETECTION_TOL):
             key = hits.tobytes()
             if key not in solved:
                 rows = exps[hits]
@@ -402,28 +427,20 @@ def choi_decoupling(code: StabilizerCode, subsets,
     return out
 
 
-def verify_concealment(code: StabilizerCode, plan, secrets, subsets,
+def verify_concealment(code: StabilizerCode, plan, subsets,
                        cap: int | None = None) -> float:
-    """Max pairwise distance of key-averaged reduced states; must vanish.
-
-    Each twirl operator acts once on all secrets, and each secret's keyed
-    states are averaged in the d^k logical space before the averages are
-    traced onto each subset's support (see the module docstring).
-    """
-    from .twirl import enumerate_keys, twirl_operator
-
+    """Max over the subsets of the module docstring's bound, which covers
+    every pair of secrets; must vanish.  T acts densely on the stack of
+    nonidentity logical Paulis, one generator average at a time."""
     d, k = code.d, code.k
-    inputs = np.array(secrets, dtype=complex).reshape(len(secrets), d**k).T
-    averaged = np.zeros((len(secrets), d**k, d**k), dtype=complex)
-    for key in enumerate_keys(plan):
-        keyed = pauli.apply(twirl_operator(plan, key), inputs)
-        averaged += np.einsum("is,js->sij", keyed, keyed.conj())
-    averaged /= d**plan.key_length
-    v = encoding_isometry(code, cap)
+    twirled = _logical_paulis(d, k)[1][1:]
+    for g in plan.twirl_generators:  # (1/d) sum_e g^e op g^-e
+        powers = [pauli.dense_matrix(pauli.power(g, e), cap=d**k)
+                  for e in range(d)]
+        twirled = sum(u @ twirled @ u.conj().T for u in powers) / d
     worst = 0.0
-    for _, w in _lifts(v, d, subsets):
-        states = _traced(_on_support(w), averaged)
-        worst = max(worst, _max_pairwise_distance(states))
+    for _, r, norms in _traced_norms(code, subsets, twirled, cap):
+        worst = max(worst, float(np.sqrt(r) * np.max(norms.sum(axis=1))) / d**k)
     return worst
 
 
@@ -441,15 +458,12 @@ def expansion_consistency(code: StabilizerCode, secret, subsets,
     subsets = list(subsets)
     secret = np.asarray(secret, dtype=complex).reshape(-1)
     state = encode(code, secret, cap)
-    terms = []
-    for exps in itertools.product(range(d), repeat=2 * k):
-        op = pauli.dense_matrix(PauliProduct(d, exps[:k], exps[k:]), cap=d**k)
-        coeff = np.vdot(op @ secret, secret)  # <psi| op^dagger |psi>
-        if abs(coeff) >= 1e-15:
-            terms.append((coeff, op))
+    ops = _logical_paulis(d, k)[1]
+    coeffs = [np.vdot(op @ secret, secret) for op in ops]  # <psi| op^dagger |psi>
     worst = 0.0
     for positions, w in _lifts(encoding_isometry(code, cap), d, subsets):
-        total = sum(coeff * _traced(w, op) for coeff, op in terms)
+        total = sum(coeff * _traced(w, op) for coeff, op in zip(coeffs, ops)
+                    if abs(coeff) >= 1e-15)
         for i, expanded in zip(positions, total / d**k):
             direct = reduced_state(state, subsets[i], d)
             worst = max(worst, float(np.max(np.abs(direct - expanded))))

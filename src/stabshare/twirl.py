@@ -11,7 +11,6 @@ see none.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 
@@ -31,7 +30,6 @@ __all__ = [
     "draw_key",
     "sample_twirl",
     "twirl_operator",
-    "enumerate_keys",
 ]
 
 
@@ -181,9 +179,4 @@ def sample_twirl(plan: TwirlPlan, seed: int) -> tuple[tuple[int, ...], PauliProd
         raise ValueError("plan is empty; nothing to sample")
     key = draw_key(plan, random.Random(seed))
     return key, twirl_operator(plan, key)
-
-
-def enumerate_keys(plan: TwirlPlan):
-    """All d^key_length keys, in lexicographic order."""
-    return itertools.product(range(plan.d), repeat=plan.key_length)
 

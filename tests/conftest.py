@@ -1,12 +1,14 @@
+import itertools
 import json
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from stabshare import catalog, infogroup, validate
+from stabshare import catalog, infogroup, oracle, validate
 from stabshare.code import StabilizerCode
-from stabshare.pauli import from_symplectic, pairing
+from stabshare.pauli import dense_matrix, from_symplectic, pairing
+from stabshare.twirl import twirl_operator
 
 
 @pytest.fixture(scope="session")
@@ -124,3 +126,25 @@ def random_code(rng: np.random.Generator, d: int, n: int, k: int,
     )
     assert validate(code).is_valid
     return code
+
+
+def concealment_reference(code, plan, secrets, subsets) -> float:
+    """Exact worst trace distance, over the subsets and every pair of
+    `secrets`, between key-averaged reduced states: one dense projector
+    per (subset, secret, key), with every key enumerated."""
+    d, k = code.d, code.k
+    keys = list(itertools.product(range(d), repeat=plan.key_length))
+    worst = 0.0
+    for subset in subsets:
+        averaged = []
+        for secret in secrets:
+            acc = 0
+            for key in keys:
+                u = dense_matrix(twirl_operator(plan, key), cap=d**k)
+                state = oracle.encode(code, u @ secret)
+                acc = acc + oracle.partial_trace(
+                    np.outer(state, state.conj()), d, subset)
+            averaged.append(acc / len(keys))
+        for a, b in itertools.combinations(averaged, 2):
+            worst = max(worst, oracle.trace_distance(a, b))
+    return worst

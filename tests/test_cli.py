@@ -383,26 +383,26 @@ def test_simulate_builds_each_dense_operator_once(capsys, monkeypatch):
     status, _, _ = run(capsys, "simulate", "catalog:four_two_two",
                        "--seed", "1", "--check", "infogroup")
     assert status == 0
-    # D^(2k) = 16 dense logical Paulis, each traced onto all 16 subsets.
+    # D^(2k) = 16 dense logical Paulis, traced as one stack onto all 16
+    # subsets.
     assert sites[2] == 16
     assert not twirls
     sites.clear()
     status, _, _ = run(capsys, "simulate", "catalog:four_two_two",
                        "--seed", "1", "--check", "all")
     assert status == 0
-    # The expansion check builds the 16 once more for its own subsets.  The
-    # D^l = 16 twirl operators serve concealment, each applied once without
-    # being made dense.  The key check draws its key without building an
-    # operator.
-    assert sites[2] == 16 + 16
-    assert twirls == {"twirl_operator": 16}
+    # Concealment and expansion each build the 16 once more, and
+    # concealment's twirl builds g^e for each of its l = 4 generators and
+    # e in Z_2.  No key is enumerated, and the key check draws its key
+    # without building an operator.
+    assert sites[2] == 16 + 16 + 4 * 2 + 16
+    assert not twirls
     sites.clear()
-    twirls.clear()
     status, _, _ = run(capsys, "simulate", "catalog:four_two_two",
                        "--seed", "1", "--check", "concealment")
     assert status == 0
-    assert not sites  # neither the encoding nor a twirl operator is dense
-    assert twirls == {"twirl_operator": 16}
+    assert sites[2] == 16 + 4 * 2  # the encoding is not dense
+    assert not twirls
 
 
 @pytest.mark.parametrize("check,failing", [

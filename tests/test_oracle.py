@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 from stabshare import catalog, classify, info_group, load, oracle, pauli
 from stabshare.code import StabilizerCode
 from stabshare.infogroup import subsets_in_order
-from stabshare.pauli import PauliProduct, ResourceLimitError, parse
-from stabshare.twirl import enumerate_keys, twirl_operator, twirl_plan
+from stabshare.pauli import (PauliProduct, ResourceLimitError, pairing,
+                             parse, symplectic_vector)
+from stabshare.primefield import mod_rank
+from stabshare.twirl import twirl_operator, twirl_plan
 
-from conftest import random_code
+from conftest import concealment_reference, random_code
 
 
 def test_cnot_codewords(cnot):
@@ -142,6 +144,8 @@ _QUTRIT_VECTOR = np.random.default_rng(2).normal(size=27) + 0j
 @settings(max_examples=80, deadline=None)
 def test_reduced_state_of_vector_matches_projector_trace(case):
     d, vec, keep = case
+    # A unit vector keeps the absolute tolerance independent of its scale.
+    vec = vec / np.linalg.norm(vec)
     want = oracle.partial_trace(np.outer(vec, vec.conj()), d, keep)
     got = oracle.reduced_state(vec, keep, d)
     assert got.shape == want.shape
@@ -251,31 +255,11 @@ def test_chunked_checks_match_one_subset_calls(name):
     for dec, one in zip(decs, singles, strict=True):
         assert abs(dec - oracle.choi_decoupling(c, one)[0]) < 1e-13, one
     for check in [
-            lambda group: oracle.verify_concealment(c, plan, secrets, group),
+            lambda group: oracle.verify_concealment(c, plan, group),
             lambda group: oracle.verify_absence(c, group, secrets)]:
         each = [check(one) for one in singles]
         assert max(each) > 0.1
         assert abs(check(subsets) - max(each)) < 1e-13
-
-
-def _concealment_reference(code, plan, secrets, subsets):
-    """One reduced state per (subset, secret, key), as dense projectors."""
-    d, k = code.d, code.k
-    worst = 0.0
-    for subset in subsets:
-        averaged = []
-        keys = list(enumerate_keys(plan))
-        for secret in secrets:
-            acc = 0
-            for key in keys:
-                u = pauli.dense_matrix(twirl_operator(plan, key), cap=d**k)
-                state = oracle.encode(code, u @ secret)
-                acc = acc + oracle.partial_trace(
-                    np.outer(state, state.conj()), d, subset)
-            averaged.append(acc / len(keys))
-        for a, b in itertools.combinations(averaged, 2):
-            worst = max(worst, oracle.trace_distance(a, b))
-    return worst
 
 
 @pytest.mark.parametrize("source", ["cnot_2_1", "four_two_two", "rand_3_3_2"])
@@ -296,10 +280,12 @@ def test_concealment_matches_per_key_reference(source):
         kept = gens[:drop] + gens[drop + 1:]
         plans.append(replace(plan, twirl_generators=kept,
                              key_length=len(kept)))
+    # The bound holds for every plan and vanishes for the full one.
+    assert oracle.verify_concealment(c, plan, t.intermediate) < oracle.STATE_TOL
     for p in plans:
-        want = _concealment_reference(c, p, secrets, t.intermediate)
-        got = oracle.verify_concealment(c, p, secrets, t.intermediate)
-        assert abs(got - want) < 1e-12, (source, p.twirl_generators, got, want)
+        want = concealment_reference(c, p, secrets, t.intermediate)
+        got = oracle.verify_concealment(c, p, t.intermediate)
+        assert want <= got + 1e-12, (source, p.twirl_generators, got, want)
 
 
 def test_info_group_bruteforce_examples(cnot, four_two_two):
@@ -403,28 +389,83 @@ def test_support_reduction_matches_full_size_references(case):
     for subset, dec in zip(subsets, oracle.choi_decoupling(c, subsets),
                            strict=True):
         assert abs(dec - _reference_decoupling(v, c.d, subset)) < 1e-12, subset
+    intermediate = classify(c).intermediate
+    assert oracle.verify_concealment(c, plans[0], intermediate) < oracle.STATE_TOL
     for p in plans:
         for subset in subsets:
-            want = _concealment_reference(c, p, secrets, [subset])
-            got = oracle.verify_concealment(c, p, secrets, [subset])
-            assert abs(got - want) < 1e-12, (subset, p.twirl_generators)
+            want = concealment_reference(c, p, secrets, [subset])
+            got = oracle.verify_concealment(c, p, [subset])
+            assert want <= got + 1e-12, (subset, p.twirl_generators)
 
 
 def test_concealment_cnot(cnot):
     plan = twirl_plan(cnot)
-    rng = np.random.default_rng(7)
-    secrets = [oracle.basis_secret(2, 1, 0), oracle.basis_secret(2, 1, 1),
-               np.array([1, 1]) / np.sqrt(2)]
-    secrets += [oracle.random_secret(2, 1, rng) for _ in range(3)]
-    assert oracle.verify_concealment(cnot, plan, secrets, [(1,), (2,)]) < 1e-10
+    assert oracle.verify_concealment(cnot, plan, [(1,), (2,)]) < 1e-10
 
 
 def test_concealment_fails_without_the_generator(cnot):
     plan = twirl_plan(cnot)
     crippled = replace(plan, twirl_generators=(), key_length=0)
-    secrets = [oracle.basis_secret(2, 1, 0), oracle.basis_secret(2, 1, 1)]
-    dist = oracle.verify_concealment(cnot, crippled, secrets, [(1,)])
+    dist = oracle.verify_concealment(cnot, crippled, [(1,)])
     assert dist > 0.99
+
+
+@st.composite
+def _code_and_kept_generators(draw):
+    """A random code, its triplet and its twirl plan with a random subset
+    of the twirl generators kept."""
+    d = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(2, {2: 4, 3: 3, 5: 2}[d]))
+    k = draw(st.integers(1, n - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = random_code(rng, d, n, k)
+    t = classify(c)
+    plan = twirl_plan(c, t)
+    mask = draw(st.lists(st.booleans(), min_size=plan.key_length,
+                         max_size=plan.key_length))
+    kept = tuple(g for g, keep in zip(plan.twirl_generators, mask) if keep)
+    return c, t, replace(plan, twirl_generators=kept, key_length=len(kept))
+
+
+@given(_code_and_kept_generators())
+@settings(max_examples=40, deadline=None)
+def test_concealment_bound_vanishes_iff_no_surviving_pauli_is_seen(case):
+    # A nonidentity logical Pauli survives the twirl iff it commutes with
+    # every kept generator.  The dense bound must vanish exactly when no
+    # survivor lies in the symbolic G(S) of an intermediate subset.
+    c, t, plan = case
+    d, k = c.d, c.k
+    paulis = np.array(list(itertools.product(range(d), repeat=2 * k)))[1:]
+    kept = np.array([symplectic_vector(g) for g in plan.twirl_generators],
+                    dtype=np.int64).reshape(-1, 2 * k)
+    survivors = paulis[~pairing(paulis, kept, d).any(axis=1)]
+    seen = False
+    for subset in t.intermediate:
+        group = info_group(c, subset).generator_rows()
+        seen = seen or any(
+            mod_rank(np.vstack([group, p]), d) == len(group) for p in survivors)
+    bound = oracle.verify_concealment(c, plan, t.intermediate)
+    assert (bound < oracle.STATE_TOL) == (not seen), (c, plan.twirl_generators)
+
+
+def test_one_generator_of_a_minimal_key_can_conceal():
+    # The intermediate groups are <XZ> and <XZ^2>.  Their span is every
+    # Pauli, so a twirl that kills all of G_I needs both X and Z; but X
+    # alone, or Z alone, already kills XZ and XZ^2 and all their powers.
+    c = load(Path(__file__).parent / "data" / "rand_3_5_1.json")
+    t = classify(c)
+    assert {info_group(c, s).generators for s in t.intermediate} == {
+        ((1, 1),), ((1, 2),)}
+    plan = twirl_plan(c, t)
+    assert [str(g) for g in plan.twirl_generators] == ["x1z0", "x0z1"]
+    rng = np.random.default_rng(6)
+    secrets = [oracle.basis_secret(3, 1, j) for j in range(3)]
+    secrets += [oracle.random_secret(3, 1, rng) for _ in range(2)]
+    for g in plan.twirl_generators:
+        single = replace(plan, twirl_generators=(g,), key_length=1)
+        assert oracle.verify_concealment(c, single, t.intermediate) < 1e-12
+        assert concealment_reference(c, single, secrets,
+                                     t.intermediate) < 1e-12
 
 
 def test_keyed_recovery_is_channel_equivalent(four_two_two):
@@ -438,7 +479,7 @@ def test_keyed_recovery_is_channel_equivalent(four_two_two):
     comps = [tuple(sorted(set(range(1, 5)) - set(target)))
              for target in t.minimal_authorized]
     unkeyed = oracle.choi_decoupling(four_two_two, comps)
-    for key in enumerate_keys(plan):
+    for key in itertools.product(range(2), repeat=plan.key_length):
         u = pauli.dense_matrix(twirl_operator(plan, key), cap=4)
         for comp, plain in zip(comps, unkeyed):
             keyed = _reference_decoupling(v @ u, 2, comp)
