@@ -50,8 +50,9 @@ class CodeValidationError(ValueError):
 def _check_int64_range(d: int, n: int) -> None:
     """Reject a D for which int64 arithmetic on n carriers could wrap.
 
-    The largest int64 accumulation (an elimination step, an InfoGroup
-    element) is a sum of at most 2n products of digits < D.
+    Elimination runs on Python ints, but numpy products such as
+    ``pairing`` still accumulate in int64: the largest is a sum of at most
+    2n products of digits < D.
     """
     if 2 * max(n, 1) * (d - 1) ** 2 >= 2**63:
         raise ValueError(

@@ -29,13 +29,17 @@ logicals with a representative on S (Bravyi & Terhal, NJP 11, 043029
 carrier n; each other subset is the complement of one of them and gets its
 record by the rule above.
 
+Leaves repeat: the walk often reaches the same row list by different
+paths (ghz_16 has 16 distinct lists among 32,768 leaves), so ``classify``
+solves each distinct list once and reuses its class and (r, s).
+
 The walk also yields what the twirl needs.  Over the intermediate leaves L,
 ``classify`` keeps the span of the G(L) and their intersection, updating
-either only when a leaf's group is not already inside it; the intermediate
-group is the span plus the commutant of the intersection (see
-``twirl.intermediate_group``).  ``info_group`` remains the independent
-solve of one subset, for ``classify --subset`` and the checks of
-``simulate``.
+either only when a leaf's group is not already inside it; a repeated leaf
+changes neither.  The intermediate group is the span plus the commutant of
+the intersection (see ``twirl.intermediate_group``).  ``info_group``
+remains the independent solve of one subset, for ``classify --subset`` and
+the checks of ``simulate``.
 """
 
 from __future__ import annotations
@@ -112,20 +116,10 @@ class InfoGroup:
             return np.zeros((0, 2 * self.k), dtype=np.int64)
         return np.array(self.generators, dtype=np.int64)
 
-    def elements(self):
-        """All d^rank member vectors (desk scale only)."""
-        rows = self.generator_rows()
-        for coeffs in itertools.product(range(self.d), repeat=self.rank):
-            yield (np.array(coeffs, dtype=np.int64) @ rows) % self.d
-
 
 def group_from_rows(d: int, k: int, rows) -> InfoGroup:
-    rows = np.asarray(rows, dtype=np.int64)
-    if rows.size == 0:
-        basis = np.zeros((0, 2 * k), dtype=np.int64)
-    else:
-        basis = row_space_basis(rows, d)
-    return InfoGroup(d, k, tuple(tuple(int(v) for v in row) for row in basis))
+    basis = row_space_basis(np.reshape(rows, (-1, 2 * k)), d)
+    return InfoGroup(d, k, tuple(map(tuple, basis.tolist())))
 
 
 def complement(subset, n: int) -> tuple[int, ...]:
@@ -399,8 +393,7 @@ _DUAL_CLASS = {"A": "F", "F": "A", "I": "I"}
 
 def _rs_of(group: InfoGroup) -> tuple[int, int]:
     rows = group.generator_rows()
-    rank2r = mod_rank(pairing(rows, rows, group.d), group.d) if group.rank else 0
-    r = rank2r // 2
+    r = mod_rank(pairing(rows, rows, group.d), group.d) // 2
     return r, group.rank - 2 * r
 
 
@@ -413,6 +406,11 @@ def classify(code: StabilizerCode) -> SchemeTriplet:
     are built in ``subsets_in_order`` once the walk has ended.  The walk's
     intermediate leaves also give ``leaf_span`` and ``leaf_core``; each
     changes rank monotonically, so each is rebuilt at most 2k times.
+
+    Class and (r, s) are memoized on the leaf's rows for the duration of
+    the call: a leaf seen before costs one dict lookup, and only a first
+    sighting is solved and offered to the span and core, which a full span
+    and a trivial core turn away without a solve.
     """
     n, k = code.n, code.k
     if n > DEFAULT_CLASSIFY_CAP:
@@ -425,15 +423,17 @@ def classify(code: StabilizerCode) -> SchemeTriplet:
     r_of, s_of = [0] * half, [0] * half
     span = InfoGroup(code.d, k, ())
     core = group_from_rows(code.d, k, np.eye(2 * k))
+    stats: dict[tuple, tuple[str, int, int]] = {}  # by the leaf's rows
     for mask, rows in _walk(code):
-        g = group_from_rows(code.d, k, rows)
-        classes[mask] = g.access_class
-        r_of[mask], s_of[mask] = _rs_of(g)
-        if classes[mask] == "I":
-            if not _contains(g, span):
+        key = tuple(map(tuple, rows))
+        if key not in stats:
+            g = group_from_rows(code.d, k, rows)
+            stats[key] = (g.access_class, *_rs_of(g))
+            if g.access_class == "I" and not _contains(g, span):
                 span = group_from_rows(code.d, k, span.generators + g.generators)
-            if not _contains(core, g):
+            if g.access_class == "I" and not _contains(core, g):
                 core = _meet(core, g)
+        classes[mask], r_of[mask], s_of[mask] = stats[key]
     records = []
     for subset in subsets_in_order(n):
         mask = sum(1 << (c - 1) for c in subset)

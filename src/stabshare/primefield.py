@@ -1,11 +1,11 @@
 """Exact linear algebra over Z_p for prime p, on int64 arrays.
 
 Every function takes a plain integer array (or nested lists) and the
-modulus p, and returns reduced arrays: ``mod_rref`` is Gauss-Jordan
+modulus p, and returns reduced int64 arrays: ``mod_rref`` is Gauss-Jordan
 elimination, and rank, solve, nullspace and row-space basis are built on
-it.  At the sizes this package targets (tens of rows) that is exact and
-instant, as long as the products it forms stay inside int64;
-``StabilizerCode`` rejects any D for which they could not.
+it.  Inside, ``mod_rref`` works on lists of Python ints, which never
+overflow and, at the sizes this package targets (tens of rows), make each
+row operation cheaper than a numpy call would.
 """
 
 from __future__ import annotations
@@ -62,31 +62,27 @@ def _as_matrix(a) -> np.ndarray:
 
 def mod_rref(a, p: int) -> tuple[np.ndarray, int, list[int]]:
     """Reduced row-echelon form mod p: returns (rref, rank, pivot columns)."""
-    m = _as_matrix(a) % p
-    m = m.copy()
-    n_rows, n_cols = m.shape
+    arr = _as_matrix(a)
+    n_rows, n_cols = arr.shape
+    m = (arr % p).tolist()
     pivots: list[int] = []
     r = 0
     for c in range(n_cols):
-        pivot_row = None
-        for i in range(r, n_rows):
-            if m[i, c]:
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(r, n_rows) if m[i][c]), None)
         if pivot_row is None:
             continue
-        if pivot_row != r:
-            m[[r, pivot_row]] = m[[pivot_row, r]]
-        inv = pow(int(m[r, c]), -1, p)
-        m[r] = m[r] * inv % p
-        for i in range(n_rows):
-            if i != r and m[i, c]:
-                m[i] = (m[i] - m[i, c] * m[r]) % p
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = pow(m[r][c], -1, p)
+        top = m[r] = [v * inv % p for v in m[r]]
+        for i, row in enumerate(m):
+            t = row[c]
+            if t and i != r:
+                m[i] = [(v - t * w) % p for v, w in zip(row, top)]
         pivots.append(c)
         r += 1
         if r == n_rows:
             break
-    return m, r, pivots
+    return np.array(m, dtype=np.int64).reshape(n_rows, n_cols), r, pivots
 
 
 def mod_rank(a, p: int) -> int:

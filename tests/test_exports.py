@@ -18,7 +18,7 @@ DELETED = {
                         "commutation_exponent", "inverse",
                         "_single_qudit_xz"),
     "stabshare.infogroup": ("pairing_matrix", "_pairing_row",
-                            "InfoGroup.contains"),
+                            "InfoGroup.contains", "InfoGroup.elements"),
     "stabshare.twirl": ("twirl_average_is_zero", "enumerate_keys"),
     "stabshare.oracle": ("verify_perfect_presence", "pauli_eigen_sectors",
                          "hs_inner", "choi_check", "_choi_marginal",

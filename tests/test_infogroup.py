@@ -347,6 +347,27 @@ def test_walk_matches_info_group_on_data_codes(path):
     _assert_walk_matches_direct_solves(load(path))
 
 
+@pytest.mark.parametrize("c", [
+    *(pytest.param(catalog("ghz_n", n), id=f"ghz_{n}") for n in range(6, 11)),
+    pytest.param(catalog("steane"), id="steane"),
+    *(pytest.param(load(p), id=p.stem) for p in DATA_CODES
+      if p.stem in ("rand_3_5_1", "rand_10007_8_2"))])
+def test_classify_solves_each_distinct_leaf_once(c, monkeypatch):
+    _assert_walk_matches_direct_solves(c)
+    leaves = [tuple(map(tuple, rows)) for _, rows in infogroup._walk(c)]
+    assert len(set(leaves)) < len(leaves)
+    calls = count_calls(monkeypatch, infogroup, "_rs_of")
+    t = classify(c)
+    assert calls["_rs_of"] == len(set(leaves))
+    # A repeated leaf skips the span and core updates; they must lose nothing.
+    # The intersection is taken as the commutant of the commutants' span.
+    groups = [info_group(c, s) for s in t.intermediate if c.n not in s]
+    span = lambda gs: group_from_rows(
+        c.d, c.k, [row for g in gs for row in g.generators])
+    assert t.leaf_span == span(groups)
+    assert t.leaf_core == commutant(span(commutant(g) for g in groups))
+
+
 def _enumerated_threshold(t):
     """q if the authorized sets are exactly those of size >= q, by listing."""
     if not t.authorized:

@@ -1,6 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stabshare.primefield import (
@@ -12,7 +14,8 @@ from stabshare.primefield import (
     mod_solve,
 )
 
-PRIMES = [2, 3, 5, 7]
+SMALL_PRIMES = [2, 3, 5, 7]
+PRIMES = SMALL_PRIMES + [10007, 65537]  # the large D of the qudit-mix codes
 
 
 def test_is_prime():
@@ -85,14 +88,41 @@ def test_empty_shapes():
 
 
 @st.composite
-def matrix_and_prime(draw):
-    p = draw(st.sampled_from(PRIMES))
-    rows = draw(st.integers(1, 5))
-    cols = draw(st.integers(1, 5))
+def matrix_and_prime(draw, primes=PRIMES, min_dim=1, max_dim=5):
+    p = draw(st.sampled_from(primes))
+    rows = draw(st.integers(min_dim, max_dim))
+    cols = draw(st.integers(min_dim, max_dim))
     data = draw(st.lists(
         st.lists(st.integers(0, p - 1), min_size=cols, max_size=cols),
         min_size=rows, max_size=rows))
-    return np.array(data, dtype=np.int64), p
+    return np.array(data, dtype=np.int64).reshape(rows, cols), p
+
+
+def _span(rows, p, cols):
+    """Every Z_p combination of `rows` (lists of ints), by enumeration."""
+    return {tuple(sum(c * row[j] for c, row in zip(coeffs, rows)) % p
+                  for j in range(cols))
+            for coeffs in itertools.product(range(p), repeat=len(rows))}
+
+
+@given(matrix_and_prime(SMALL_PRIMES, min_dim=0, max_dim=4))
+@example((np.zeros((0, 3), dtype=np.int64), 5))
+@example((np.ones((2, 0), dtype=np.int64), 3))
+@settings(max_examples=150)
+def test_rref_spans_the_input_rows_and_is_reduced(mp):
+    # A reference that does not eliminate: the row space by enumeration.
+    m, p = mp
+    red, rank, pivots = mod_rref(m, p)
+    assert red.dtype == np.int64 and red.shape == m.shape
+    span = _span(m.tolist(), p, m.shape[1])
+    assert _span(red.tolist(), p, m.shape[1]) == span
+    assert len(span) == p**rank == p**len(pivots)
+    assert ((0 <= red) & (red < p)).all()
+    assert not red[rank:].any()
+    assert pivots == sorted(set(pivots))
+    for row, col in enumerate(pivots):
+        assert not red[row, :col].any() and red[row, col] == 1
+        assert red[:, col].tolist() == [int(i == row) for i in range(len(m))]
 
 
 @given(matrix_and_prime())

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -111,7 +112,9 @@ def test_twirl_kills_every_intermediate_element(catalog_codes):
         plan = twirl_plan(c)
         if plan.is_empty:
             continue
-        for vec in plan.intermediate.elements():
+        group = plan.intermediate
+        for coeffs in itertools.product(range(c.d), repeat=group.rank):
+            vec = np.array(coeffs, dtype=np.int64) @ group.generator_rows() % c.d
             if not vec.any():
                 continue
             assert any(pairing(symplectic_vector(t), vec, c.d)
