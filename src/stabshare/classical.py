@@ -11,6 +11,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .primefield import check_prime, is_prime
 from .twirl import draw_key
 
@@ -159,12 +161,18 @@ def _check_antichain(minimal_sets) -> tuple[tuple[int, ...], ...]:
     sets = tuple(tuple(sorted(set(int(i) for i in s))) for s in minimal_sets)
     if not sets:
         raise ValueError("minimal authorized sets must be nonempty")
-    frozen = [frozenset(s) for s in sets]
-    for a, fa in zip(sets, frozen):
-        for b, fb in zip(sets, frozen):
-            if fa < fb:
-                raise ValueError(
-                    f"minimal sets must form an antichain: {a} is inside {b}")
+    # a is a proper subset of b iff it shares all |a| of its players with
+    # b and |a| < |b|; argwhere scans (a, b) in the old loop's order.  No
+    # count exceeds the number of players, so its smallest type is exact.
+    players = sorted({i for s in sets for i in s})
+    member = np.array([[i in s for i in players] for s in sets],
+                      dtype=np.min_scalar_type(len(players)))
+    size = member.sum(axis=1)
+    inside = (member @ member.T == size[:, None]) & (size[:, None] < size)
+    if inside.any():
+        a, b = np.argwhere(inside)[0]
+        raise ValueError(f"minimal sets must form an antichain: "
+                         f"{sets[a]} is inside {sets[b]}")
     return sets
 
 

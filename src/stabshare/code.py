@@ -50,9 +50,11 @@ class CodeValidationError(ValueError):
 def _check_int64_range(d: int, n: int) -> None:
     """Reject a D for which int64 arithmetic on n carriers could wrap.
 
-    Elimination runs on Python ints, but numpy products such as
-    ``pairing`` still accumulate in int64: the largest is a sum of at most
-    2n products of digits < D.
+    ``mod_rref`` runs on Python ints, but numpy products such as
+    ``pairing`` accumulate in int64: the largest is a sum of at most 2n
+    products of digits < D.  The fraction-free steps of ``classify``'s walk
+    and ``mod_rref_stack`` add two such products, which the bound also
+    covers.
     """
     if 2 * max(n, 1) * (d - 1) ** 2 >= 2**63:
         raise ValueError(

@@ -18,42 +18,40 @@ commutant of G(S) inside Z_d^(2k) (Gheorghiu, Looi & Griffiths, PRA 81,
 if G(S) has r hyperbolic pairs and s isotropic generators, G(S-bar) has
 k - r - s pairs and the same s (the two share their radical).
 
-``classify`` makes no per-subset solve.  One depth-first walk of the subset
-lattice decides the carriers in turn, each into S or S-bar, and keeps the
-span of the logical-plus-stabilizer combinations that act as the identity
-on the carriers put in S-bar so far.  Putting a carrier in S-bar adds its x
-and z columns as two constraints, one pivot each, and at a leaf the span's
-logical coefficients span G(S): the cleaning-lemma view of G(S) as the
-logicals with a representative on S (Bravyi & Terhal, NJP 11, 043029
-(2009)), made incremental.  The walk visits only the subsets without
-carrier n; each other subset is the complement of one of them and gets its
-record by the rule above.
+``classify`` makes no per-subset solve.  One breadth-first walk of the
+subset lattice decides the carriers in turn, each into S or S-bar, and
+keeps the span of the logical-plus-stabilizer combinations that act as the
+identity on the carriers put in S-bar so far.  Putting a carrier in S-bar
+clears its x and z columns, one fraction-free pivot each, and at a leaf
+the span's logical coefficients span G(S): the cleaning-lemma view of G(S)
+as the logicals with a representative on S (Bravyi & Terhal, NJP 11,
+043029 (2009)), made incremental.  Each level treats all its nodes at
+once, on stacked int64 arrays in chunks under a fixed cell budget.  The
+walk visits only the subsets without carrier n; each other subset is the
+complement of one of them and gets its record by the rule above.
 
-Leaves repeat: the walk often reaches the same row list by different
-paths (ghz_16 has 16 distinct lists among 32,768 leaves), so ``classify``
-solves each distinct list once and reuses its class and (r, s).
-
-The walk also yields what the twirl needs.  Over the intermediate leaves L,
-``classify`` keeps the span of the G(L) and their intersection, updating
-either only when a leaf's group is not already inside it; a repeated leaf
-changes neither.  The intermediate group is the span plus the commutant of
-the intersection (see ``twirl.intermediate_group``).  ``info_group``
-remains the independent solve of one subset, for ``classify --subset`` and
-the checks of ``simulate``.
+Groups repeat (ghz_16 has 2 distinct groups among 32,768 leaves), so each
+leaf's group is keyed by its canonical echelon from
+``primefield.mod_rref_stack`` and each distinct group is solved once.  Over
+the distinct intermediate groups G(L), ``classify`` also keeps their span
+and their intersection for the twirl: the intermediate group is the span
+plus the commutant of the intersection (see ``twirl.intermediate_group``).
+``info_group`` remains the independent solve of one subset, for
+``classify --subset`` and the checks of ``simulate``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .code import StabilizerCode
 from .pauli import ResourceLimitError, pairing
-from .primefield import mod_nullspace, mod_rank, mod_solve, row_space_basis
+from .primefield import (mod_nullspace, mod_rank, mod_rref_stack, mod_solve,
+                         row_space_basis)
 
 __all__ = [
     "InfoGroup",
@@ -318,51 +316,63 @@ class SchemeTriplet:
         return out
 
 
-def _restrict(rows: list[list[int]], col: int, d: int) -> list[list[int]]:
-    """Span of `rows` with a zero in column `col`, by one pivot.
+# Int64 cells per batch of ``_walk``, which bounds its memory: a batch
+# whose next level would pass it drops its zero rows, then splits.
+_CELL_BUDGET = 1 << 12
 
-    The first row with a nonzero entry is the pivot: a multiple of it
-    clears the column from every later row, and it is dropped.
+
+def _clear(rows: np.ndarray, at: np.ndarray, d: int) -> np.ndarray:
+    """Each slice's span with a zero first column, less that column.
+
+    Fraction-free: with P the slice's first row with a nonzero entry t
+    there, each row R becomes t R + R[0] (d - P) mod d, and P zero.  A
+    slice without one is unchanged.  `at` is ``arange(len(rows))``.
     """
-    kept = []
-    pivot = None
-    for row in rows:
-        t = row[col]
-        if not t:
-            kept.append(row)
-        elif pivot is None:
-            pivot, inv = row, pow(t, -1, d)
-        else:
-            f = t * inv % d
-            kept.append([(a - f * b) % d for a, b in zip(row, pivot)])
-    return kept
+    col = rows[:, :, 0]
+    piv = (col != 0).argmax(axis=1)
+    pt = np.maximum(col[at, piv], 1)
+    return (rows[:, :, 1:] * pt[:, None, None]
+            + col[:, :, None] * (d - rows[at, piv, None, 1:])) % d
 
 
 def _walk(code: StabilizerCode):
-    """Yield (mask, rows) for every subset S of {1..n-1}; rows span G(S).
+    """Yield (masks, echelons) for chunks of the subsets S of {1..n-1}.
 
-    `mask` has bit i-1 set for each carrier i in S.  A row holds 2k logical
-    coefficients, then the (x|z) image on the n carriers of the combination
-    of logical and stabilizer rows they describe.  Carrier n is put in S-bar
-    at the root, then carriers 1..n-1 are decided depth first.
+    masks[b] has bit i-1 set for each carrier i in S; echelons[b] is
+    ``mod_rref_stack`` of G(S)'s generators.  Each node's rows are the
+    (x|z) image on the undecided carriers of the combinations that act as
+    the identity on S-bar so far, then their 2k logical coefficients.
+    Carrier n is put in S-bar at the root, then each level decides the
+    next of carriers 1..n-1 for every node of a batch at once.
     """
     d, n, k = code.d, code.n, code.k
     stacked = np.vstack([code.logical_rows(), code.stabilizer_rows()]) % d
-    rows = [[int(j == i) for j in range(2 * k)] + [int(v) for v in image]
-            for i, image in enumerate(stacked)]
-
-    def out_of_s(rows, i):  # carrier i (1-based) goes in S-bar
-        x_col = 2 * k + i - 1
-        return _restrict(_restrict(rows, x_col, d), x_col + n, d)
-
-    stack = [(1, 0, out_of_s(rows, n))]
+    order = [n - 1, *range(n - 1)]  # carrier n, then 1..n-1
+    image = stacked[:, [j for i in order for j in (i, n + i)]]
+    rows = np.hstack([image, np.eye(n + k, 2 * k, dtype=np.int64)])[None]
+    root = np.zeros(1, dtype=np.int64)  # its mask, and arange(1)
+    stack = [(1, root, _clear(_clear(rows, root, d), root, d))]
     while stack:
-        i, mask, rows = stack.pop()
+        i, masks, rows = stack.pop()
         if i == n:
-            yield mask, [row[:2 * k] for row in rows]
+            yield masks, mod_rref_stack(rows, d)
             continue
-        stack.append((i + 1, mask, out_of_s(rows, i)))
-        stack.append((i + 1, mask | 1 << (i - 1), rows))
+        if 2 * rows.size > _CELL_BUDGET:
+            # Keep as many rows as the fullest slice has (one at least,
+            # for ``_clear``), nonzero rows first.
+            nonzero = rows.any(axis=2)
+            keep = np.argsort(~nonzero, axis=1, kind="stable")
+            keep = keep[:, :max(nonzero.sum(axis=1).max(), 1)]
+            rows = rows[np.arange(len(rows))[:, None], keep]
+            if 2 * rows.size > _CELL_BUDGET and len(masks) > 1:
+                h = len(masks) // 2
+                stack += [(i, masks[h:], rows[h:]), (i, masks[:h], rows[:h])]
+                continue
+        at = np.arange(len(masks))
+        rows = np.concatenate([rows[:, :, 2:],
+                               _clear(_clear(rows, at, d), at, d)])
+        stack.append((i + 1, np.concatenate([masks | 1 << (i - 1), masks]),
+                      rows))
 
 
 def _contains(a: InfoGroup, b: InfoGroup) -> bool:
@@ -388,7 +398,8 @@ def _meet(a: InfoGroup, b: InfoGroup) -> InfoGroup:
     return group_from_rows(d, a.k, coeffs[:, :a.rank] @ rows % d)
 
 
-_DUAL_CLASS = {"A": "F", "F": "A", "I": "I"}
+# Class codes in ``classify``'s arrays; the dual of code c is 2 - c.
+_CLASSES = "AIF"
 
 
 def _rs_of(group: InfoGroup) -> tuple[int, int]:
@@ -400,77 +411,85 @@ def _rs_of(group: InfoGroup) -> tuple[int, int]:
 def classify(code: StabilizerCode) -> SchemeTriplet:
     """Classify every subset of carriers.
 
-    One walk of the subset lattice (``_walk``) yields G(S) for every S
-    without carrier n, and S gets its class and (r, s) from it.  By duality
-    the complement of S gets the dual class and (k - r - s, s).  The records
-    are built in ``subsets_in_order`` once the walk has ended.  The walk's
-    intermediate leaves also give ``leaf_span`` and ``leaf_core``; each
-    changes rank monotonically, so each is rebuilt at most 2k times.
-
-    Class and (r, s) are memoized on the leaf's rows for the duration of
-    the call: a leaf seen before costs one dict lookup, and only a first
-    sighting is solved and offered to the span and core, which a full span
-    and a trivial core turn away without a solve.
+    ``_walk`` yields the echelon basis of G(S) for every S without carrier
+    n.  Each distinct group is solved once for its class and (r, s), and
+    offered to ``leaf_span`` and ``leaf_core`` if intermediate; each of
+    those changes rank monotonically, so is rebuilt at most 2k times.  By
+    duality the complement of S gets the dual class and (k - r - s, s).
+    Lists, extremal sets and the size summary come from arrays indexed by
+    subset bitmask; records are built only when kept.
     """
-    n, k = code.n, code.k
+    d, n, k = code.d, code.n, code.k
     if n > DEFAULT_CLASSIFY_CAP:
         raise ResourceLimitError(f"classification enumerates 2^{n} subsets, "
                                  f"cap is n <= {DEFAULT_CLASSIFY_CAP}")
 
-    # The walk's results, by the leaf's bitmask (below 2^(n-1)).
-    full, half = (1 << n) - 1, 1 << (n - 1)
-    classes: list[str | None] = [None] * half
-    r_of, s_of = [0] * half, [0] * half
-    span = InfoGroup(code.d, k, ())
-    core = group_from_rows(code.d, k, np.eye(2 * k))
-    stats: dict[tuple, tuple[str, int, int]] = {}  # by the leaf's rows
-    for mask, rows in _walk(code):
-        key = tuple(map(tuple, rows))
-        if key not in stats:
-            g = group_from_rows(code.d, k, rows)
-            stats[key] = (g.access_class, *_rs_of(g))
+    # Class code, r and s by subset bitmask; the walk fills the lower half.
+    # All are at most n <= 20, so int8 keeps these 2^n-long arrays small.
+    half = 1 << (n - 1)
+    by_mask = np.zeros((3, 2 * half), dtype=np.int8)
+    span = InfoGroup(d, k, ())
+    core = InfoGroup(d, k, tuple(map(tuple, np.eye(2 * k, dtype=int).tolist())))
+    solved: dict[bytes, tuple[int, int, int]] = {}  # by the group's echelon
+    for masks, echelons in _walk(code):
+        raw, step = echelons.tobytes(), echelons[0].nbytes
+        for key in {raw[i:i + step] for i in range(0, len(raw), step)}:
+            if key in solved:
+                continue
+            rows = np.frombuffer(key, dtype=np.int64).reshape(2 * k, -1)
+            g = InfoGroup(d, k, tuple(
+                row for row in map(tuple, rows.tolist()) if any(row)))
+            solved[key] = (_CLASSES.index(g.access_class), *_rs_of(g))
             if g.access_class == "I" and not _contains(g, span):
-                span = group_from_rows(code.d, k, span.generators + g.generators)
+                span = group_from_rows(d, k, span.generators + g.generators)
             if g.access_class == "I" and not _contains(core, g):
-                core = _meet(core, g)
-        classes[mask], r_of[mask], s_of[mask] = stats[key]
-    records = []
-    for subset in subsets_in_order(n):
-        mask = sum(1 << (c - 1) for c in subset)
-        if mask < half:
-            rec = SubsetRecord(subset, classes[mask], r_of[mask], s_of[mask])
-        else:  # the complement of a leaf: dual class, (k - r - s, s)
-            leaf = full ^ mask
-            rec = SubsetRecord(subset, _DUAL_CLASS[classes[leaf]],
-                               k - r_of[leaf] - s_of[leaf], s_of[leaf])
-        records.append(rec)
+                core = g if core.is_full else _meet(core, g)
+        by_mask[:, masks] = np.array(
+            [solved[raw[i:i + step]] for i in range(0, len(raw), step)]).T
+    # Mask m >= half is the complement of 2 half - 1 - m: dual class,
+    # (k - r - s, s).
+    low = by_mask[:, half - 1::-1]
+    by_mask[:, half:] = 2 - low[0], k - low[1] - low[2], low[2]
 
-    by_class: dict[str, list[tuple[int, ...]]] = {"A": [], "F": [], "I": []}
-    for rec in records:
-        by_class[rec.cls].append(rec.subset)
-    authorized = set(by_class["A"])
-    forbidden = set(by_class["F"])
+    # A is minimal if no set one carrier smaller is A.  Bit j of a mask is
+    # the middle axis of the (-1, 2, 2^j) view, whose 1 side is one carrier
+    # larger than its 0 side.  By duality the maximal F sets are the
+    # complements of the minimal A sets.
+    minimal, not_a = by_mask[0] == 0, by_mask[0] != 0
+    for j in range(n):
+        shape = (-1, 2, 1 << j)
+        minimal.reshape(shape)[:, 1] &= not_a.reshape(shape)[:, 0]
 
-    minimal_a = tuple(
-        s for s in by_class["A"]
-        if not any(t in authorized for t in one_smaller(s)))
-    maximal_f = tuple(
-        s for s in by_class["F"]
-        if not any(t in forbidden for t in one_larger(s, n)))
+    # The masks in ``subsets_in_order``, from the same enumeration of bits.
+    bits = [1 << j for j in range(n)]
+    in_order = np.fromiter(map(sum, itertools.chain.from_iterable(
+        itertools.combinations(bits, size) for size in range(n + 1))),
+        dtype=np.int32, count=2 * half)
+    subsets = list(subsets_in_order(n))
+    cls, r_of, s_of = by_mask[:, in_order]
 
-    counts = Counter((len(rec.subset), rec.cls) for rec in records)
-    summary = [(size, counts[size, "A"], counts[size, "F"], counts[size, "I"])
-               for size in range(n + 1)]
+    def listed(flags):
+        return tuple(itertools.compress(subsets, flags.tolist()))
+
+    sizes = np.repeat(np.arange(n + 1, dtype=np.int8),
+                      [math.comb(n, j) for j in range(n + 1)])
+    counts = np.bincount(3 * sizes + cls, minlength=3 * (n + 1))
+    records = None
+    if n <= FULL_LISTING_MAX_N:
+        records = tuple(map(SubsetRecord, subsets,
+                            map(_CLASSES.__getitem__, cls.tolist()),
+                            r_of.tolist(), s_of.tolist()))
 
     return SchemeTriplet(
-        n=n, d=code.d, k=code.k,
-        authorized=tuple(by_class["A"]),
-        forbidden=tuple(by_class["F"]),
-        intermediate=tuple(by_class["I"]),
-        minimal_authorized=minimal_a,
-        maximal_forbidden=maximal_f,
-        size_summary=tuple(summary),
-        records=tuple(records) if n <= FULL_LISTING_MAX_N else None,
+        n=n, d=d, k=k,
+        authorized=listed(cls == 0),
+        forbidden=listed(cls == 2),
+        intermediate=listed(cls == 1),
+        minimal_authorized=listed(minimal[in_order]),
+        maximal_forbidden=listed(minimal[::-1][in_order]),
+        size_summary=tuple((size, a, f, i) for size, (a, i, f)
+                           in enumerate(counts.reshape(-1, 3).tolist())),
+        records=records,
         leaf_span=span,
         leaf_core=core,
     )

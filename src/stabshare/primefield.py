@@ -6,6 +6,10 @@ elimination, and rank, solve, nullspace and row-space basis are built on
 it.  Inside, ``mod_rref`` works on lists of Python ints, which never
 overflow and, at the sizes this package targets (tens of rows), make each
 row operation cheaper than a numpy call would.
+
+``mod_rref_stack`` reduces a whole stack of small matrices at once on
+int64: fraction-free, so every product stays below p^2, with one Fermat
+inverse per pivot at the end.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ __all__ = [
     "is_prime",
     "check_prime",
     "mod_rref",
+    "mod_rref_stack",
     "mod_rank",
     "mod_solve",
     "mod_nullspace",
@@ -60,14 +65,11 @@ def _as_matrix(a) -> np.ndarray:
     return m
 
 
-def mod_rref(a, p: int) -> tuple[np.ndarray, int, list[int]]:
-    """Reduced row-echelon form mod p: returns (rref, rank, pivot columns)."""
-    arr = _as_matrix(a)
-    n_rows, n_cols = arr.shape
-    m = (arr % p).tolist()
+def _rref_lists(m: list[list[int]], p: int) -> tuple[int, list[int]]:
+    """Gauss-Jordan in place on rows of ints in [0, p): (rank, pivots)."""
     pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
+    r, n_rows = 0, len(m)
+    for c in range(len(m[0]) if m else 0):
         pivot_row = next((i for i in range(r, n_rows) if m[i][c]), None)
         if pivot_row is None:
             continue
@@ -82,11 +84,57 @@ def mod_rref(a, p: int) -> tuple[np.ndarray, int, list[int]]:
         r += 1
         if r == n_rows:
             break
-    return np.array(m, dtype=np.int64).reshape(n_rows, n_cols), r, pivots
+    return r, pivots
+
+
+def mod_rref(a, p: int) -> tuple[np.ndarray, int, list[int]]:
+    """Reduced row-echelon form mod p: returns (rref, rank, pivot columns)."""
+    arr = _as_matrix(a)
+    m = (arr % p).tolist()
+    r, pivots = _rref_lists(m, p)
+    return np.array(m, dtype=np.int64).reshape(arr.shape), r, pivots
+
+
+def mod_rref_stack(a, p: int) -> np.ndarray:
+    """Reduced echelon form of every slice of a (B, r, c) stack, by pivot.
+
+    Returns shape (B, c, c): slot j of a slice holds its reduced row whose
+    pivot is column j, or zeros if no row has that pivot.  The nonzero
+    slots, in order, are ``row_space_basis`` of the slice, so two slices
+    span the same rows iff their outputs are equal.
+    """
+    m = np.asarray(a, dtype=np.int64) % p
+    if m.ndim != 3:
+        raise ValueError(f"expected a 3-D array, got shape {m.shape}")
+    b, r, c = m.shape
+    if not r:
+        return np.zeros((b, c, c), dtype=np.int64)
+    # Rows r.. are the slots: zero until their column pivots, then part of
+    # every later update, which is the back-substitution.
+    m = np.concatenate([m, np.zeros((b, c, c), dtype=np.int64)], axis=1)
+    at = np.arange(b)
+    for j in range(c):
+        col = m[:, :, j]
+        piv = (col[:, :r] != 0).argmax(axis=1)
+        pt = col[at, piv]
+        # No pivot: pt = 0, the pivot row is slot j (still zero) and the
+        # scale is 1.  Adding p - row keeps every term nonnegative.
+        row = m[at, np.where(pt, piv, r + j)]
+        m = (m * np.maximum(pt, 1)[:, None, None]
+             + col[:, :, None] * (p - row[:, None, :])) % p
+        m[:, r + j] = row
+    slots = m[:, r:]
+    # Scale each slot by lead^(p-2), the inverse of its lead (Fermat).
+    lead = slots[:, np.arange(c), np.arange(c)]
+    inv, e = np.ones_like(lead), p - 2
+    while e:
+        inv = inv * lead % p if e & 1 else inv
+        lead, e = lead * lead % p, e >> 1
+    return slots * inv[:, :, None] % p
 
 
 def mod_rank(a, p: int) -> int:
-    return mod_rref(a, p)[1]
+    return _rref_lists((_as_matrix(a) % p).tolist(), p)[0]
 
 
 def mod_solve(a, b, p: int) -> np.ndarray | None:
@@ -113,18 +161,15 @@ def mod_solve(a, b, p: int) -> np.ndarray | None:
 def mod_nullspace(a, p: int) -> list[np.ndarray]:
     """Basis of {x : a x = 0 mod p}; size is cols - rank."""
     m = _as_matrix(a)
-    n_cols = m.shape[1]
-    red, _, pivots = mod_rref(m, p)
-    pivot_set = set(pivots)
+    red = (m % p).tolist()
+    _, pivots = _rref_lists(red, p)
     basis = []
-    for free in range(n_cols):
-        if free in pivot_set:
-            continue
-        v = np.zeros(n_cols, dtype=np.int64)
+    for free in sorted(set(range(m.shape[1])) - set(pivots)):
+        v = [0] * m.shape[1]
         v[free] = 1
         for row, col in enumerate(pivots):
-            v[col] = (-red[row, free]) % p
-        basis.append(v)
+            v[col] = -red[row][free] % p
+        basis.append(np.array(v, dtype=np.int64))
     return basis
 
 

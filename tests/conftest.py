@@ -73,9 +73,9 @@ def walk_leaves(monkeypatch) -> list[int]:
     real = infogroup._walk
 
     def recording(code):
-        for mask, rows in real(code):
-            leaves.append(mask)
-            yield mask, rows
+        for masks, echelons in real(code):
+            leaves.extend(masks.tolist())
+            yield masks, echelons
 
     monkeypatch.setattr(infogroup, "_walk", recording)
     return leaves

@@ -187,6 +187,30 @@ def test_monotone_antichain_enforced():
         monotone_share([1], [], modulus=3, seed=0)
 
 
+def _first_inclusion(sets):
+    """The message of the first strict inclusion, by a double loop."""
+    for a in sets:
+        for b in sets:
+            if set(a) < set(b):
+                return f"minimal sets must form an antichain: {a} is inside {b}"
+    return None
+
+
+@given(family=st.lists(st.sets(st.integers(1, 7), max_size=5).map(sorted),
+                       min_size=1, max_size=8),
+       plant=st.tuples(st.integers(0, 7), st.integers(0, 8)))
+@settings(max_examples=200, deadline=None)
+def test_antichain_check_reports_the_first_inclusion(family, plant):
+    # Plant a violation: set i plus the smallest player it lacks, inserted
+    # at position j.  The error names the double loop's first inclusion.
+    i, j = plant[0] % len(family), plant[1] % (len(family) + 1)
+    extra = min(set(range(1, 9)) - set(family[i]))
+    family.insert(j, sorted(family[i] + [extra]))
+    with pytest.raises(ValueError) as err:
+        monotone_share([1], family, modulus=3, seed=0)
+    assert str(err.value) == _first_inclusion([tuple(s) for s in family])
+
+
 def test_monotone_partial_view_is_uniform():
     """Exhaustive secrecy oracle: enumerate the splitting draws directly."""
     p = 3

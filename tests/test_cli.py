@@ -261,8 +261,10 @@ def test_simulate_duality_fails_on_wrong_walk_leaf(capsys, monkeypatch):
 
     def corrupted(c):
         # Leaf {1, 2, 3} (bitmask 0b111) loses every generator of its group.
-        for mask, rows in real(c):
-            yield mask, [] if mask == 0b111 else rows
+        for masks, echelons in real(c):
+            echelons = echelons.copy()
+            echelons[masks == 0b111] = 0
+            yield masks, echelons
 
     monkeypatch.setattr(infogroup, "_walk", corrupted)
     status, out, _ = run(capsys, "simulate", "catalog:four_two_two",

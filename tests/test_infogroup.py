@@ -315,16 +315,25 @@ def _reference_records(c):
     return out
 
 
+def _walk_leaves(c):
+    """(subset, echelon) for every leaf of the lattice walk."""
+    return [(tuple(i + 1 for i in range(c.n) if mask >> i & 1), echelon)
+            for masks, echelons in infogroup._walk(c)
+            for mask, echelon in zip(masks.tolist(), echelons)]
+
+
 def _assert_walk_matches_direct_solves(c):
     """The lattice walk against ``info_group``, and classify's records."""
     n = c.n
-    leaves = [(tuple(i + 1 for i in range(n) if mask >> i & 1), rows)
-              for mask, rows in infogroup._walk(c)]
+    leaves = _walk_leaves(c)
     # One leaf for each subset without carrier n.
     assert sorted(s for s, _ in leaves) == sorted(
         s for s in subsets_in_order(n) if n not in s)
-    for s, rows in leaves:
-        assert group_from_rows(c.d, c.k, rows) == info_group(c, s), s
+    for s, echelon in leaves:
+        # Slot j holds the basis row with pivot j; the rest are zero.
+        assert echelon.shape == (2 * c.k, 2 * c.k)
+        basis = tuple(map(tuple, echelon[echelon.any(axis=1)].tolist()))
+        assert basis == info_group(c, s).generators, s
     t = classify(c)
     assert [(r.subset, r.cls, r.r, r.s) for r in t.records] == \
         _reference_records(c)
@@ -354,18 +363,51 @@ def test_walk_matches_info_group_on_data_codes(path):
       if p.stem in ("rand_3_5_1", "rand_10007_8_2"))])
 def test_classify_solves_each_distinct_leaf_once(c, monkeypatch):
     _assert_walk_matches_direct_solves(c)
-    leaves = [tuple(map(tuple, rows)) for _, rows in infogroup._walk(c)]
-    assert len(set(leaves)) < len(leaves)
+    echelons = [echelon.tobytes() for _, echelon in _walk_leaves(c)]
+    assert len(set(echelons)) < len(echelons)
     calls = count_calls(monkeypatch, infogroup, "_rs_of")
     t = classify(c)
-    assert calls["_rs_of"] == len(set(leaves))
-    # A repeated leaf skips the span and core updates; they must lose nothing.
-    # The intersection is taken as the commutant of the commutants' span.
+    assert calls["_rs_of"] == len(set(echelons))
+    # A repeated group skips the span and core updates; they must lose
+    # nothing.  The intersection is taken as the commutant of the
+    # commutants' span.
     groups = [info_group(c, s) for s in t.intermediate if c.n not in s]
     span = lambda gs: group_from_rows(
         c.d, c.k, [row for g in gs for row in g.generators])
     assert t.leaf_span == span(groups)
     assert t.leaf_core == commutant(span(commutant(g) for g in groups))
+
+
+@pytest.mark.parametrize("c", [
+    pytest.param(catalog("steane"), id="steane"),
+    pytest.param(catalog("ghz_n", 6), id="ghz_6"),
+    *(pytest.param(load(p), id=p.stem) for p in DATA_CODES)])
+def test_walk_chunks_do_not_change_the_triplet(c, monkeypatch):
+    whole = classify(c)
+    # At the smallest budget every batch is split down to one node, so
+    # the leaves arrive in pairs, the two sides of carrier n - 1.
+    monkeypatch.setattr(infogroup, "_CELL_BUDGET", 0)
+    assert [len(masks) for masks, _ in infogroup._walk(c)] == \
+        [2] * 2 ** (c.n - 2)
+    _assert_walk_matches_direct_solves(c)
+    assert classify(c) == whole
+
+
+def test_classify_at_the_largest_prime():
+    # 2^31 - 1 is the largest prime that int64 admits (at n = 1): every
+    # fraction-free product in the walk and the stacked echelon is < p^2.
+    c = random_code(np.random.default_rng(3), 2**31 - 1, 1, 1)
+    _assert_walk_matches_direct_solves(c)
+    assert [(r.cls, r.r, r.s) for r in classify(c).records] == \
+        [("F", 0, 0), ("A", 1, 0)]
+
+
+def test_classify_builds_no_records_past_the_listing_cap(monkeypatch):
+    calls = count_calls(monkeypatch, infogroup, "SubsetRecord")
+    assert classify(catalog("ghz_n", 13)).records is None
+    assert not calls
+    classify(catalog("ghz_n", 12))
+    assert calls["SubsetRecord"] == 2**12
 
 
 def _enumerated_threshold(t):

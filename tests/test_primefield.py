@@ -11,7 +11,9 @@ from stabshare.primefield import (
     mod_nullspace,
     mod_rank,
     mod_rref,
+    mod_rref_stack,
     mod_solve,
+    row_space_basis,
 )
 
 SMALL_PRIMES = [2, 3, 5, 7]
@@ -158,3 +160,36 @@ def test_nullspace_vectors_annihilate(mp):
     m, p = mp
     for v in mod_nullspace(m, p):
         assert not np.any(m @ v % p)
+
+
+@st.composite
+def stack_and_prime(draw):
+    p = draw(st.sampled_from(PRIMES + [2**31 - 1]))
+    b, r, c = (draw(st.integers(lo, 5)) for lo in (1, 0, 0))
+    # Few distinct entries, so that slices have zero rows and columns and
+    # lose rank at every p; the last row may be a multiple of the first.
+    entry = st.sampled_from([0, 0, 1, p - 1, p // 2]) | st.integers(0, p - 1)
+    a = np.array(draw(st.lists(entry, min_size=b * r * c,
+                               max_size=b * r * c)),
+                 dtype=np.int64).reshape(b, r, c)
+    if r > 1 and draw(st.booleans()):
+        a[:, -1] = a[:, 0] * draw(st.integers(0, p - 1)) % p
+    return a, p
+
+
+@given(stack_and_prime())
+@example((np.zeros((2, 0, 3), dtype=np.int64), 5))
+@example((np.ones((2, 3, 0), dtype=np.int64), 3))
+@example((np.array([[[0, 2**31 - 2], [0, 5]], [[2**31 - 2, 1], [1, 2]]]),
+          2**31 - 1))
+@settings(max_examples=200)
+def test_rref_stack_slices_equal_row_space_basis(ap):
+    a, p = ap
+    out = mod_rref_stack(a, p)
+    b, _, c = a.shape
+    assert out.dtype == np.int64 and out.shape == (b, c, c)
+    for piece, slots in zip(a, out):
+        assert np.array_equal(slots[slots.any(axis=1)],
+                              row_space_basis(piece, p))
+        for j, row in enumerate(slots):  # slot j has its pivot in column j
+            assert not row.any() or (not row[:j].any() and row[j] == 1)
