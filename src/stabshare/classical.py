@@ -187,10 +187,14 @@ def monotone_share(key_digits, minimal_sets, modulus: int,
     """
     p = check_prime(modulus)
     sets = _check_antichain(minimal_sets)
+    if () in sets:
+        raise ValueError("a minimal authorized set must have a player")
     digits = [int(v) % p for v in key_digits]
     players = sorted({i for s in sets for i in s})
     if n is None:
         n = max(players)
+    if unknown := [i for i in players if not 1 <= i <= n]:
+        raise ValueError(f"player {unknown[0]} is outside 1..{n}")
     rng = random.Random(seed)
     shares: dict[int, list[int]] = {i: [] for i in range(1, n + 1)}
     for members in sets:

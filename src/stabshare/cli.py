@@ -16,7 +16,8 @@ import numpy as np
 
 from . import classical, code as code_mod, infogroup, oracle, twirl
 from .code import CodeFileError, CodeValidationError, StabilizerCode
-from .pauli import ResourceLimitError
+from .pauli import ResourceLimitError, pairing
+from .primefield import mod_rref_stack
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -95,7 +96,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
                 f"bad subset {args.subset!r}: expected e.g. 1,3,4") from exc
     c = _load_code(args.source, args.size_param)
     if subset is not None:
-        g = infogroup.info_group(c, subset)
+        [g] = infogroup.info_group(c, [subset])
         cls = g.access_class
         form = infogroup.canonical_form(g)
         payload = {"code": c.name, "subset": list(subset), "class": cls,
@@ -144,35 +145,48 @@ def _duality_mismatch(c: StabilizerCode, triplet: infogroup.SchemeTriplet,
                       intermediate: infogroup.InfoGroup) -> str | None:
     """First disagreement between commutants, direct solves and `classify`.
 
-    `groups` holds the direct G(S) of every subset in enumeration order.
-    For every subset S the commutant of G(S) must equal the directly solved
-    G(S-bar), and so give S-bar the class that `classify` reported; when
-    `classify` kept its records, their (r, s) must match the direct group's.
-    Last, `intermediate`, the group that the twirl is built from, must be
-    the span of the direct groups of the intermediate subsets.
+    `groups` holds the direct G(S) of every subset in enumeration order, so
+    subset -1 - i is the complement of subset i.  On their stack of echelon
+    slots: the commutant of G(S) is G(S-bar) iff the two pair to zero and
+    their ranks sum to 2k; each class, from the rank, and (r, s), 2r being
+    the Gram matrix's rank, must be what `classify` reported.  Last,
+    `intermediate`, the group that the twirl is built from, must be the
+    span of the direct groups of the intermediate subsets.
     """
+    d, k = c.d, c.k
+    order = list(infogroup.subsets_in_order(c.n))
+    ranks = np.array([g.rank for g in groups])
+    rows = np.array([row for g in groups for row in g.generators],
+                    dtype=np.int64).reshape(-1, 2 * k)
+    slots = np.zeros((len(groups), 2 * k, 2 * k), dtype=np.int64)
+    slots[np.repeat(np.arange(len(groups)), ranks), (rows != 0).argmax(1)] = rows
+    dual = (ranks + ranks[::-1] == 2 * k) & ~pairing(
+        slots, slots[::-1], d).any(axis=(1, 2))
+    direct = np.where(ranks == 2 * k, "A", np.where(ranks == 0, "F", "I"))
     classes = ({s: "A" for s in triplet.authorized}
                | {s: "F" for s in triplet.forbidden})
-    order = list(infogroup.subsets_in_order(c.n))
-    for i in range(len(order) // 2):
-        for own, other in ((i, -1 - i), (-1 - i, i)):
-            subset, comp, direct = order[own], order[other], groups[other]
-            if infogroup.commutant(groups[own]) != direct:
-                return (f"commutant of G({list(subset)}) differs from the "
-                        f"direct G({list(comp)})")
-            reported = classes.get(comp, "I")
-            if direct.access_class != reported:
-                return (f"classify puts {list(comp)} in {reported}, "
-                        f"its group in {direct.access_class}")
-            if triplet.records is not None:
-                rec, rs = triplet.records[other], infogroup._rs_of(direct)
-                if (rec.r, rec.s) != rs:
-                    return (f"classify gives {list(comp)} (r, s) = "
-                            f"{(rec.r, rec.s)}, its group {rs}")
-    inter = set(triplet.intermediate)
-    rows = [row for subset, g in zip(order, groups) if subset in inter
-            for row in g.generators]
-    spanned = infogroup.group_from_rows(c.d, c.k, np.array(rows, dtype=np.int64))
+    reported = np.array([classes.get(s, "I") for s in order])
+    bad = ~dual | (direct != reported)
+    if triplet.records is not None:
+        r = mod_rref_stack(pairing(slots, slots, d), d).any(2).sum(1) // 2
+        rs = np.stack([r, ranks - 2 * r], axis=1)
+        bad |= (rs != [(rec.r, rec.s) for rec in triplet.records]).any(axis=1)
+    # The first failing pair (i, -1 - i), G(-1 - i) checked before G(i).
+    for i in np.flatnonzero(bad | bad[::-1])[:1].tolist():
+        j = -1 - i if bad[-1 - i] else i
+        subset, comp = order[-1 - j], order[j]
+        if not dual[j]:
+            return (f"commutant of G({list(subset)}) differs from the "
+                    f"direct G({list(comp)})")
+        if direct[j] != reported[j]:
+            return (f"classify puts {list(comp)} in {reported[j]}, "
+                    f"its group in {direct[j]}")
+        rec = triplet.records[j]
+        return (f"classify gives {list(comp)} (r, s) = "
+                f"{(rec.r, rec.s)}, its group {tuple(rs[j].tolist())}")
+    spanned = infogroup.group_from_rows(d, k, sorted({
+        row for g, cls in zip(groups, reported.tolist()) if cls == "I"
+        for row in g.generators}))
     if intermediate != spanned:
         return ("intermediate group from classify differs from the span of "
                 "the direct G(S) over the intermediate subsets")
@@ -206,7 +220,7 @@ def run_checks(c: StabilizerCode, seed: int, which: str,
 
     triplet = infogroup.classify(c)
     subsets = list(infogroup.subsets_in_order(c.n))
-    groups = [infogroup.info_group(c, subset) for subset in subsets]
+    groups = infogroup.info_group(c, subsets)
     intermediate = twirl.intermediate_group(c, triplet)
     mismatch = _duality_mismatch(c, triplet, groups, intermediate)
     add("duality", mismatch is None,

@@ -36,8 +36,8 @@ leaf's group is keyed by its canonical echelon from
 the distinct intermediate groups G(L), ``classify`` also keeps their span
 and their intersection for the twirl: the intermediate group is the span
 plus the commutant of the intersection (see ``twirl.intermediate_group``).
-``info_group`` remains the independent solve of one subset, for
-``classify --subset`` and the checks of ``simulate``.
+``info_group`` solves listed subsets directly, stacked by size, with the
+walk's column clearing: for ``classify --subset`` and ``simulate``.
 """
 
 from __future__ import annotations
@@ -141,30 +141,40 @@ def one_larger(subset, n: int) -> list[tuple[int, ...]]:
             for i in range(1, n + 1) if i not in subset]
 
 
-def info_group(code: StabilizerCode, subset) -> InfoGroup:
-    """Generators of the information group of `subset` (1-based indices).
+def info_group(code: StabilizerCode, subsets) -> list[InfoGroup]:
+    """The information group of each of `subsets` (1-based), in order.
 
-    Solves for all (v, a) with the complement-restriction of
-    bare(v) + a . stabilizer_rows vanishing, then projects onto v.
+    By subset size, in chunks under ``_SOLVE_BUDGET``: ``_clear`` removes
+    the complement's x and z columns of the [logical; stabilizer] rows
+    tagged with their 2k logical coefficients, and ``mod_rref_stack`` of
+    the tags left is G(S)'s echelon basis.
     """
     d, n, k = code.d, code.n, code.k
-    subset = tuple(sorted(set(int(i) for i in subset)))
-    if subset and (subset[0] < 1 or subset[-1] > n):
-        raise ValueError(f"subset {subset} out of range 1..{n}")
-
-    comp = complement(subset, n)
-    stacked = np.vstack([code.logical_rows(),
-                         code.stabilizer_rows()])  # (2k + n-k) x 2n
-
-    # Keep only the complement's x- and z-columns; kernel rows then describe
-    # the (v, a) combinations that act as the identity off the subset.
-    cols = [i - 1 for i in comp] + [n + i - 1 for i in comp]
-    constraint = stacked[:, cols].T % d  # (2|comp|) x (2k + n-k)
-    kernel = mod_nullspace(constraint, d)
-    if not kernel:
-        return group_from_rows(d, k, np.zeros((0, 2 * k)))
-    projected = np.array(kernel, dtype=np.int64)[:, :2 * k]
-    return group_from_rows(d, k, projected)
+    subsets = list(subsets)
+    inside = np.zeros((len(subsets), n), dtype=bool)
+    for j, subset in enumerate(subsets):
+        carriers = sorted({int(i) for i in subset})
+        if carriers and (carriers[0] < 1 or carriers[-1] > n):
+            raise ValueError(f"subset {tuple(carriers)} out of range 1..{n}")
+        inside[j, [i - 1 for i in carriers]] = True
+    rows = np.hstack([np.vstack([code.logical_rows(), code.stabilizer_rows()]),
+                      np.eye(n + k, 2 * k, dtype=np.int64)]) % d
+    keep = np.hstack([~inside, ~inside, np.ones((len(subsets), 2 * k), bool)])
+    sizes, out = inside.sum(axis=1), [None] * len(subsets)
+    for size in range(n + 1):
+        where = np.flatnonzero(sizes == size)
+        cols = np.nonzero(keep[where])[1].reshape(-1, 2 * (n - size + k))
+        step = max(1, _SOLVE_BUDGET // (rows.shape[0] * cols.shape[1]))
+        for lo in range(0, len(where), step):
+            chunk = np.moveaxis(rows[:, cols[lo:lo + step]], 0, 1)
+            at = np.arange(len(chunk))
+            for _ in range(2 * (n - size)):
+                chunk = _clear(chunk, at, d)
+            for i, echelon in zip(where[lo:lo + step].tolist(),
+                                  mod_rref_stack(chunk, d).tolist()):
+                out[i] = InfoGroup(d, k, tuple(
+                    tuple(row) for row in echelon if any(row)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +329,8 @@ class SchemeTriplet:
 # Int64 cells per batch of ``_walk``, which bounds its memory: a batch
 # whose next level would pass it drops its zero rows, then splits.
 _CELL_BUDGET = 1 << 12
+# Per chunk of ``info_group``, larger: a chunk's 2 |S-bar| passes are fixed.
+_SOLVE_BUDGET = 1 << 14
 
 
 def _clear(rows: np.ndarray, at: np.ndarray, d: int) -> np.ndarray:

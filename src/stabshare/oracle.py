@@ -287,10 +287,15 @@ def _frobenius(stack: np.ndarray) -> np.ndarray:
 
 def _logical_paulis(d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Every k-qudit Pauli X^x Z^z, identity first: the (x|z) exponent rows,
-    (d^(2k), 2k), and the stack of their d^k x d^k matrices."""
+    (d^(2k), 2k), and the stack of their d^k x d^k matrices, built site by
+    site as Kronecker products of the d^2 single-qudit matrices."""
     exps = np.indices((d,) * (2 * k)).reshape(2 * k, -1).T
-    ops = np.array([pauli.dense_matrix(PauliProduct(d, e[:k], e[k:]),
-                                       cap=d**k) for e in exps])
+    single = np.array([[pauli.dense_matrix(PauliProduct(d, (x,), (z,)), cap=d)
+                        for z in range(d)] for x in range(d)])
+    ops = np.ones((len(exps), 1, 1))
+    for x, z in zip(exps[:, :k].T, exps[:, k:].T):
+        ops = (ops[:, :, None, :, None] * single[x, z][:, None, :, None, :]
+               ).reshape(len(exps), d * ops.shape[1], -1)
     return exps, ops
 
 

@@ -134,12 +134,15 @@ def pairing(a, b, d: int):
 
     Products p, q with exponent vectors a, b satisfy p q = w^pairing q p.
     Two vectors give an int; stacks of rows give the matrix of pairings
-    of every row of a with every row of b.
+    of every row of a with every row of b, slice by slice for 3-D stacks.
     """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     m = a.shape[-1] // 2
-    out = (a[..., :m] @ b[..., m:].T - a[..., m:] @ b[..., :m].T) % d
+    bx, bz = b[..., :m], b[..., m:]
+    if b.ndim > 1:
+        bx, bz = bx.swapaxes(-1, -2), bz.swapaxes(-1, -2)
+    out = (a[..., :m] @ bz - a[..., m:] @ bx) % d
     return int(out) if out.ndim == 0 else out
 
 

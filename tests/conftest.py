@@ -8,6 +8,7 @@ import pytest
 from stabshare import catalog, infogroup, oracle, validate
 from stabshare.code import StabilizerCode
 from stabshare.pauli import dense_matrix, from_symplectic, pairing
+from stabshare.primefield import mod_nullspace
 from stabshare.twirl import twirl_operator
 
 
@@ -65,6 +66,23 @@ def count_calls(monkeypatch, module, *names) -> Counter:
     for name in names:
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     return calls
+
+
+def info_group_reference(code: StabilizerCode, subset) -> infogroup.InfoGroup:
+    """G(S) of one subset by a nullspace solve, independent of the batched
+    ``info_group``: every (v, a) whose combination v . logicals +
+    a . stabilizers vanishes on the complement's x and z columns, projected
+    onto v."""
+    d, n, k = code.d, code.n, code.k
+    subset = tuple(sorted(set(int(i) for i in subset)))
+    if subset and (subset[0] < 1 or subset[-1] > n):
+        raise ValueError(f"subset {subset} out of range 1..{n}")
+    comp = infogroup.complement(subset, n)
+    stacked = np.vstack([code.logical_rows(), code.stabilizer_rows()])
+    cols = [i - 1 for i in comp] + [n + i - 1 for i in comp]
+    kernel = mod_nullspace(stacked[:, cols].T % d, d)
+    projected = np.array(kernel, dtype=np.int64).reshape(-1, n + k)[:, :2 * k]
+    return infogroup.group_from_rows(d, k, projected)
 
 
 def walk_leaves(monkeypatch) -> list[int]:

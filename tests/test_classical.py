@@ -187,6 +187,23 @@ def test_monotone_antichain_enforced():
         monotone_share([1], [], modulus=3, seed=0)
 
 
+def test_monotone_rejects_an_empty_set_and_unknown_players():
+    # The empty set as a minimal authorized set would let every subset,
+    # the empty one too, reconstruct the key.
+    for n in (2, None):
+        with pytest.raises(ValueError, match="must have a player"):
+            monotone_share([2], [(), ()], modulus=3, seed=0, n=n)
+    with pytest.raises(ValueError, match="must have a player"):
+        monotone_share([2], [()], modulus=3, seed=0)
+    with pytest.raises(ValueError, match=r"player 3 is outside 1\.\.2"):
+        monotone_share([2], [(1, 3)], modulus=3, seed=0, n=2)
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match=f"player {bad} is outside"):
+            monotone_share([2], [(bad, 1)], modulus=3, seed=0)
+    shares = monotone_share([2], [(1, 2)], modulus=3, seed=0, n=3)
+    assert shares.n == 3 and shares.shares[3] == ()
+
+
 def _first_inclusion(sets):
     """The message of the first strict inclusion, by a double loop."""
     for a in sets:

@@ -217,12 +217,16 @@ def test_simulate_checks_each(capsys):
 
 
 def test_simulate_duality_fails_on_wrong_commutant(capsys, monkeypatch):
-    from stabshare import infogroup
+    real = infogroup.info_group
 
-    def trivial(group):
-        return infogroup.InfoGroup(group.d, group.k, ())
+    def full_set_trivial(c, subsets):
+        # The full set's group comes back trivial, so the commutant of
+        # G([]) (everything) is not the direct G([1, 2, 3, 4]).
+        groups = real(c, subsets)
+        return [infogroup.InfoGroup(g.d, g.k, ()) if len(s) == c.n else g
+                for s, g in zip(subsets, groups)]
 
-    monkeypatch.setattr(infogroup, "commutant", trivial)
+    monkeypatch.setattr(infogroup, "info_group", full_set_trivial)
     status, out, _ = run(capsys, "simulate", "catalog:four_two_two",
                          "--seed", "3", "--check", "duality",
                          "--format", "structured")
@@ -232,6 +236,28 @@ def test_simulate_duality_fails_on_wrong_commutant(capsys, monkeypatch):
     duality = next(r for r in payload["results"] if r["check"] == "duality")
     assert duality["pass"] is False
     assert duality["detail"].startswith("commutant of G([]) differs")
+
+
+def test_simulate_duality_fails_on_a_group_outside_the_commutant(
+        capsys, monkeypatch):
+    real = infogroup.info_group
+
+    def swapped(c, subsets):
+        # G([3, 4]) becomes G([1, 3]) = <X_2, Z_1>: the same rank, class
+        # and (r, s), but Z_1 does not commute with X_1 in G([1, 2]).
+        groups = dict(zip(subsets, real(c, subsets)))
+        groups[(3, 4)] = groups[(1, 3)]
+        return list(groups.values())
+
+    monkeypatch.setattr(infogroup, "info_group", swapped)
+    status, out, _ = run(capsys, "simulate", "catalog:four_two_two",
+                         "--seed", "3", "--check", "duality",
+                         "--format", "structured")
+    assert status == 1
+    duality = next(r for r in json.loads(out)["results"]
+                   if r["check"] == "duality")
+    assert duality["detail"] == ("commutant of G([1, 2]) differs from the "
+                                 "direct G([3, 4])")
 
 
 def test_simulate_duality_fails_on_wrong_record(capsys, monkeypatch):
@@ -298,27 +324,36 @@ def test_simulate_duality_fails_on_wrong_intermediate_group(capsys,
 
 # The ids name each check with the group-solve count it had when the twirl
 # plan still solved its maximal intermediate subsets on their own.
-@pytest.mark.parametrize("check,commutants", [
-    pytest.param("all", 17, id="all-30"),
-    pytest.param("concealment", 17, id="concealment-30"),
-    pytest.param("choi", 17, id="choi-24"),
-    pytest.param("infogroup", 17, id="infogroup-24"),
-    pytest.param("duality", 17, id="duality-24")])
-def test_simulate_solves_each_subset_once(capsys, monkeypatch, check,
-                                          commutants):
-    calls = count_calls(monkeypatch, infogroup, "info_group", "commutant")
+@pytest.mark.parametrize("check", [
+    pytest.param("all", id="all-30"),
+    pytest.param("concealment", id="concealment-30"),
+    pytest.param("choi", id="choi-24"),
+    pytest.param("infogroup", id="infogroup-24"),
+    pytest.param("duality", id="duality-24")])
+def test_simulate_solves_each_subset_once(capsys, monkeypatch, check):
+    calls = count_calls(monkeypatch, infogroup, "commutant")
+    solved = []
+    real = infogroup.info_group
+
+    def recording(c, subsets):
+        solved.append(list(subsets))
+        return real(c, subsets)
+
+    monkeypatch.setattr(infogroup, "info_group", recording)
     leaves = walk_leaves(monkeypatch)
     status, _, _ = run(capsys, "simulate", "catalog:four_two_two",
                        "--seed", "1", "--check", check)
     assert status == 0
     # classify's lattice walk solves the 8 subsets without carrier 4, and
-    # `info_group` solves the 16 direct groups shared by duality and
-    # infogroup under every check: the intermediate group comes from the
-    # walk, with no solve of its own.  The duality check takes 2 commutants
-    # per pair and 1 in `intermediate_group`, built once: its cross-check
-    # and the twirl plan read the same group.
+    # one `info_group` call solves the 16 direct groups shared by duality
+    # and infogroup under every check: the intermediate group comes from
+    # the walk, with no solve of its own.  The duality check compares each
+    # pair by its pairings and ranks, with no commutant; the one commutant
+    # is `intermediate_group`'s, built once: its cross-check and the twirl
+    # plan read the same group.
     assert len(leaves) == 8
-    assert calls == {"info_group": 16, "commutant": commutants}
+    assert solved == [list(infogroup.subsets_in_order(4))]
+    assert calls == {"commutant": 1}
 
 
 def test_simulate_resource_cap(capsys, monkeypatch):
@@ -385,25 +420,26 @@ def test_simulate_builds_each_dense_operator_once(capsys, monkeypatch):
     status, _, _ = run(capsys, "simulate", "catalog:four_two_two",
                        "--seed", "1", "--check", "infogroup")
     assert status == 0
-    # D^(2k) = 16 dense logical Paulis, traced as one stack onto all 16
-    # subsets.
-    assert sites[2] == 16
+    # The D^(2k) = 16 logical Paulis, traced as one stack onto all 16
+    # subsets, are Kronecker products of the D^2 = 4 dense single-qudit
+    # Paulis: no two-qudit Pauli is built densely.
+    assert sites == {1: 4}
     assert not twirls
     sites.clear()
     status, _, _ = run(capsys, "simulate", "catalog:four_two_two",
                        "--seed", "1", "--check", "all")
     assert status == 0
-    # Concealment and expansion each build the 16 once more, and
-    # concealment's twirl builds g^e for each of its l = 4 generators and
-    # e in Z_2.  No key is enumerated, and the key check draws its key
-    # without building an operator.
-    assert sites[2] == 16 + 16 + 4 * 2 + 16
+    # Concealment and expansion each build the stack once more, from 4
+    # more single-qudit Paulis, and concealment's twirl builds g^e for each
+    # of its l = 4 generators and e in Z_2.  No key is enumerated, and the
+    # key check draws its key without building an operator.
+    assert sites == {1: 4 + 4 + 4, 2: 4 * 2}
     assert not twirls
     sites.clear()
     status, _, _ = run(capsys, "simulate", "catalog:four_two_two",
                        "--seed", "1", "--check", "concealment")
     assert status == 0
-    assert sites[2] == 16 + 4 * 2  # the encoding is not dense
+    assert sites == {1: 4, 2: 4 * 2}  # the encoding is not dense
     assert not twirls
 
 

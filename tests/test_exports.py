@@ -87,3 +87,44 @@ def test_every_export_is_read_by_the_program():
               for attr in importlib.import_module(name).__all__
               if attr not in used]
     assert sorted(unread) == sorted(UNREAD_EXPORTS)
+
+
+PERFBENCH = ROOT / "perfbench"
+
+
+def _assigned(path: Path, name: str) -> ast.expr:
+    """The value of the module-level assignment to `name` in `path`."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+                and node.targets[0].id == name):
+            return node.value
+    raise AssertionError(f"{path.name} assigns no {name}")
+
+
+def _traceable(dotted: str) -> bool:
+    """Whether "layer.attr" names a public function defined in that layer,
+    which is what the benchmark's tracer wraps."""
+    layer, _, attr = dotted.partition(".")
+    module = importlib.import_module(f"stabshare.{layer}")
+    fn = getattr(module, attr, None)
+    return (callable(fn) and not attr.startswith("_")
+            and getattr(fn, "__module__", None) == module.__name__)
+
+
+def test_benchmark_layer_metrics_name_live_functions():
+    # Read from the benchmark's source without importing it: a renamed
+    # function would otherwise leave its per-layer metric at zero.
+    groups = ast.literal_eval(_assigned(PERFBENCH / "tracer.py", "GROUPS"))
+    counted = [ast.literal_eval(key) for key in
+               _assigned(PERFBENCH / "tracer.py", "COUNTERS").keys]
+    read = set()
+    for value in _assigned(PERFBENCH / "worker.py", "PER_LAYER").values:
+        kind, name = ast.literal_eval(value.elts[0])
+        if kind != "counter":  # a counter is named after its work
+            read.add(name)
+    assert "infogroup.info_group" in read and "oracle.projector" in read
+    functions = sorted((read - set(groups)) | set(counted))
+    assert [name for name in functions if not _traceable(name)] == []
+    assert [group for group in sorted(read & set(groups))
+            if not any(map(_traceable, groups[group]))] == []

@@ -24,7 +24,8 @@ from stabshare.pauli import ResourceLimitError, multiply, pairing
 from stabshare.primefield import mod_rank
 from stabshare.twirl import intermediate_group
 
-from conftest import count_calls, random_code, walk_leaves
+from conftest import (count_calls, info_group_reference, random_code,
+                      walk_leaves)
 
 DATA_CODES = sorted((Path(__file__).parent / "data").glob("*.json"))
 
@@ -34,30 +35,30 @@ def all_subsets_of_size(n, sizes):
 
 
 def test_cnot_singletons_are_z(cnot):
-    assert info_group(cnot, (1,)).generators == ((0, 1),)
-    assert info_group(cnot, (2,)).generators == ((0, 1),)
+    one, two = info_group(cnot, [(1,), (2,)])
+    assert one.generators == two.generators == ((0, 1),)
 
 
 def test_groups_compare_by_span(cnot):
     # Equal generators mean the same subgroup, whichever subset produced it.
-    assert info_group(cnot, (1,)) == commutant(info_group(cnot, (2,)))
+    one, two = info_group(cnot, [(1,), (2,)])
+    assert one == commutant(two)
 
 
 def test_ghz_proper_subsets_are_z():
     g = catalog("ghz_n", 4)
-    assert info_group(g, (1, 2)).generators == ((0, 1),)
-    for s in subsets_in_order(4):
-        if 0 < len(s) < 4:
-            assert info_group(g, s).generators == ((0, 1),)
+    proper = [s for s in subsets_in_order(4) if 0 < len(s) < 4]
+    assert {group.generators for group in info_group(g, proper)} == {
+        ((0, 1),)}
 
 
 def test_five_qubit_pairs_learn_nothing(five_qubit):
-    for s in all_subsets_of_size(5, {1, 2}):
-        assert info_group(five_qubit, s).is_trivial
+    for g in info_group(five_qubit, all_subsets_of_size(5, {1, 2})):
+        assert g.is_trivial
 
 
 def test_four_two_two_pair_matches_bruteforce(four_two_two):
-    symbolic = info_group(four_two_two, (1, 2))
+    [symbolic] = info_group(four_two_two, [(1, 2)])
     assert not symbolic.is_trivial and not symbolic.is_full
     [brute] = oracle.info_group_bruteforce(four_two_two, [(1, 2)])
     assert symbolic.generators == brute.generators
@@ -65,20 +66,46 @@ def test_four_two_two_pair_matches_bruteforce(four_two_two):
 
 def test_full_and_empty_subsets(catalog_codes):
     for c in catalog_codes:
-        assert info_group(c, tuple(range(1, c.n + 1))).is_full
-        assert info_group(c, ()).is_trivial
+        full, empty = info_group(c, [tuple(range(1, c.n + 1)), ()])
+        assert full.is_full
+        assert empty.is_trivial
 
 
 def test_bad_subset_rejected(cnot):
     with pytest.raises(ValueError, match="out of range"):
-        info_group(cnot, (0, 1))
+        info_group(cnot, [(0, 1)])
     with pytest.raises(ValueError, match="out of range"):
-        info_group(cnot, (3,))
+        info_group(cnot, [(1,), (3,)])
+
+
+@given(d=st.sampled_from([2, 3, 5, 7]),
+       nk=st.integers(1, 6).flatmap(
+           lambda n: st.tuples(st.just(n), st.integers(1, n))),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_batched_info_group_matches_the_reference(d, nk, seed, data):
+    n, k = nk
+    c = random_code(np.random.default_rng(seed), d, n, k)
+    # Mixed sizes in any order; carriers unsorted and repeated; the empty
+    # and the full set always among them.
+    carriers = st.lists(st.integers(1, n), max_size=2 * n)
+    subsets = data.draw(st.lists(carriers, max_size=12))
+    subsets = data.draw(st.permutations(
+        subsets + [[], list(range(n, 0, -1))]))
+    assert info_group(c, subsets) == [
+        info_group_reference(c, s) for s in subsets]
+    # One carrier outside 1..n anywhere in the batch rejects the batch.
+    bad = [data.draw(st.sampled_from([-1, 0, n + 1])), n]
+    at = data.draw(st.integers(0, len(subsets)))
+    for solve in (lambda s: info_group(c, s),
+                  lambda s: [info_group_reference(c, t) for t in s]):
+        with pytest.raises(ValueError, match="out of range"):
+            solve(subsets[:at] + [bad] + subsets[at:])
 
 
 def test_is_full_examples(five_qubit, cnot):
-    assert info_group(five_qubit, (1, 2, 3)).is_full
-    assert not info_group(cnot, (1,)).is_full
+    assert info_group(five_qubit, [(1, 2, 3)])[0].is_full
+    assert not info_group(cnot, [(1,)])[0].is_full
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +257,9 @@ def test_duality_and_monotonicity(catalog_codes):
                 assert tuple(sorted(set(s) - {drop})) in forbidden
         total = len(t.authorized) + len(t.forbidden) + len(t.intermediate)
         assert total == 2**c.n
-        for rec in t.records:
-            direct = info_group(c, rec.subset)
-            assert rec.cls == direct.access_class, (c.name, rec)
+        direct = info_group(c, [rec.subset for rec in t.records])
+        for rec, g in zip(t.records, direct, strict=True):
+            assert rec.cls == g.access_class, (c.name, rec)
 
 
 def test_ramp_bounds_against_classification(catalog_codes):
@@ -242,11 +269,12 @@ def test_ramp_bounds_against_classification(catalog_codes):
         delta = distance(c)
         t = classify(c)
         authorized = set(t.authorized)
-        for s in subsets_in_order(c.n):
+        subsets = list(subsets_in_order(c.n))
+        for s, g in zip(subsets, info_group(c, subsets)):
             if len(s) >= c.n - delta + 1:
                 assert s in authorized, (c.name, s)
             if len(s) <= delta - 1:
-                assert info_group(c, s).is_trivial, (c.name, s)
+                assert g.is_trivial, (c.name, s)
 
 
 def test_classification_is_representative_independent(catalog_codes):
@@ -284,8 +312,7 @@ def test_random_qubit_codes_match_bruteforce():
             c = random_code(rng, 2, n, k, name=f"rand2_{n}{k}_{trial}")
             subsets = list(subsets_in_order(n))
             brutes = oracle.info_group_bruteforce(c, subsets)
-            for s, brute in zip(subsets, brutes, strict=True):
-                assert info_group(c, s).generators == brute.generators, (c, s)
+            assert brutes == info_group(c, subsets), c
 
 
 def test_one_carrier_neighbours():
@@ -309,7 +336,7 @@ def _reference_records(c):
     """The direct algorithm: solve every subset's group on its own."""
     out = []
     for s in subsets_in_order(c.n):
-        g = info_group(c, s)
+        g = info_group_reference(c, s)
         form = canonical_form(g)
         out.append((s, g.access_class, form.r, form.s))
     return out
@@ -323,7 +350,8 @@ def _walk_leaves(c):
 
 
 def _assert_walk_matches_direct_solves(c):
-    """The lattice walk against ``info_group``, and classify's records."""
+    """The lattice walk against the reference solve, and classify's
+    records."""
     n = c.n
     leaves = _walk_leaves(c)
     # One leaf for each subset without carrier n.
@@ -333,7 +361,7 @@ def _assert_walk_matches_direct_solves(c):
         # Slot j holds the basis row with pivot j; the rest are zero.
         assert echelon.shape == (2 * c.k, 2 * c.k)
         basis = tuple(map(tuple, echelon[echelon.any(axis=1)].tolist()))
-        assert basis == info_group(c, s).generators, s
+        assert basis == info_group_reference(c, s).generators, s
     t = classify(c)
     assert [(r.subset, r.cls, r.r, r.s) for r in t.records] == \
         _reference_records(c)
@@ -371,7 +399,7 @@ def test_classify_solves_each_distinct_leaf_once(c, monkeypatch):
     # A repeated group skips the span and core updates; they must lose
     # nothing.  The intersection is taken as the commutant of the
     # commutants' span.
-    groups = [info_group(c, s) for s in t.intermediate if c.n not in s]
+    groups = info_group(c, [s for s in t.intermediate if c.n not in s])
     span = lambda gs: group_from_rows(
         c.d, c.k, [row for g in gs for row in g.generators])
     assert t.leaf_span == span(groups)
@@ -436,7 +464,7 @@ def test_threshold_q_matches_enumeration(c):
     *(pytest.param(load(path), id=path.stem) for path in DATA_CODES)])
 def test_intermediate_group_spans_the_direct_groups(c):
     t = classify(c)
-    rows = [row for s in t.intermediate for row in info_group(c, s).generators]
+    rows = [row for g in info_group(c, t.intermediate) for row in g.generators]
     spanned = group_from_rows(c.d, c.k, np.array(rows).reshape(-1, 2 * c.k))
     group = intermediate_group(c, t)
     assert group == spanned
@@ -455,14 +483,16 @@ def test_intermediate_group_spans_the_direct_groups(c):
 def test_commutant_duality_on_random_codes(d, nk, seed):
     n, k = nk
     c = random_code(np.random.default_rng(seed), d, n, k)
-    for s in subsets_in_order(n):
-        assert (commutant(info_group(c, s)).generators
-                == info_group(c, complement(s, n)).generators), s
+    subsets = list(subsets_in_order(n))
+    solved = dict(zip(subsets, info_group(c, subsets)))
+    for s, g in solved.items():
+        assert (commutant(g).generators
+                == solved[complement(s, n)].generators), s
 
     t = classify(c)
     assert [(r.subset, r.cls, r.r, r.s) for r in t.records] == \
         _reference_records(c)
 
-    rows = [row for s in t.intermediate for row in info_group(c, s).generators]
+    rows = [row for g in info_group(c, t.intermediate) for row in g.generators]
     spanned = group_from_rows(d, k, np.array(rows).reshape(-1, 2 * k))
     assert intermediate_group(c, t).generators == spanned.generators
