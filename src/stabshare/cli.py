@@ -213,10 +213,9 @@ def run_checks(c: StabilizerCode, seed: int, which: str,
         return False, results
     if which != "duality":
         # Meet the dense caps before solving 2^n groups: every other check
-        # reads the D^n encoding, and choi the D^(n+k) Choi vector too.
+        # reads the D^n encoding and the scan's D^(n+k) Choi states.
         oracle.check_cap(c.d**c.n, cap)
-        if which in ("all", "choi"):
-            oracle.check_cap(c.d**(c.n + c.k), cap)
+        oracle.check_cap(c.d**(c.n + c.k), cap)
 
     triplet = infogroup.classify(c)
     subsets = list(infogroup.subsets_in_order(c.n))

@@ -4,41 +4,37 @@ Paulis act on dense data through one routine, `pauli.apply`: a phase and
 a roll per site, with no matrix built.  The encoding isometry V comes from
 it alone.  Projecting the identity's columns onto the joint +1 eigenspace
 of the stabilizer and logical-Z generators pins |c_0>, and the logical X
-carry it to the other codewords, so no d^n x d^n matrix is formed or
-multiplied.  Every check that pushes a logical operator through the
-encoding uses one reduction, Tr_S-bar(V op V-dagger) summed over the
-traced basis states without forming the d^n x d^n lift; the direct sides
-(reduced states of encoded vectors and the Choi marginals) keep their own
-code path.  From these the oracle re-derives information groups, absence,
-Choi decoupling and twirl concealment directly from complex matrices,
-independent of the linear-algebra shortcuts it is used to certify.
+carry it to the other codewords, so no d^n x d^n matrix is formed.
 
-The Choi distances and traced norms are computed on each subset's support.
-With W = V split into kept sites S and traced sites, every traced operator
-A_S(X) = Tr_S-bar(V X V-dagger) is supported on the column span of W, a
-d^|S| x d^(n-|S|+k) matrix, and every Choi marginal on R (x) col(W).  A
-reduced QR, W = Q R, gives an orthonormal basis Q of that span without
-truncation or rank tolerance, and Q-dagger W = R.  Compressing by Q is an
-isometry on the support, so it keeps trace distances and Frobenius norms
-exactly while each operator shrinks to r = min(d^|S|, d^(n-|S|+k))
-dimensions, a power of d.
+The information-group, Choi and concealment checks are claims about one
+linear map per subset S, A_S(X) = Tr_S-bar(V X V-dagger).  By the
+Choi-Jamiolkowski identity it is read off S's Choi state rho_RS, half of a
+maximally entangled state sent through V: A_S(X) = d^k Tr_R[(X^T (x) I)
+rho_RS].  `_scan` builds each subset's rho_RS once and keeps ||A_S(P)||_F
+for the d^(2k) logical Paulis P, whose nonzero ones span G(S), and the
+distance of rho_RS from rho_R (x) rho_S.  Absence never reduces, and
+expansion ties the reduction to the direct `reduced_state`.
 
-The information-group and concealment checks trace one stack, the d^(2k)
-logical Paulis P, onto the support.  G(S) is spanned by the P with
-A_S(P) != 0.  Any two secrets differ by rho - sigma = d^-k sum_{P != I}
-c_P P with |c_P| <= 2, and for the twirl channel T, A_S(T(P)) has rank at
-most r, so for every pair of secrets
+All of it is computed on each subset's support.  With W = V split into
+kept sites S and traced sites, A_S(X) lives on the column span of W, a
+d^|S| x d^(n-|S|+k) matrix, and rho_RS on R (x) col(W).  A reduced QR,
+W = Q R, gives an orthonormal basis Q of that span without rank
+tolerance, and Q-dagger W = R: an isometry on the support, which keeps
+trace distances and Frobenius norms exactly in r = min(d^|S|,
+d^(n-|S|+k)) dimensions.  `_lifts` gathers each chunk of equal-size
+subsets' W from V with one `take`, so each QR and eigvalsh call covers a
+chunk; a chunk keeps its W, one d^|S| x d^|S| operator and one Choi state
+per subset within DEFAULT_AMPLITUDE_CAP amplitudes, or holds one subset.
 
-    (1/2) ||A_S(T(rho - sigma))||_1 <= d^-k sum_{P != I} sqrt(r) ||A_S(T(P))||_F,
+Any two secrets differ by rho - sigma = d^-k sum_{P != I} c_P P with
+|c_P| <= 2.  With the twirl channel T, t[P, Q] = |tr(Q-dagger T(P))| / d^k
+and A_S(Y) of rank at most r, the triangle inequality gives, for every pair,
 
-which is zero iff no Pauli that survives the twirl reaches S.
+    (1/2) ||A_S(T(rho - sigma))||_1
+        <= sqrt(r) d^-k sum_{P != I} sum_Q t[P, Q] ||A_S(Q)||_F,
 
-The checks take their subsets in chunks of one size.  `_lifts` gathers a
-chunk's W from V with one indexed `take`, as (c, d^|S|, d^(n-|S|), d^k),
-so each QR, reduction and eigvalsh call of a check covers a whole chunk
-instead of one subset.  A chunk holds as many subsets as keep its W, one
-d^|S| x d^|S| operator and one Choi marginal on the support per subset
-within DEFAULT_AMPLITUDE_CAP amplitudes, and at least one subset.
+which for a Pauli twirl (T(P) is P or 0) is zero iff no Pauli that
+survives the twirl reaches S.
 """
 
 from __future__ import annotations
@@ -49,7 +45,7 @@ import numpy as np
 
 from . import pauli
 from .code import StabilizerCode
-from .infogroup import InfoGroup, group_from_rows
+from .infogroup import InfoGroup, group_from_rows, subsets_in_order
 from .pauli import DEFAULT_AMPLITUDE_CAP, PauliProduct, ResourceLimitError
 
 __all__ = [
@@ -250,23 +246,6 @@ def _lifts(v: np.ndarray, d: int, subsets):
             yield chunk, v.take(rows, axis=0)
 
 
-def _traced(w: np.ndarray, op: np.ndarray) -> np.ndarray:
-    """Tr_S-bar(V op V-dagger) for each subset of a chunk, as the sum over
-    the traced basis states t of W_t op W_t-dagger.
-
-    w stacks _kept_first(V, d, S), or its `_on_support`, as (c, rows,
-    traced, d^k); op is (d^k, d^k) or a stack (p, d^k, d^k), and the
-    result is (c, rows, rows) or (c, p, rows, rows).  The d^n x d^n lift
-    V op V-dagger is never formed.
-    """
-    rows, span = w.shape[1], w.shape[2] * w.shape[3]
-    w = w.reshape(w.shape[:1] + (1,) * (op.ndim - 2) + w.shape[1:])
-    pushed = w @ op[..., None, :, :]
-    flat = w.reshape(w.shape[:-3] + (rows, span))
-    return (pushed.reshape(pushed.shape[:-3] + (rows, span))
-            @ flat.conj().swapaxes(-1, -2))
-
-
 def _on_support(w: np.ndarray) -> np.ndarray:
     """Q-dagger w for an orthonormal basis Q of the column span of each
     subset's w = _kept_first(V, d, S), read as a d^|S| x (all other axes)
@@ -279,16 +258,12 @@ def _on_support(w: np.ndarray) -> np.ndarray:
     return r.reshape(r.shape[:2] + w.shape[2:])
 
 
-def _frobenius(stack: np.ndarray) -> np.ndarray:
-    """Frobenius norms over a stack's last two axes; vecdot copies nothing."""
-    flat = stack.reshape(stack.shape[:-2] + (-1,))
-    return np.sqrt(np.vecdot(flat, flat).real)
-
-
+@functools.lru_cache(maxsize=32)
 def _logical_paulis(d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Every k-qudit Pauli X^x Z^z, identity first: the (x|z) exponent rows,
     (d^(2k), 2k), and the stack of their d^k x d^k matrices, built site by
-    site as Kronecker products of the d^2 single-qudit matrices."""
+    site as Kronecker products of the d^2 single-qudit matrices.  Both are
+    read-only."""
     exps = np.indices((d,) * (2 * k)).reshape(2 * k, -1).T
     single = np.array([[pauli.dense_matrix(PauliProduct(d, (x,), (z,)), cap=d)
                         for z in range(d)] for x in range(d)])
@@ -296,21 +271,77 @@ def _logical_paulis(d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     for x, z in zip(exps[:, :k].T, exps[:, k:].T):
         ops = (ops[:, :, None, :, None] * single[x, z][:, None, :, None, :]
                ).reshape(len(exps), d * ops.shape[1], -1)
+    for arr in (exps, ops):
+        arr.setflags(write=False)
     return exps, ops
 
 
-def _traced_norms(code: StabilizerCode, subsets, ops: np.ndarray,
-                  cap: int | None):
-    """Yield (positions, r, norms) for each `_lifts` chunk: norms[i, p] is
-    ||A_S(ops[p])||_F for the chunk's i-th subset S, taken on its
-    r-dimensional support.  The stack goes through `_traced` in slices that
-    push at most DEFAULT_AMPLITUDE_CAP amplitudes of the chunk's W each."""
-    for positions, w in _lifts(encoding_isometry(code, cap), code.d, subsets):
+def _choi_state(w: np.ndarray) -> np.ndarray:
+    """rho_RS = a a-dagger for each subset of a chunk w, (c, rows, traced,
+    d^k), with a[(j, a), t] = w[a, t, j] / sqrt(d^k): the Choi state with
+    the reference first, then the rows' sites, as (c, d^k rows, d^k rows)."""
+    c, rows, _, dk = w.shape
+    a = w.transpose(0, 3, 1, 2).reshape(c, dk * rows, -1) / np.sqrt(dk)
+    return a @ a.conj().swapaxes(-1, -2)
+
+
+def _images(rho: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """A_S(X) = d^k Tr_R[(X^T (x) I) rho_RS] for each X of the stack `ops`,
+    (p, d^k, d^k), and each Choi state of the chunk `rho`, flattened to
+    (c, p, r * r)."""
+    c, dk = len(rho), ops.shape[-1]
+    r = rho.shape[-1] // dk
+    blocks = rho.reshape(c, dk, r, dk, r).transpose(0, 1, 3, 2, 4)
+    return ops.reshape(len(ops), -1) @ blocks.reshape(c, dk * dk, r * r) * dk
+
+
+def _rows(n: int, subsets) -> list[int]:
+    """Each subset's row in `subsets_in_order(n)`, by its sorted carriers."""
+    index = {subset: i for i, subset in enumerate(subsets_in_order(n))}
+    rows = []
+    for subset in subsets:
+        row = index.get(tuple(sorted({int(site) for site in subset})))
+        if row is None:
+            raise ValueError(f"keep sites {sorted(subset)} out of range 1..{n}")
+        rows.append(row)
+    return rows
+
+
+@functools.lru_cache(maxsize=32)
+def _scan(code: StabilizerCode, cap: int | None):
+    """One pass over the Choi states of all subsets, in `subsets_in_order`.
+
+    Returns three read-only arrays by subset row: the support dimension r,
+    ||A_S(P)||_F for each logical Pauli P (d^(2k) columns) and the trace
+    distance of rho_RS from rho_R (x) rho_S.  The images go through
+    `_images` in slices of at most DEFAULT_AMPLITUDE_CAP amplitudes.
+    """
+    d, n, k = code.d, code.n, code.k
+    check_cap(d**(n + k), cap)
+    ops = _logical_paulis(d, k)[1]
+    ranks = np.zeros(2**n, dtype=np.int64)
+    norms = np.zeros((2**n, len(ops)))
+    dists = np.zeros(2**n)
+    for positions, w in _lifts(encoding_isometry(code, cap), d,
+                               subsets_in_order(n)):
         w = _on_support(w)
-        step = max(1, DEFAULT_AMPLITUDE_CAP // w.size)
-        yield positions, w.shape[1], np.concatenate(
-            [_frobenius(_traced(w, ops[i:i + step]))
+        c, r = w.shape[:2]
+        m = _sites(r, d, ())[0]
+        rho_rs = _choi_state(w)
+        step = max(1, DEFAULT_AMPLITUDE_CAP // (c * r * r))
+        norms[positions] = np.concatenate(
+            [np.linalg.norm(_images(rho_rs, ops[i:i + step]), axis=-1)
              for i in range(0, len(ops), step)], axis=1)
+        ranks[positions] = r
+        rho_r = partial_trace(rho_rs, d, range(1, k + 1))
+        rho_s = partial_trace(rho_rs, d, range(k + 1, k + m + 1))
+        rho_rs -= (rho_r[:, :, None, :, None]
+                   * rho_s[:, None, :, None, :]).reshape(rho_rs.shape)
+        dists[positions] = 0.5 * np.sum(
+            np.abs(np.linalg.eigvalsh(rho_rs)), axis=-1)
+    for arr in (ranks, norms, dists):
+        arr.setflags(write=False)
+    return ranks, norms, dists
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -347,50 +378,45 @@ def basis_secret(d: int, k: int, j: int) -> np.ndarray:
 
 def info_group_bruteforce(code: StabilizerCode, subsets,
                           cap: int | None = None) -> list[InfoGroup | None]:
-    """G(S) of each subset: span the input Paulis whose traced image is nonzero.
+    """G(S) of each subset: span the input Paulis whose image A_S(P) is
+    nonzero, read from the scan.
 
-    A subset whose hits do not form a subgroup gets None.
-
-    The d^(2k) input Paulis are traced onto every chunk of subsets as one
-    stack (see the module docstring).  Equal hits give equal groups, so
-    each distinct hit pattern is solved once.
+    A subset whose hits do not form a subgroup gets None.  Equal hits give
+    equal groups, so each distinct hit pattern is solved once.
     """
     d, k = code.d, code.k
-    exps, ops = _logical_paulis(d, k)
-    subsets = list(subsets)
-    groups: list[InfoGroup | None] = [None] * len(subsets)
+    exps = _logical_paulis(d, k)[0]
+    norms = _scan(code, cap)[1][_rows(code.n, subsets)]
+    groups: list[InfoGroup | None] = []
     solved: dict[bytes, InfoGroup | None] = {}
-    for positions, _, norms in _traced_norms(code, subsets, ops, cap):
-        for i, hits in zip(positions, norms > DETECTION_TOL):
-            key = hits.tobytes()
-            if key not in solved:
-                rows = exps[hits]
-                group = group_from_rows(d, k, rows)
-                # A valid encoding's hits always form a subgroup.  Other
-                # hits give None, which equals no symbolic group, so a
-                # comparison fails.
-                solved[key] = group if len(rows) == d**group.rank else None
-            groups[i] = solved[key]
+    for hits in norms > DETECTION_TOL:
+        key = hits.tobytes()
+        if key not in solved:
+            rows = exps[hits]
+            group = group_from_rows(d, k, rows)
+            # A valid encoding's hits always form a subgroup.  Other
+            # hits give None, which equals no symbolic group, so a
+            # comparison fails.
+            solved[key] = group if len(rows) == d**group.rank else None
+        groups.append(solved[key])
     return groups
 
 
 def verify_absence(code: StabilizerCode, subsets, secrets,
                    cap: int | None = None) -> float:
     """Max trace distance, over the subsets, among reduced secrets and the
-    secret-free state.
-
-    The secret-free state goes through `_traced`; each secret's state is
-    A A-dagger of its encoded vector A = W s, arranged as (kept, traced).
-    """
+    secret-free state, both straight from W = _kept_first(V, d, S): W
+    W-dagger / d^k, read as d^|S| x (all other axes), and A A-dagger of
+    each encoded vector A = W s, arranged as (kept, traced)."""
     d, k = code.d, code.k
     v = encoding_isometry(code, cap)
-    free = np.eye(d**k) / d**k
     inputs = np.array(secrets, dtype=complex).reshape(len(secrets), d**k).T
     worst = 0.0
     for _, w in _lifts(v, d, subsets):
+        flat = w.reshape(w.shape[:2] + (-1,))
         encoded = np.moveaxis(w @ inputs, -1, 1)  # (c, secret, kept, traced)
         states = np.concatenate(
-            [_traced(w, free)[:, None],
+            [(flat @ flat.conj().swapaxes(-1, -2) / d**k)[:, None],
              encoded @ encoded.conj().swapaxes(-1, -2)], axis=1)
         worst = max(worst, _max_pairwise_distance(states))
     return worst
@@ -403,50 +429,32 @@ def choi_decoupling(code: StabilizerCode, subsets,
     Sends half of a maximally entangled state through the encoding.  A
     distance is zero iff the subset learns nothing about the reference,
     i.e. iff the subset is forbidden; applied to the complement it
-    certifies that a subset can recover everything.  Each subset's Choi
-    vector is built on the subset's support (see the module docstring),
-    and its difference from the product state is formed in place.
+    certifies that a subset can recover everything.  The distances are
+    read from the scan.
     """
-    d, n, k = code.d, code.n, code.k
-    check_cap(d**(n + k), cap)
-    v = encoding_isometry(code, cap)
-    subsets = list(subsets)
-    reference = list(range(1, k + 1))
-    out = [0.0] * len(subsets)
-    for positions, w in _lifts(v, d, subsets):
-        # a[(j, a), t] = (Q-dagger W)[a, t, j] / sqrt(d^k): the Choi vector
-        # with the reference first, then the support's m sites, then the
-        # traced sites.
-        w = _on_support(w)
-        c, r = w.shape[:2]
-        m = _sites(r, d, ())[0]
-        a = w.transpose(0, 3, 1, 2).reshape(c, d**k * r, -1) / np.sqrt(d**k)
-        rho_rs = a @ a.conj().swapaxes(-1, -2)
-        rho_r = partial_trace(rho_rs, d, reference)
-        rho_s = partial_trace(rho_rs, d, range(k + 1, k + m + 1))
-        rho_rs -= (rho_r[:, :, None, :, None]
-                   * rho_s[:, None, :, None, :]).reshape(rho_rs.shape)
-        dists = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(rho_rs)), axis=-1)
-        for i, dist in zip(positions, dists):
-            out[i] = float(dist)
-    return out
+    return _scan(code, cap)[2][_rows(code.n, subsets)].tolist()
 
 
 def verify_concealment(code: StabilizerCode, plan, subsets,
                        cap: int | None = None) -> float:
     """Max over the subsets of the module docstring's bound, which covers
     every pair of secrets; must vanish.  T acts densely on the stack of
-    nonidentity logical Paulis, one generator average at a time."""
+    nonidentity logical Paulis, one generator average at a time, and each
+    T(P) is expanded back in the Pauli basis."""
     d, k = code.d, code.k
-    twirled = _logical_paulis(d, k)[1][1:]
+    paulis = _logical_paulis(d, k)[1]
+    twirled = paulis[1:]
     for g in plan.twirl_generators:  # (1/d) sum_e g^e op g^-e
         powers = [pauli.dense_matrix(pauli.power(g, e), cap=d**k)
                   for e in range(d)]
         twirled = sum(u @ twirled @ u.conj().T for u in powers) / d
-    worst = 0.0
-    for _, r, norms in _traced_norms(code, subsets, twirled, cap):
-        worst = max(worst, float(np.sqrt(r) * np.max(norms.sum(axis=1))) / d**k)
-    return worst
+    # t[P, Q] = |tr(Q-dagger T(P))| / d^k, summed over P != I.
+    weights = np.abs(twirled.reshape(len(twirled), -1)
+                     @ paulis.reshape(len(paulis), -1).conj().T).sum(0) / d**k
+    ranks, norms, _ = _scan(code, cap)
+    rows = _rows(code.n, subsets)
+    bound = np.sqrt(ranks[rows]) * (norms[rows] @ weights) / d**k
+    return float(np.max(bound, initial=0.0))
 
 
 def expansion_consistency(code: StabilizerCode, secret, subsets,
@@ -455,21 +463,24 @@ def expansion_consistency(code: StabilizerCode, secret, subsets,
     its Pauli expansion.
 
     Expands |psi><psi| in the input Pauli basis with Fourier coefficients
-    c(x,z) = <psi| (X^x Z^z)^dagger |psi> and pushes each term through the
-    encoding: the reassembled reduced state must match the direct one.  Each
-    input Pauli is built once and traced onto every chunk of subsets.
+    c(x,z) = <psi| (X^x Z^z)^dagger |psi>, images each term as the scan
+    does on the support col(Q), W = Q R, and maps it back as Q A Q-dagger:
+    the reassembled reduced state must match the direct one.
     """
     d, k = code.d, code.k
     subsets = list(subsets)
     secret = np.asarray(secret, dtype=complex).reshape(-1)
     state = encode(code, secret, cap)
     ops = _logical_paulis(d, k)[1]
-    coeffs = [np.vdot(op @ secret, secret) for op in ops]  # <psi| op^dagger |psi>
+    coeffs = np.array([np.vdot(op @ secret, secret) for op in ops])
     worst = 0.0
     for positions, w in _lifts(encoding_isometry(code, cap), d, subsets):
-        total = sum(coeff * _traced(w, op) for coeff, op in zip(coeffs, ops)
-                    if abs(coeff) >= 1e-15)
-        for i, expanded in zip(positions, total / d**k):
+        q, r = np.linalg.qr(w.reshape(w.shape[:2] + (-1,)))
+        rho = _choi_state(r.reshape(r.shape[:2] + w.shape[2:]))
+        c, _, rank = q.shape
+        total = (coeffs @ _images(rho, ops)).reshape(c, rank, rank) / d**k
+        for i, expanded in zip(positions,
+                               q @ total @ q.conj().swapaxes(-1, -2)):
             direct = reduced_state(state, subsets[i], d)
             worst = max(worst, float(np.max(np.abs(direct - expanded))))
     return worst

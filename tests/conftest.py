@@ -12,6 +12,14 @@ from stabshare.primefield import mod_nullspace
 from stabshare.twirl import twirl_operator
 
 
+@pytest.fixture(autouse=True)
+def _fresh_scan():
+    """Drop the oracle's cached scans after each test, so that one run
+    under a patched reduction cannot leak into the next test."""
+    yield
+    oracle._scan.cache_clear()
+
+
 @pytest.fixture(scope="session")
 def cnot():
     return catalog("cnot_2_1")

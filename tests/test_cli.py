@@ -18,6 +18,9 @@ DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
+    # Each run starts from cold oracle caches, as a fresh process does.
+    oracle._scan.cache_clear()
+    oracle._logical_paulis.cache_clear()
     status = main(list(argv))
     captured = capsys.readouterr()
     return status, captured.out, captured.err
@@ -374,10 +377,11 @@ def test_simulate_resource_cap(capsys, monkeypatch):
     assert not dense
 
 
-@pytest.mark.parametrize("check", ["choi", "all"])
+@pytest.mark.parametrize("check", ["choi", "all", "infogroup", "concealment"])
 def test_simulate_meets_the_choi_cap_first(capsys, monkeypatch, check):
     # ghz_12's encoding has D^n = 4096 amplitudes, within the default cap;
-    # its Choi vector has D^(n+k) = 8192.
+    # its Choi vector has D^(n+k) = 8192, and every dense check reads the
+    # scan's Choi states.
     calls = count_calls(monkeypatch, infogroup, "classify", "info_group")
     status, _, err = run(capsys, "simulate", "catalog:ghz_n", "--n", "12",
                          "--seed", "1", "--check", check)
@@ -389,14 +393,15 @@ def test_simulate_meets_the_choi_cap_first(capsys, monkeypatch, check):
 
 def test_simulate_reports_a_dense_contradiction_as_a_failed_check(
         capsys, monkeypatch):
-    real = oracle._traced
+    real = oracle._choi_state
 
-    def lossy(w, op):
-        # Drop the only traced basis state of the full subset: every traced
-        # image there vanishes, even the identity's.
-        return real(w[:, :, 1:] if w.shape[2] == 1 else w, op)
+    def lossy(w):
+        # Drop the only traced basis state of the full subset: its Choi
+        # state vanishes, and with it every image there, even the
+        # identity's.
+        return real(w[:, :, 1:] if w.shape[2] == 1 else w)
 
-    monkeypatch.setattr(oracle, "_traced", lossy)
+    monkeypatch.setattr(oracle, "_choi_state", lossy)
     status, out, err = run(capsys, "simulate", "catalog:four_two_two",
                            "--seed", "1", "--check", "infogroup",
                            "--format", "structured")
@@ -420,7 +425,7 @@ def test_simulate_builds_each_dense_operator_once(capsys, monkeypatch):
     status, _, _ = run(capsys, "simulate", "catalog:four_two_two",
                        "--seed", "1", "--check", "infogroup")
     assert status == 0
-    # The D^(2k) = 16 logical Paulis, traced as one stack onto all 16
+    # The D^(2k) = 16 logical Paulis, imaged as one stack on all 16
     # subsets, are Kronecker products of the D^2 = 4 dense single-qudit
     # Paulis: no two-qudit Pauli is built densely.
     assert sites == {1: 4}
@@ -429,11 +434,11 @@ def test_simulate_builds_each_dense_operator_once(capsys, monkeypatch):
     status, _, _ = run(capsys, "simulate", "catalog:four_two_two",
                        "--seed", "1", "--check", "all")
     assert status == 0
-    # Concealment and expansion each build the stack once more, from 4
-    # more single-qudit Paulis, and concealment's twirl builds g^e for each
-    # of its l = 4 generators and e in Z_2.  No key is enumerated, and the
-    # key check draws its key without building an operator.
-    assert sites == {1: 4 + 4 + 4, 2: 4 * 2}
+    # The scan, concealment and expansion share one stack, and
+    # concealment's twirl builds g^e for each of its l = 4 generators and
+    # e in Z_2.  No key is enumerated, and the key check draws its key
+    # without building an operator.
+    assert sites == {1: 4, 2: 4 * 2}
     assert not twirls
     sites.clear()
     status, _, _ = run(capsys, "simulate", "catalog:four_two_two",
@@ -446,28 +451,44 @@ def test_simulate_builds_each_dense_operator_once(capsys, monkeypatch):
 @pytest.mark.parametrize("check,failing", [
     ("infogroup", {"infogroup"}),
     ("concealment", {"concealment"}),
-    ("all", {"infogroup", "concealment", "absence", "expansion"})])
+    ("all", {"choi", "concealment", "expansion", "infogroup",
+             "keyed_recovery"})])
 def test_simulate_fails_on_lossy_reduction(capsys, monkeypatch, check,
                                            failing):
-    real = oracle._traced
+    real = oracle._choi_state
 
-    def lossy(w, op):
+    def lossy(w):
         # Drop the first traced basis state wherever more than one is traced.
-        return real(w[:, :, 1:] if w.shape[2] > 1 else w, op)
+        return real(w[:, :, 1:] if w.shape[2] > 1 else w)
 
     # GHZ_3 in the X basis.  Its twirl leaves X-bar = ZZZ, whose
-    # restriction to any traced set is diagonal, so a reduction that drops
-    # a traced basis state also breaks concealment.
+    # restriction to any traced set is diagonal, so a Choi state that drops
+    # a traced basis state also breaks concealment.  Absence builds its
+    # states from the encoding directly, so it still passes.
     path = DATA / "ghz_x_3.json"
     status, out, _ = run(capsys, "simulate", str(path), "--seed", "1",
                          "--check", check, "--format", "structured")
     assert status == 0
-    monkeypatch.setattr(oracle, "_traced", lossy)
+    monkeypatch.setattr(oracle, "_choi_state", lossy)
     status, out, _ = run(capsys, "simulate", str(path), "--seed", "1",
                          "--check", check, "--format", "structured")
     assert status == 1
     results = json.loads(out)["results"]
     assert {r["check"] for r in results if not r["pass"]} == failing
+
+
+def test_simulate_scans_each_chunk_once(capsys, monkeypatch):
+    c = catalog("ghz_n", 8)
+    chunks = list(oracle._lifts(oracle.encoding_isometry(c), c.d,
+                                infogroup.subsets_in_order(c.n)))
+    assert len(chunks) > c.n + 1  # some subset size spans several chunks
+    calls = count_calls(monkeypatch, oracle, "_on_support")
+    status, _, _ = run(capsys, "simulate", "catalog:ghz_n", "--n", "8",
+                       "--seed", "1", "--check", "all")
+    assert status == 0
+    # One support per chunk of the scan; infogroup, choi, concealment and
+    # keyed recovery read it, and expansion and absence take their own.
+    assert calls == {"_on_support": len(chunks)}
 
 
 def test_simulate_makes_one_choi_call_per_check(capsys, monkeypatch):

@@ -170,9 +170,34 @@ def test_traced_lift_matches_partial_trace(case):
     c, op, keep = case
     v = oracle.encoding_isometry(c)
     want = oracle.partial_trace(v @ op @ v.conj().T, c.d, keep)
-    [got] = oracle._traced(oracle._kept_first(v, c.d, keep)[None], op)
-    assert got.shape == want.shape
-    assert np.max(np.abs(got - want)) < 1e-12
+    rho = oracle._choi_state(oracle._kept_first(v, c.d, keep)[None])
+    [[got]] = oracle._images(rho, op[None])
+    assert got.shape == (want.size,)
+    assert np.max(np.abs(got.reshape(want.shape) - want)) < 1e-12
+
+
+@st.composite
+def _small_code(draw):
+    d = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, {2: 4, 3: 3, 5: 2}[d]))
+    k = draw(st.integers(1, min(n, 2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_code(rng, d, n, k)
+
+
+@given(_small_code())
+@settings(max_examples=40, deadline=None)
+def test_scan_norms_match_partial_trace(c):
+    v = oracle.encoding_isometry(c)
+    ops = oracle._logical_paulis(c.d, c.k)[1]
+    lifts = v @ ops @ v.conj().T
+    ranks, norms, _ = oracle._scan(c, None)
+    for row, subset in enumerate(subsets_in_order(c.n)):
+        want = np.linalg.norm(oracle.partial_trace(lifts, c.d, subset),
+                              axis=(1, 2))
+        assert np.max(np.abs(norms[row] - want)) < 1e-12, subset
+        assert ranks[row] == min(c.d**len(subset),
+                                 c.d**(c.n - len(subset) + c.k))
 
 
 def _random_density(rng, dim):
@@ -494,6 +519,35 @@ def test_expansion_consistency(catalog_codes):
         assert oracle.expansion_consistency(c, secret, subsets) < 1e-10
 
 
+@given(_small_code())
+@settings(max_examples=30, deadline=None)
+def test_expansion_consistency_on_random_codes(c):
+    # Qudit encodings are complex, so mapping the support back needs Q's
+    # conjugate.
+    secret = oracle.random_secret(c.d, c.k, np.random.default_rng(c.n))
+    assert oracle.expansion_consistency(
+        c, secret, subsets_in_order(c.n)) < 1e-10
+
+
+def test_scan_readers_take_each_subset_as_its_carrier_set(four_two_two):
+    c = four_two_two
+    # An empty twirl makes the concealment bound differ between subsets.
+    bare = replace(twirl_plan(c, classify(c)), twirl_generators=(),
+                   key_length=0)
+    readers = [
+        lambda subsets: oracle.info_group_bruteforce(c, subsets),
+        lambda subsets: oracle.choi_decoupling(c, subsets),
+        lambda subsets: [oracle.verify_concealment(c, bare, [s])
+                         for s in subsets]]
+    messy = [(2, 1), (3, 3, 1), (4, 2, 1, 3), (2,)]
+    clean = [(1, 2), (1, 3), (1, 2, 3, 4), (2,)]
+    for read in readers:
+        assert read(messy) == read(clean)
+        for bad in [(0,), (1, 5)]:
+            with pytest.raises(ValueError, match="out of range"):
+                read([(1,), bad])
+
+
 def test_resource_caps():
     big = catalog("ghz_n", 13)
     with pytest.raises(ResourceLimitError):
@@ -572,3 +626,4 @@ def test_logical_pauli_stack_equals_each_dense_pauli(d, k):
         PauliProduct(d, tuple(e[:k]), tuple(e[k:])), cap=d**k) for e in exps])
     assert ops.shape == dense.shape
     assert np.max(np.abs(ops - dense)) == 0
+    assert not exps.flags.writeable and not ops.flags.writeable
