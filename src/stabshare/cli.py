@@ -17,7 +17,6 @@ import numpy as np
 from . import classical, code as code_mod, infogroup, oracle, twirl
 from .code import CodeFileError, CodeValidationError, StabilizerCode
 from .pauli import ResourceLimitError, pairing
-from .primefield import mod_rref_stack
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -148,10 +147,10 @@ def _duality_mismatch(c: StabilizerCode, triplet: infogroup.SchemeTriplet,
     `groups` holds the direct G(S) of every subset in enumeration order, so
     subset -1 - i is the complement of subset i.  On their stack of echelon
     slots: the commutant of G(S) is G(S-bar) iff the two pair to zero and
-    their ranks sum to 2k; each class, from the rank, and (r, s), 2r being
-    the Gram matrix's rank, must be what `classify` reported.  Last,
-    `intermediate`, the group that the twirl is built from, must be the
-    span of the direct groups of the intermediate subsets.
+    their ranks sum to 2k; each class and (r, s), from the same
+    ``infogroup._class_rs`` that `classify` uses, must be what it reported.
+    Last, `intermediate`, the group that the twirl is built from, must be
+    the span of the direct groups of the intermediate subsets.
     """
     d, k = c.d, c.k
     order = list(infogroup.subsets_in_order(c.n))
@@ -162,14 +161,13 @@ def _duality_mismatch(c: StabilizerCode, triplet: infogroup.SchemeTriplet,
     slots[np.repeat(np.arange(len(groups)), ranks), (rows != 0).argmax(1)] = rows
     dual = (ranks + ranks[::-1] == 2 * k) & ~pairing(
         slots, slots[::-1], d).any(axis=(1, 2))
-    direct = np.where(ranks == 2 * k, "A", np.where(ranks == 0, "F", "I"))
+    solved = infogroup._class_rs(slots, d)
+    direct, rs = np.array(list(infogroup._CLASSES))[solved[0]], solved[1:].T
     classes = ({s: "A" for s in triplet.authorized}
                | {s: "F" for s in triplet.forbidden})
     reported = np.array([classes.get(s, "I") for s in order])
     bad = ~dual | (direct != reported)
     if triplet.records is not None:
-        r = mod_rref_stack(pairing(slots, slots, d), d).any(2).sum(1) // 2
-        rs = np.stack([r, ranks - 2 * r], axis=1)
         bad |= (rs != [(rec.r, rec.s) for rec in triplet.records]).any(axis=1)
     # The first failing pair (i, -1 - i), G(-1 - i) checked before G(i).
     for i in np.flatnonzero(bad | bad[::-1])[:1].tolist():

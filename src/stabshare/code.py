@@ -54,7 +54,9 @@ def _check_int64_range(d: int, n: int) -> None:
     ``pairing`` accumulate in int64: the largest is a sum of at most 2n
     products of digits < D.  The fraction-free steps of ``classify``'s walk
     and ``mod_rref_stack`` add two such products, which the bound also
-    covers.
+    covers.  So does the Gram path for (r, s): ``pairing`` of two stacks
+    of 2k echelon slots sums 2k <= 2n such products, and its
+    ``mod_rref_stack`` starts from entries below D.
     """
     if 2 * max(n, 1) * (d - 1) ** 2 >= 2**63:
         raise ValueError(

@@ -30,14 +30,15 @@ once, on stacked int64 arrays in chunks under a fixed cell budget.  The
 walk visits only the subsets without carrier n; each other subset is the
 complement of one of them and gets its record by the rule above.
 
-Groups repeat (ghz_16 has 2 distinct groups among 32,768 leaves), so each
-leaf's group is keyed by its canonical echelon from
-``primefield.mod_rref_stack`` and each distinct group is solved once.  Over
-the distinct intermediate groups G(L), ``classify`` also keeps their span
-and their intersection for the twirl: the intermediate group is the span
-plus the commutant of the intersection (see ``twirl.intermediate_group``).
-``info_group`` solves listed subsets directly, stacked by size, with the
-walk's column clearing: for ``classify --subset`` and ``simulate``.
+Groups repeat (ghz_16 has 2 distinct groups among 32,768 leaves), so
+``_class_rs`` decides each chunk's distinct echelons on one stack: the
+class from the rank, 2r as the rank of the Gram matrix of pairings.
+``simulate``'s duality check shares it.  Over the distinct intermediate
+groups G(L), ``classify`` also keeps their span and intersection for the
+twirl: the intermediate group is the span plus the commutant of the
+intersection (see ``twirl.intermediate_group``).  ``info_group`` solves
+listed subsets directly, stacked by size, with the walk's column
+clearing: for ``classify --subset`` and ``simulate``.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ import numpy as np
 
 from .code import StabilizerCode
 from .pauli import ResourceLimitError, pairing
-from .primefield import (mod_nullspace, mod_rank, mod_rref_stack, mod_solve,
+from .primefield import (mod_nullspace, mod_rref_stack, mod_solve,
                          row_space_basis)
 
 __all__ = [
@@ -330,6 +331,7 @@ class SchemeTriplet:
 # whose next level would pass it drops its zero rows, then splits.
 _CELL_BUDGET = 1 << 12
 # Per chunk of ``info_group``, larger: a chunk's 2 |S-bar| passes are fixed.
+# Also per Gram chunk of ``_class_rs``, and for ``classify``'s kept rows.
 _SOLVE_BUDGET = 1 << 14
 
 
@@ -387,47 +389,36 @@ def _walk(code: StabilizerCode):
                       rows))
 
 
-def _contains(a: InfoGroup, b: InfoGroup) -> bool:
-    """Whether a is a subgroup of b.
-
-    b's generators are in reduced echelon form, so a row of a lies in b
-    iff subtracting its entries at b's pivots times b's rows leaves zero.
-    """
-    if a.is_trivial or b.is_full or a == b:
-        return True
-    if a.rank > b.rank:
-        return False
-    rows, basis = a.generator_rows(), b.generator_rows()
-    pivots = (basis != 0).argmax(axis=1)
-    return not ((rows - rows[:, pivots] @ basis) % a.d).any()
-
-
-def _meet(a: InfoGroup, b: InfoGroup) -> InfoGroup:
-    """a ∩ b: x . A for every solution (x, y) of x . A + y . B = 0."""
-    d, rows = a.d, a.generator_rows()
-    kernel = mod_nullspace(np.vstack([rows, b.generator_rows()]).T, d)
-    coeffs = np.array(kernel, dtype=np.int64).reshape(-1, a.rank + b.rank)
-    return group_from_rows(d, a.k, coeffs[:, :a.rank] @ rows % d)
-
-
 # Class codes in ``classify``'s arrays; the dual of code c is 2 - c.
 _CLASSES = "AIF"
 
 
-def _rs_of(group: InfoGroup) -> tuple[int, int]:
-    rows = group.generator_rows()
-    r = mod_rank(pairing(rows, rows, group.d), group.d) // 2
-    return r, group.rank - 2 * r
+def _class_rs(slots: np.ndarray, d: int) -> np.ndarray:
+    """Class code, r and s of each slice of a (B, 2k, 2k) stack of echelon
+    slots (as ``mod_rref_stack`` returns them), as a (3, B) array.
+
+    The class follows from the rank, the count of nonzero slots; 2r is the
+    rank of the group's Gram matrix of pairings, reduced in chunks under
+    ``_SOLVE_BUDGET``, and s the rest.
+    """
+    rank = slots.any(axis=2).sum(axis=1)
+    gram = pairing(slots, slots, d)
+    step = max(1, _SOLVE_BUDGET // gram[0].size)
+    r = np.concatenate([
+        mod_rref_stack(gram[lo:lo + step], d).any(axis=2).sum(axis=1)
+        for lo in range(0, len(gram), step)]) // 2
+    return np.stack([1 - (rank == slots.shape[-1]) + (rank == 0), r,
+                     rank - 2 * r])
 
 
 def classify(code: StabilizerCode) -> SchemeTriplet:
     """Classify every subset of carriers.
 
     ``_walk`` yields the echelon basis of G(S) for every S without carrier
-    n.  Each distinct group is solved once for its class and (r, s), and
-    offered to ``leaf_span`` and ``leaf_core`` if intermediate; each of
-    those changes rank monotonically, so is rebuilt at most 2k times.  By
-    duality the complement of S gets the dual class and (k - r - s, s).
+    n, in chunks; ``_class_rs`` decides each chunk's distinct groups at
+    once.  The intermediate ones are kept on two slices, whose echelon
+    gives ``leaf_span`` and ``leaf_core``.  By duality the complement of
+    S gets the dual class and (k - r - s, s).
     Lists, extremal sets and the size summary come from arrays indexed by
     subset bitmask; records are built only when kept.
     """
@@ -440,24 +431,24 @@ def classify(code: StabilizerCode) -> SchemeTriplet:
     # All are at most n <= 20, so int8 keeps these 2^n-long arrays small.
     half = 1 << (n - 1)
     by_mask = np.zeros((3, 2 * half), dtype=np.int8)
-    span = InfoGroup(d, k, ())
-    core = InfoGroup(d, k, tuple(map(tuple, np.eye(2 * k, dtype=int).tolist())))
-    solved: dict[bytes, tuple[int, int, int]] = {}  # by the group's echelon
+    # For each distinct intermediate echelon M, its rows, and the rows of
+    # (I - M)^T, which span the dot-product complement of M's rows (being
+    # reduced, M is idempotent).  The groups' intersection is the
+    # complement of the sum of those complements.
+    eye = np.eye(2 * k, dtype=np.int64)
+    kept = np.zeros((2, 0, 2 * k), dtype=np.int64)
     for masks, echelons in _walk(code):
-        raw, step = echelons.tobytes(), echelons[0].nbytes
-        for key in {raw[i:i + step] for i in range(0, len(raw), step)}:
-            if key in solved:
-                continue
-            rows = np.frombuffer(key, dtype=np.int64).reshape(2 * k, -1)
-            g = InfoGroup(d, k, tuple(
-                row for row in map(tuple, rows.tolist()) if any(row)))
-            solved[key] = (_CLASSES.index(g.access_class), *_rs_of(g))
-            if g.access_class == "I" and not _contains(g, span):
-                span = group_from_rows(d, k, span.generators + g.generators)
-            if g.access_class == "I" and not _contains(core, g):
-                core = g if core.is_full else _meet(core, g)
-        by_mask[:, masks] = np.array(
-            [solved[raw[i:i + step]] for i in range(0, len(raw), step)]).T
+        flat = echelons.reshape(len(masks), -1)
+        _, first, inverse = np.unique(flat.view(f"V{flat.shape[1] * 8}")[:, 0],
+                                      return_index=True, return_inverse=True)
+        solved = _class_rs(echelons[first], d)
+        by_mask[:, masks] = solved[:, inverse]
+        leaves = echelons[first[solved[0] == 1]]
+        kept = np.concatenate([kept, np.stack([
+            leaves, (eye - leaves).swapaxes(1, 2)]).reshape(2, -1, 2 * k)], 1)
+        if kept.size > _SOLVE_BUDGET:
+            kept = mod_rref_stack(kept, d)
+    span, dual = mod_rref_stack(kept, d)
     # Mask m >= half is the complement of 2 half - 1 - m: dual class,
     # (k - r - s, s).
     low = by_mask[:, half - 1::-1]
@@ -502,8 +493,8 @@ def classify(code: StabilizerCode) -> SchemeTriplet:
         size_summary=tuple((size, a, f, i) for size, (a, i, f)
                            in enumerate(counts.reshape(-1, 3).tolist())),
         records=records,
-        leaf_span=span,
-        leaf_core=core,
+        leaf_span=group_from_rows(d, k, span),
+        leaf_core=group_from_rows(d, k, (eye - dual).T),
     )
 
 

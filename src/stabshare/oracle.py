@@ -295,9 +295,15 @@ def _images(rho: np.ndarray, ops: np.ndarray) -> np.ndarray:
     return ops.reshape(len(ops), -1) @ blocks.reshape(c, dk * dk, r * r) * dk
 
 
+@functools.lru_cache(maxsize=32)
+def _row_index(n: int) -> dict[tuple[int, ...], int]:
+    """Each subset's row in `subsets_in_order(n)`; shared, never written."""
+    return {subset: i for i, subset in enumerate(subsets_in_order(n))}
+
+
 def _rows(n: int, subsets) -> list[int]:
     """Each subset's row in `subsets_in_order(n)`, by its sorted carriers."""
-    index = {subset: i for i, subset in enumerate(subsets_in_order(n))}
+    index = _row_index(n)
     rows = []
     for subset in subsets:
         row = index.get(tuple(sorted({int(site) for site in subset})))

@@ -21,6 +21,7 @@ def run(capsys, *argv):
     # Each run starts from cold oracle caches, as a fresh process does.
     oracle._scan.cache_clear()
     oracle._logical_paulis.cache_clear()
+    oracle._row_index.cache_clear()
     status = main(list(argv))
     captured = capsys.readouterr()
     return status, captured.out, captured.err
@@ -482,13 +483,15 @@ def test_simulate_scans_each_chunk_once(capsys, monkeypatch):
     chunks = list(oracle._lifts(oracle.encoding_isometry(c), c.d,
                                 infogroup.subsets_in_order(c.n)))
     assert len(chunks) > c.n + 1  # some subset size spans several chunks
-    calls = count_calls(monkeypatch, oracle, "_on_support")
+    calls = count_calls(monkeypatch, oracle, "_on_support", "subsets_in_order")
     status, _, _ = run(capsys, "simulate", "catalog:ghz_n", "--n", "8",
                        "--seed", "1", "--check", "all")
     assert status == 0
     # One support per chunk of the scan; infogroup, choi, concealment and
     # keyed recovery read it, and expansion and absence take their own.
-    assert calls == {"_on_support": len(chunks)}
+    # The subsets are listed once for the scan and once for the index by
+    # which its readers find their rows.
+    assert calls == {"_on_support": len(chunks), "subsets_in_order": 2}
 
 
 def test_simulate_makes_one_choi_call_per_check(capsys, monkeypatch):

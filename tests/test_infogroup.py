@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabshare import catalog, infogroup, oracle
+from stabshare import catalog, infogroup, oracle, primefield
 from stabshare.code import StabilizerCode, load
 from stabshare.infogroup import (
     InfoGroup,
@@ -176,10 +176,16 @@ def _assert_canonical_invariants(group: InfoGroup):
     gram = pairing(rows, rows, d)
     assert (mod_rank(gram, d) if gram.size else 0) == 2 * r
 
+    # classify's stacked class and (r, s), on the group's echelon slots
+    slots = np.zeros((1, 2 * k, 2 * k), dtype=np.int64)
+    slots[0, (rows != 0).argmax(axis=1)] = rows
+    cls, r_of, s_of = infogroup._class_rs(slots, d)[:, 0].tolist()
+    assert (infogroup._CLASSES[cls], r_of, s_of) == (group.access_class, r, s)
+
 
 @st.composite
 def random_group(draw):
-    d = draw(st.sampled_from([2, 3]))
+    d = draw(st.sampled_from([2, 3, 5, 7, 10007, 65537]))
     k = draw(st.integers(1, 3))
     n_rows = draw(st.integers(0, 2 * k))
     rows = draw(st.lists(
@@ -391,19 +397,39 @@ def test_walk_matches_info_group_on_data_codes(path):
       if p.stem in ("rand_3_5_1", "rand_10007_8_2"))])
 def test_classify_solves_each_distinct_leaf_once(c, monkeypatch):
     _assert_walk_matches_direct_solves(c)
-    echelons = [echelon.tobytes() for _, echelon in _walk_leaves(c)]
-    assert len(set(echelons)) < len(echelons)
-    calls = count_calls(monkeypatch, infogroup, "_rs_of")
+    chunks = [{echelon.tobytes() for echelon in echelons}
+              for _, echelons in infogroup._walk(c)]
+    real, seen = infogroup._class_rs, []
+
+    def recording(slots, d):
+        seen.append({echelon.tobytes() for echelon in slots})
+        assert len(seen[-1]) == len(slots)
+        return real(slots, d)
+
+    monkeypatch.setattr(infogroup, "_class_rs", recording)
     t = classify(c)
-    assert calls["_rs_of"] == len(set(echelons))
-    # A repeated group skips the span and core updates; they must lose
-    # nothing.  The intersection is taken as the commutant of the
-    # commutants' span.
+    # One call per chunk, on that chunk's distinct echelons.
+    assert seen == chunks
+    assert sum(map(len, seen)) < 2 ** (c.n - 1)
+    # Only each chunk's distinct intermediate groups reach the span and
+    # core; they must lose nothing.  The intersection is taken as the
+    # commutant of the commutants' span.
     groups = info_group(c, [s for s in t.intermediate if c.n not in s])
     span = lambda gs: group_from_rows(
         c.d, c.k, [row for g in gs for row in g.generators])
     assert t.leaf_span == span(groups)
     assert t.leaf_core == commutant(span(commutant(g) for g in groups))
+
+
+def test_classify_makes_no_list_elimination_per_group(monkeypatch):
+    # About 200 distinct groups, all decided on stacks: the only list
+    # eliminations are the two ``group_from_rows`` of leaf_span and
+    # leaf_core.
+    c = random_code(np.random.default_rng(0), 3, 12, 2)
+    assert len({echelon.tobytes() for _, echelon in _walk_leaves(c)}) > 100
+    calls = count_calls(monkeypatch, primefield, "_rref_lists")
+    classify(c)
+    assert calls["_rref_lists"] == 2
 
 
 @pytest.mark.parametrize("c", [
@@ -413,8 +439,10 @@ def test_classify_solves_each_distinct_leaf_once(c, monkeypatch):
 def test_walk_chunks_do_not_change_the_triplet(c, monkeypatch):
     whole = classify(c)
     # At the smallest budget every batch is split down to one node, so
-    # the leaves arrive in pairs, the two sides of carrier n - 1.
+    # the leaves arrive in pairs, the two sides of carrier n - 1; and the
+    # rows kept for the span and core are reduced after every pair.
     monkeypatch.setattr(infogroup, "_CELL_BUDGET", 0)
+    monkeypatch.setattr(infogroup, "_SOLVE_BUDGET", 0)
     assert [len(masks) for masks, _ in infogroup._walk(c)] == \
         [2] * 2 ** (c.n - 2)
     _assert_walk_matches_direct_solves(c)
@@ -496,3 +524,10 @@ def test_commutant_duality_on_random_codes(d, nk, seed):
     rows = [row for g in info_group(c, t.intermediate) for row in g.generators]
     spanned = group_from_rows(d, k, np.array(rows).reshape(-1, 2 * k))
     assert intermediate_group(c, t).generators == spanned.generators
+
+    leaves = [solved[s] for s in t.intermediate if n not in s]
+    span = lambda gs: group_from_rows(
+        d, k, np.array([row for g in gs for row in g.generators],
+                       dtype=np.int64).reshape(-1, 2 * k))
+    assert t.leaf_span == span(leaves)
+    assert t.leaf_core == commutant(span(commutant(g) for g in leaves))
