@@ -7,10 +7,12 @@ on codes with no intermediate structure it exits 2 with empty stdout.
 ``simulate`` is left out: its floating-point measurements depend on the
 BLAS build.
 
-The files are random odd-prime codes with k = 2.  In [[3,2]]_3 and
+The files are random odd-prime codes.  In [[3,2]]_3 and
 [[7,2]]_65537 the intermediate subsets split as (r, s) = (0, 1) and (1, 1),
 in [[8,2]]_10007 as (1, 0), so both terms of the complement's
-(k - r - s, s) are pinned.
+(k - r - s, s) are pinned.  [[5,1]]_3 is the one whose access structure
+is not a threshold one, so its ``share-key`` pins the monotone scheme's
+draws.
 
 A change that alters any of these bytes on purpose must say why and record
 the new digests.
@@ -136,6 +138,8 @@ GOLDEN = {
         0, "b99a8d2eb74a39c7b4eec335c44a31143a1885831b9c74028e6c38cc25e9cf55"),
     ("twirl-plan", "rand_10007_8_2"): (
         0, "eb0127e63424a40f5de52e0e7f9b20c1ddcd0b9e3fc58ecee987814c1274fe90"),
+    ("share-key", "rand_3_5_1"): (
+        0, "bb15e7fb7d3eacb280e99d81fcc523c7edf159742596550d3e0f45c9cb409816"),
 }
 
 DATA = Path(__file__).parent / "data"
