@@ -4,6 +4,9 @@ Two backends: Shamir threshold sharing (uniform degree q-1 polynomials,
 evaluation points 1..n, Lagrange reconstruction at 0) and a replicated
 additive scheme for arbitrary monotone access structures given by their
 minimal authorized sets.  All randomness is seed-threaded so runs replay.
+The monotone scheme takes all its uniform parts from one ``getrandbits``
+call, which replays ``random.Random(seed).randrange(p)`` word for word, so
+its moduli are the primes below 2^32.
 """
 
 from __future__ import annotations
@@ -158,22 +161,47 @@ def shamir_reconstruct(shares: dict[int, tuple[int, ...]], q: int,
 # ---------------------------------------------------------------------------
 
 def _check_antichain(minimal_sets) -> tuple[tuple[int, ...], ...]:
-    sets = tuple(tuple(sorted(set(int(i) for i in s))) for s in minimal_sets)
+    sets = tuple(tuple(sorted(set(map(int, s)))) for s in minimal_sets)
     if not sets:
         raise ValueError("minimal authorized sets must be nonempty")
-    # a is a proper subset of b iff it shares all |a| of its players with
-    # b and |a| < |b|; argwhere scans (a, b) in the old loop's order.  No
-    # count exceeds the number of players, so its smallest type is exact.
-    players = sorted({i for s in sets for i in s})
-    member = np.array([[i in s for i in players] for s in sets],
-                      dtype=np.min_scalar_type(len(players)))
-    size = member.sum(axis=1)
-    inside = (member @ member.T == size[:, None]) & (size[:, None] < size)
-    if inside.any():
-        a, b = np.argwhere(inside)[0]
+    # Each player is a bit of its set's packed mask; a is a proper subset
+    # of b iff |a| < |b| and no bit of a is missing from b.  Rows go one
+    # size at a time, against the larger sets only, and the first hit in
+    # (a, b) order is reported.
+    index = {i: j for j, i in enumerate(sorted({i for s in sets for i in s}))}
+    size = np.array([len(s) for s in sets])
+    member = np.zeros((len(sets), len(index)), dtype=bool)
+    member[np.repeat(np.arange(len(sets)), size),
+           [index[i] for s in sets for i in s]] = True
+    masks = np.packbits(member, axis=1).T
+    hits = []
+    for width in set(size.tolist()):
+        a, b = np.flatnonzero(size == width), np.flatnonzero(size > width)
+        outside = np.zeros((len(a), len(b)), dtype=bool)
+        for byte in masks:
+            outside |= (byte[a, None] & ~byte[b]) != 0
+        hits += [(a[i], b[j]) for i, j in np.argwhere(~outside)[:1].tolist()]
+    if hits:
+        a, b = min(hits)
         raise ValueError(f"minimal sets must form an antichain: "
                          f"{sets[a]} is inside {sets[b]}")
     return sets
+
+
+def _randbelow(rng: random.Random, p: int, count: int) -> np.ndarray:
+    """The next `count` values of ``rng.randrange(p)``, for p < 2^32.
+
+    CPython's randrange(p) tries the top p.bit_length() bits of one 32-bit
+    Mersenne Twister word until a try is below p; ``getrandbits(32 W)``
+    returns the next W such words, the first in the lowest bits.
+    """
+    shift, out = 32 - p.bit_length(), np.zeros(0, dtype=np.int64)
+    while len(out) < count:
+        words = -(-((count - len(out)) << p.bit_length()) // p)
+        tries = np.frombuffer(rng.getrandbits(32 * words).to_bytes(
+            4 * words, "little"), dtype="<u4") >> shift
+        out = np.concatenate([out, tries[tries < p]])
+    return out[:count]
 
 
 def monotone_share(key_digits, minimal_sets, modulus: int,
@@ -183,32 +211,41 @@ def monotone_share(key_digits, minimal_sets, modulus: int,
     For each minimal authorized set every digit is split into uniform parts
     summing to it, one part per member; a subset reconstructs iff it
     contains some minimal set.  A player's share list is the concatenation
-    of its parts, minimal set by minimal set.
+    of its parts, minimal set by minimal set.  The modulus must be a prime
+    below 2^32.
     """
     p = check_prime(modulus)
+    if p >= 1 << 32:
+        raise ValueError(f"modulus {p} must be below 2**32")
     sets = _check_antichain(minimal_sets)
     if () in sets:
         raise ValueError("a minimal authorized set must have a player")
-    digits = [int(v) % p for v in key_digits]
+    digits = np.array([int(v) % p for v in key_digits], dtype=np.int64)
     players = sorted({i for s in sets for i in s})
     if n is None:
         n = max(players)
     if unknown := [i for i in players if not 1 <= i <= n]:
         raise ValueError(f"player {unknown[0]} is outside 1..{n}")
-    rng = random.Random(seed)
-    shares: dict[int, list[int]] = {i: [] for i in range(1, n + 1)}
-    for members in sets:
-        parts = {i: [] for i in members}
-        for digit in digits:
-            draw = [rng.randrange(p) for _ in range(len(members) - 1)]
-            last = (digit - sum(draw)) % p
-            for member, part in zip(members, draw + [last]):
-                parts[member].append(part)
-        for member in members:
-            shares[member].extend(parts[member])
+    # One row per (set, member), set by set, holding the member's part of
+    # each digit.  Set t draws its parts after every earlier set, digit by
+    # digit, one for each member but its last, which takes the rest.
+    members = np.array([i for s in sets for i in s])
+    size = np.array([len(s) for s in sets])
+    start = np.cumsum(size) - size
+    drawn = np.repeat(size - 1, size)
+    col = np.arange(len(members)) - np.repeat(start, size)
+    first = np.repeat(len(digits) * (np.cumsum(size - 1) - (size - 1)), size)
+    free = col < drawn
+    parts = np.zeros((len(members), len(digits)), dtype=np.int64)
+    draws = _randbelow(random.Random(seed), p,
+                       len(digits) * int((size - 1).sum()))
+    parts[free] = draws[(first + col)[free, None]
+                        + np.arange(len(digits)) * drawn[free, None]]
+    parts[start + size - 1] = (digits - np.add.reduceat(parts, start)) % p
     return ClassicalShareSet(
         kind="monotone", modulus=p, n=n, key_length=len(digits),
-        shares={i: tuple(v) for i, v in shares.items()},
+        shares={i: tuple(parts[members == i].ravel().tolist())
+                for i in range(1, n + 1)},
         minimal_sets=sets)
 
 
@@ -257,7 +294,9 @@ def key_transport(plan, triplet, seed: int) -> ClassicalShareSet:
 
     When the access structure is a threshold family the key rides on Shamir
     over the smallest prime above max(d, n); otherwise the replicated
-    monotone scheme over the minimal authorized sets is used.  Key digits
+    monotone scheme over the minimal authorized sets is used; the modulus
+    is below the monotone scheme's bound of 2^32, since ``code`` keeps
+    2n(d - 1)^2 below 2^63 and ``classify`` keeps n <= 20.  Key digits
     live in Z_d and are embedded unchanged (the recorded source_modulus maps
     them back).
 

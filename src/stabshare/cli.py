@@ -147,10 +147,11 @@ def _duality_mismatch(c: StabilizerCode, triplet: infogroup.SchemeTriplet,
     `groups` holds the direct G(S) of every subset in enumeration order, so
     subset -1 - i is the complement of subset i.  On their stack of echelon
     slots: the commutant of G(S) is G(S-bar) iff the two pair to zero and
-    their ranks sum to 2k; each class and (r, s), from the same
-    ``infogroup._class_rs`` that `classify` uses, must be what it reported.
-    Last, `intermediate`, the group that the twirl is built from, must be
-    the span of the direct groups of the intermediate subsets.
+    their ranks sum to 2k; each class and, where `classify` keeps records,
+    each (r, s), from the same ``infogroup`` helpers that `classify` uses,
+    must be what it reported.  Last, `intermediate`, the group that the
+    twirl is built from, must be the span of the direct groups of the
+    intermediate subsets.
     """
     d, k = c.d, c.k
     order = list(infogroup.subsets_in_order(c.n))
@@ -161,7 +162,10 @@ def _duality_mismatch(c: StabilizerCode, triplet: infogroup.SchemeTriplet,
     slots[np.repeat(np.arange(len(groups)), ranks), (rows != 0).argmax(1)] = rows
     dual = (ranks + ranks[::-1] == 2 * k) & ~pairing(
         slots, slots[::-1], d).any(axis=(1, 2))
-    solved = infogroup._class_rs(slots, d)
+    if triplet.records is None:  # no (r, s) to compare: the rank decides
+        solved = infogroup._class_code(ranks, k)[None]
+    else:
+        solved = infogroup._class_rs(slots, d)
     direct, rs = np.array(list(infogroup._CLASSES))[solved[0]], solved[1:].T
     classes = ({s: "A" for s in triplet.authorized}
                | {s: "F" for s in triplet.forbidden})

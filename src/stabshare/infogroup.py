@@ -26,7 +26,7 @@ clears its x and z columns, one fraction-free pivot each, and at a leaf
 the span's logical coefficients span G(S): the cleaning-lemma view of G(S)
 as the logicals with a representative on S (Bravyi & Terhal, NJP 11,
 043029 (2009)), made incremental.  Each level treats all its nodes at
-once, on stacked int64 arrays in chunks under a fixed cell budget.  The
+once, on stacked int64 arrays in chunks under ``_SOLVE_BUDGET``.  The
 walk visits only the subsets without carrier n; each other subset is the
 complement of one of them and gets its record by the rule above.
 
@@ -327,11 +327,10 @@ class SchemeTriplet:
         return out
 
 
-# Int64 cells per batch of ``_walk``, which bounds its memory: a batch
-# whose next level would pass it drops its zero rows, then splits.
-_CELL_BUDGET = 1 << 12
-# Per chunk of ``info_group``, larger: a chunk's 2 |S-bar| passes are fixed.
-# Also per Gram chunk of ``_class_rs``, and for ``classify``'s kept rows.
+# Int64 cells per chunk of ``info_group`` and per Gram chunk of
+# ``_class_rs``, and for ``classify``'s kept rows.  Also per batch of
+# ``_walk``, which bounds its memory: a batch whose next level would pass
+# it drops its zero rows, then splits.
 _SOLVE_BUDGET = 1 << 14
 
 
@@ -371,14 +370,14 @@ def _walk(code: StabilizerCode):
         if i == n:
             yield masks, mod_rref_stack(rows, d)
             continue
-        if 2 * rows.size > _CELL_BUDGET:
+        if 2 * rows.size > _SOLVE_BUDGET:
             # Keep as many rows as the fullest slice has (one at least,
             # for ``_clear``), nonzero rows first.
             nonzero = rows.any(axis=2)
             keep = np.argsort(~nonzero, axis=1, kind="stable")
             keep = keep[:, :max(nonzero.sum(axis=1).max(), 1)]
             rows = rows[np.arange(len(rows))[:, None], keep]
-            if 2 * rows.size > _CELL_BUDGET and len(masks) > 1:
+            if 2 * rows.size > _SOLVE_BUDGET and len(masks) > 1:
                 h = len(masks) // 2
                 stack += [(i, masks[h:], rows[h:]), (i, masks[:h], rows[:h])]
                 continue
@@ -391,6 +390,11 @@ def _walk(code: StabilizerCode):
 
 # Class codes in ``classify``'s arrays; the dual of code c is 2 - c.
 _CLASSES = "AIF"
+
+
+def _class_code(rank: np.ndarray, k: int) -> np.ndarray:
+    """Class code of groups of these ranks: A full, F trivial, I between."""
+    return 1 - (rank == 2 * k) + (rank == 0)
 
 
 def _class_rs(slots: np.ndarray, d: int) -> np.ndarray:
@@ -407,7 +411,7 @@ def _class_rs(slots: np.ndarray, d: int) -> np.ndarray:
     r = np.concatenate([
         mod_rref_stack(gram[lo:lo + step], d).any(axis=2).sum(axis=1)
         for lo in range(0, len(gram), step)]) // 2
-    return np.stack([1 - (rank == slots.shape[-1]) + (rank == 0), r,
+    return np.stack([_class_code(rank, slots.shape[-1] // 2), r,
                      rank - 2 * r])
 
 

@@ -1,4 +1,5 @@
 import itertools
+import random
 from collections import Counter
 from dataclasses import replace
 
@@ -226,6 +227,49 @@ def test_antichain_check_reports_the_first_inclusion(family, plant):
     with pytest.raises(ValueError) as err:
         monotone_share([1], family, modulus=3, seed=0)
     assert str(err.value) == _first_inclusion([tuple(s) for s in family])
+
+
+def _reference_monotone_shares(key_digits, sets, p, seed, n):
+    """The replicated scheme as a plain loop over ``randrange`` draws."""
+    rng = random.Random(seed)
+    shares = {i: [] for i in range(1, n + 1)}
+    for members in sets:
+        parts = {i: [] for i in members}
+        for digit in (int(v) % p for v in key_digits):
+            draw = [rng.randrange(p) for _ in range(len(members) - 1)]
+            last = (digit - sum(draw)) % p
+            for member, part in zip(members, draw + [last]):
+                parts[member].append(part)
+        for member in members:
+            shares[member].extend(parts[member])
+    return {i: tuple(v) for i, v in shares.items()}
+
+
+@given(p=st.sampled_from([2, 3, 5, 7, 10007, 65537, 2**31 - 1, 4294967291]),
+       family=st.lists(st.sets(st.integers(1, 8), min_size=1, max_size=5)
+                       .map(sorted), min_size=1, max_size=10),
+       digits=st.lists(st.integers(0, 2**33), max_size=5),
+       seed=st.integers(0, 2**32 - 1), extra=st.integers(0, 2))
+@settings(max_examples=300, deadline=None)
+def test_monotone_draws_replay_the_randrange_loop(p, family, digits, seed,
+                                                  extra):
+    # Keep the sets with no strict subset in the family: an antichain, in
+    # the drawn order, size-1 sets and repeats included.
+    sets = [tuple(a) for a in family
+            if not any(set(b) < set(a) for b in family)]
+    n = max(i for s in sets for i in s) + extra
+    shares = monotone_share(digits, sets, modulus=p, seed=seed, n=n)
+    assert shares.shares == _reference_monotone_shares(digits, sets, p,
+                                                       seed, n)
+    assert all(type(v) is int for part in shares.shares.values()
+               for v in part)
+
+
+def test_monotone_modulus_is_below_2_to_the_32():
+    shares = monotone_share([5], [(1, 2)], modulus=4294967291, seed=0)
+    assert reconstruct(shares, (1, 2)) == [5]
+    with pytest.raises(ValueError, match=r"must be below 2\*\*32"):
+        monotone_share([5], [(1, 2)], modulus=4294967311, seed=0)
 
 
 def test_monotone_partial_view_is_uniform():

@@ -286,6 +286,30 @@ def test_simulate_duality_fails_on_wrong_record(capsys, monkeypatch):
     assert duality["detail"].startswith("classify gives [3, 4] (r, s)")
 
 
+def test_simulate_duality_compares_classes_past_the_listing_cap(
+        capsys, monkeypatch):
+    # On ghz_13 classify keeps no records, so the check reads each class
+    # from the rank alone; every proper nonempty subset is intermediate.
+    real = infogroup._walk
+
+    def corrupted(c):
+        for masks, echelons in real(c):
+            echelons = echelons.copy()
+            echelons[masks == 0b111] = 0
+            yield masks, echelons
+
+    monkeypatch.setattr(infogroup, "_walk", corrupted)
+    status, out, _ = run(capsys, "simulate", "catalog:ghz_n", "--n", "13",
+                         "--seed", "3", "--check", "duality",
+                         "--format", "structured")
+    assert status == 1
+    duality = next(r for r in json.loads(out)["results"]
+                   if r["check"] == "duality")
+    # The complement's record is compared first: by duality it is A.
+    assert duality["detail"] == ("classify puts [4, 5, 6, 7, 8, 9, 10, 11, "
+                                 "12, 13] in A, its group in I")
+
+
 def test_simulate_duality_fails_on_wrong_walk_leaf(capsys, monkeypatch):
     real = infogroup._walk
 

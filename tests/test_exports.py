@@ -20,7 +20,7 @@ DELETED = {
     "stabshare.infogroup": ("pairing_matrix", "_pairing_row",
                             "InfoGroup.contains", "InfoGroup.elements",
                             "_restrict", "_DUAL_CLASS", "_rs_of",
-                            "_contains", "_meet"),
+                            "_contains", "_meet", "_CELL_BUDGET"),
     "stabshare.twirl": ("twirl_average_is_zero", "enumerate_keys"),
     "stabshare.oracle": ("verify_perfect_presence", "pauli_eigen_sectors",
                          "hs_inner", "choi_check", "_choi_marginal",

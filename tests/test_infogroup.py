@@ -432,6 +432,21 @@ def test_classify_makes_no_list_elimination_per_group(monkeypatch):
     assert calls["_rref_lists"] == 2
 
 
+def test_walk_batches_stay_under_the_solve_budget(monkeypatch):
+    # Every ``_clear`` of the walk holds at most half the budget in cells,
+    # or a single node, whose rows cannot be split further.
+    c = random_code(np.random.default_rng(0), 3, 12, 2)
+    clear, cells = infogroup._clear, []
+
+    def recording(rows, at, d):
+        cells.append(rows.size if len(rows) > 1 else 0)
+        return clear(rows, at, d)
+
+    monkeypatch.setattr(infogroup, "_clear", recording)
+    classify(c)
+    assert 0 < max(cells) <= infogroup._SOLVE_BUDGET // 2
+
+
 @pytest.mark.parametrize("c", [
     pytest.param(catalog("steane"), id="steane"),
     pytest.param(catalog("ghz_n", 6), id="ghz_6"),
@@ -441,7 +456,6 @@ def test_walk_chunks_do_not_change_the_triplet(c, monkeypatch):
     # At the smallest budget every batch is split down to one node, so
     # the leaves arrive in pairs, the two sides of carrier n - 1; and the
     # rows kept for the span and core are reduced after every pair.
-    monkeypatch.setattr(infogroup, "_CELL_BUDGET", 0)
     monkeypatch.setattr(infogroup, "_SOLVE_BUDGET", 0)
     assert [len(masks) for masks, _ in infogroup._walk(c)] == \
         [2] * 2 ** (c.n - 2)
