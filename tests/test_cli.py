@@ -476,6 +476,7 @@ def test_simulate_builds_each_dense_operator_once(capsys, monkeypatch):
 @pytest.mark.parametrize("check,failing", [
     ("infogroup", {"infogroup"}),
     ("concealment", {"concealment"}),
+    ("choi", {"choi"}),
     ("all", {"choi", "concealment", "expansion", "infogroup",
              "keyed_recovery"})])
 def test_simulate_fails_on_lossy_reduction(capsys, monkeypatch, check,
@@ -500,6 +501,11 @@ def test_simulate_fails_on_lossy_reduction(capsys, monkeypatch, check,
     assert status == 1
     results = json.loads(out)["results"]
     assert {r["check"] for r in results if not r["pass"]} == failing
+    # A failing choi record reports the exact worst forbidden distance of
+    # the lossy states, not a lower bound on it.
+    for rec in results:
+        if rec["check"] == "choi":
+            assert abs(rec["measured"] - 0.0546875) < 1e-12
 
 
 def test_simulate_scans_each_chunk_once(capsys, monkeypatch):
