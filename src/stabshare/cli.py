@@ -246,15 +246,10 @@ def run_checks(c: StabilizerCode, seed: int, which: str,
 
     if which in ("all", "choi"):
         forb = set(triplet.forbidden)
-        worst = 0.0
-        ok = True
-        for subset, dec in zip(subsets,
-                               oracle.choi_decoupling(c, subsets, cap=cap)):
-            decoupled = dec <= oracle.DETECTION_TOL
-            if decoupled != (subset in forb):
-                ok = False
-            if subset in forb:
-                worst = max(worst, dec)
+        ok = oracle.choi_decoupled(c, subsets, cap=cap) == [
+            subset in forb for subset in subsets]
+        worst = max(oracle.choi_decoupling(c, triplet.forbidden, cap=cap),
+                    default=0.0)
         add("choi", ok, measured=worst,
             detail="reference decouples exactly from the forbidden structure")
 

@@ -12,8 +12,15 @@ Choi-Jamiolkowski identity it is read off S's Choi state rho_RS, half of a
 maximally entangled state sent through V: A_S(X) = d^k Tr_R[(X^T (x) I)
 rho_RS].  `_scan` builds each subset's rho_RS once and keeps ||A_S(P)||_F
 for the d^(2k) logical Paulis P, whose nonzero ones span G(S), and the
-distance of rho_RS from rho_R (x) rho_S.  Absence never reduces, and
-expansion ties the reduction to the direct `reduced_state`.
+distance (1/2)||Delta||_1 of rho_RS from rho_R (x) rho_S, Delta = rho_RS -
+rho_R (x) rho_S.  That distance takes eigenvalues, so the scan keeps it
+exactly only where the Frobenius half-norm (1/2)||Delta||_F is at most
+DETECTION_TOL; elsewhere it keeps that half-norm, a lower bound since
+||Delta||_1 >= ||Delta||_F, which already exceeds DETECTION_TOL.  Either
+value decides whether S decouples, and `choi_decoupling` recomputes the
+bounded ones it is asked for, so the distances it returns are exact.
+Absence never reduces, and expansion ties the reduction to the direct
+`reduced_state`.
 
 All of it is computed on each subset's support.  With W = V split into
 kept sites S and traced sites, A_S(X) lives on the column span of W, a
@@ -22,9 +29,10 @@ W = Q R, gives an orthonormal basis Q of that span without rank
 tolerance, and Q-dagger W = R: an isometry on the support, which keeps
 trace distances and Frobenius norms exactly in r = min(d^|S|,
 d^(n-|S|+k)) dimensions.  `_lifts` gathers each chunk of equal-size
-subsets' W from V with one `take`, so each QR and eigvalsh call covers a
-chunk; a chunk keeps its W, one d^|S| x d^|S| operator and one Choi state
-per subset within DEFAULT_AMPLITUDE_CAP amplitudes, or holds one subset.
+subsets' W from V with one `take`, so each QR call covers a chunk, and
+each eigvalsh call a chunk's decoupling candidates; a chunk keeps its W,
+one d^|S| x d^|S| operator and one Choi state per subset within
+DEFAULT_AMPLITUDE_CAP amplitudes, or holds one subset.
 
 Any two secrets differ by rho - sigma = d^-k sum_{P != I} c_P P with
 |c_P| <= 2.  With the twirl channel T, t[P, Q] = |tr(Q-dagger T(P))| / d^k
@@ -59,6 +67,7 @@ __all__ = [
     "info_group_bruteforce",
     "verify_absence",
     "choi_decoupling",
+    "choi_decoupled",
     "verify_concealment",
     "expansion_consistency",
     "trace_distance",
@@ -295,6 +304,23 @@ def _images(rho: np.ndarray, ops: np.ndarray) -> np.ndarray:
     return ops.reshape(len(ops), -1) @ blocks.reshape(c, dk * dk, r * r) * dk
 
 
+def _correlation(rho_rs: np.ndarray, d: int, k: int) -> np.ndarray:
+    """Delta = rho_RS - rho_R (x) rho_S for each Choi state of the chunk
+    `rho_rs`, (c, d^k r, d^k r), computed in place."""
+    m = _sites(rho_rs.shape[-1] // d**k, d, ())[0]
+    rho_r = partial_trace(rho_rs, d, range(1, k + 1))
+    rho_s = partial_trace(rho_rs, d, range(k + 1, k + m + 1))
+    rho_rs -= (rho_r[:, :, None, :, None]
+               * rho_s[:, None, :, None, :]).reshape(rho_rs.shape)
+    return rho_rs
+
+
+def _half_trace_norm(delta: np.ndarray) -> np.ndarray:
+    """(1/2) ||delta||_1 of each Hermitian matrix of the stack `delta`, from
+    its eigenvalues."""
+    return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(delta)), axis=-1)
+
+
 @functools.lru_cache(maxsize=32)
 def _row_index(n: int) -> dict[tuple[int, ...], int]:
     """Each subset's row in `subsets_in_order(n)`; shared, never written."""
@@ -317,10 +343,13 @@ def _rows(n: int, subsets) -> list[int]:
 def _scan(code: StabilizerCode, cap: int | None):
     """One pass over the Choi states of all subsets, in `subsets_in_order`.
 
-    Returns three read-only arrays by subset row: the support dimension r,
-    ||A_S(P)||_F for each logical Pauli P (d^(2k) columns) and the trace
-    distance of rho_RS from rho_R (x) rho_S.  The images go through
-    `_images` in slices of at most DEFAULT_AMPLITUDE_CAP amplitudes.
+    Returns four read-only arrays by subset row: the support dimension r,
+    ||A_S(P)||_F for each logical Pauli P (d^(2k) columns), the distance of
+    rho_RS from rho_R (x) rho_S and whether that distance is exact.  It is
+    exact, from eigvalsh, on the rows whose (1/2)||Delta||_F is at most
+    DETECTION_TOL, the decoupling candidates; every other row stores
+    (1/2)||Delta||_F, a lower bound above DETECTION_TOL.  The images go
+    through `_images` in slices of at most DEFAULT_AMPLITUDE_CAP amplitudes.
     """
     d, n, k = code.d, code.n, code.k
     check_cap(d**(n + k), cap)
@@ -328,31 +357,43 @@ def _scan(code: StabilizerCode, cap: int | None):
     ranks = np.zeros(2**n, dtype=np.int64)
     norms = np.zeros((2**n, len(ops)))
     dists = np.zeros(2**n)
+    exact = np.zeros(2**n, dtype=bool)
     for positions, w in _lifts(encoding_isometry(code, cap), d,
                                subsets_in_order(n)):
         w = _on_support(w)
         c, r = w.shape[:2]
-        m = _sites(r, d, ())[0]
         rho_rs = _choi_state(w)
         step = max(1, DEFAULT_AMPLITUDE_CAP // (c * r * r))
         norms[positions] = np.concatenate(
             [np.linalg.norm(_images(rho_rs, ops[i:i + step]), axis=-1)
              for i in range(0, len(ops), step)], axis=1)
         ranks[positions] = r
-        rho_r = partial_trace(rho_rs, d, range(1, k + 1))
-        rho_s = partial_trace(rho_rs, d, range(k + 1, k + m + 1))
-        rho_rs -= (rho_r[:, :, None, :, None]
-                   * rho_s[:, None, :, None, :]).reshape(rho_rs.shape)
-        dists[positions] = 0.5 * np.sum(
-            np.abs(np.linalg.eigvalsh(rho_rs)), axis=-1)
-    for arr in (ranks, norms, dists):
+        delta = _correlation(rho_rs, d, k)
+        bound = 0.5 * np.linalg.norm(delta.reshape(c, -1), axis=-1)
+        close = bound <= DETECTION_TOL
+        if close.any():
+            bound[close] = _half_trace_norm(delta[close])
+        dists[positions] = bound
+        exact[positions] = close
+    for arr in (ranks, norms, dists, exact):
         arr.setflags(write=False)
-    return ranks, norms, dists
+    return ranks, norms, dists, exact
+
+
+def _distances(code: StabilizerCode, subsets, cap: int | None) -> np.ndarray:
+    """The exact Choi distance of each subset, from its Choi state built
+    afresh as the scan builds it."""
+    d, k = code.d, code.k
+    out = np.zeros(len(subsets))
+    for positions, w in _lifts(encoding_isometry(code, cap), d, subsets):
+        out[positions] = _half_trace_norm(
+            _correlation(_choi_state(_on_support(w)), d, k))
+    return out
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     """(1/2) ||a - b||_1 for Hermitian a, b."""
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(a - b))))
+    return float(_half_trace_norm(a - b))
 
 
 def _max_pairwise_distance(states) -> float:
@@ -366,8 +407,7 @@ def _max_pairwise_distance(states) -> float:
     worst = 0.0
     for i in range(states.shape[-3] - 1):
         diffs = states[..., i + 1:, :, :] - states[..., i:i + 1, :, :]
-        norms = np.sum(np.abs(np.linalg.eigvalsh(diffs)), axis=-1)
-        worst = max(worst, 0.5 * float(np.max(norms)))
+        worst = max(worst, float(np.max(_half_trace_norm(diffs))))
     return worst
 
 
@@ -435,10 +475,27 @@ def choi_decoupling(code: StabilizerCode, subsets,
     Sends half of a maximally entangled state through the encoding.  A
     distance is zero iff the subset learns nothing about the reference,
     i.e. iff the subset is forbidden; applied to the complement it
-    certifies that a subset can recover everything.  The distances are
-    read from the scan.
+    certifies that a subset can recover everything.  Every distance is
+    exact: it is read from the scan where the scan stored it exactly, and
+    recomputed for the other subsets asked about, where the scan stored a
+    lower bound.
     """
-    return _scan(code, cap)[2][_rows(code.n, subsets)].tolist()
+    subsets = list(subsets)
+    _, _, dists, exact = _scan(code, cap)
+    rows = _rows(code.n, subsets)
+    out, redo = dists[rows], ~exact[rows]
+    out[redo] = _distances(
+        code, [subset for subset, bound in zip(subsets, redo) if bound], cap)
+    return out.tolist()
+
+
+def choi_decoupled(code: StabilizerCode, subsets,
+                   cap: int | None = None) -> list[bool]:
+    """Whether each subset's Choi marginal decouples from the reference:
+    its distance is at most DETECTION_TOL.  The scan's stored value decides
+    this for every subset, exact or a lower bound, with no eigvalsh."""
+    return (_scan(code, cap)[2][_rows(code.n, subsets)]
+            <= DETECTION_TOL).tolist()
 
 
 def verify_concealment(code: StabilizerCode, plan, subsets,
@@ -457,7 +514,7 @@ def verify_concealment(code: StabilizerCode, plan, subsets,
     # t[P, Q] = |tr(Q-dagger T(P))| / d^k, summed over P != I.
     weights = np.abs(twirled.reshape(len(twirled), -1)
                      @ paulis.reshape(len(paulis), -1).conj().T).sum(0) / d**k
-    ranks, norms, _ = _scan(code, cap)
+    ranks, norms = _scan(code, cap)[:2]
     rows = _rows(code.n, subsets)
     bound = np.sqrt(ranks[rows]) * (norms[rows] @ weights) / d**k
     return float(np.max(bound, initial=0.0))

@@ -476,9 +476,9 @@ def test_simulate_builds_each_dense_operator_once(capsys, monkeypatch):
 @pytest.mark.parametrize("check,failing", [
     ("infogroup", {"infogroup"}),
     ("concealment", {"concealment"}),
-    ("choi", {"choi"}),
     ("all", {"choi", "concealment", "expansion", "infogroup",
-             "keyed_recovery"})])
+             "keyed_recovery"}),
+    ("choi", {"choi"})])
 def test_simulate_fails_on_lossy_reduction(capsys, monkeypatch, check,
                                            failing):
     real = oracle._choi_state
@@ -525,12 +525,24 @@ def test_simulate_scans_each_chunk_once(capsys, monkeypatch):
 
 
 def test_simulate_makes_one_choi_call_per_check(capsys, monkeypatch):
-    calls = count_calls(monkeypatch, oracle, "choi_decoupling")
+    real = oracle.choi_decoupling
+    asked = []
+
+    def recording(c, subsets, *args, **kwargs):
+        asked.append(list(subsets))
+        return real(c, subsets, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "choi_decoupling", recording)
+    calls = count_calls(monkeypatch, oracle, "choi_decoupled")
     status, _, _ = run(capsys, "simulate", "catalog:four_two_two",
                        "--seed", "1", "--check", "all")
     assert status == 0
-    # One call for all 16 subsets, one for keyed recovery's complement.
-    assert calls == {"choi_decoupling": 2}
+    # The choi check reads all 16 verdicts in one call, and its exact
+    # distances for the 5 forbidden subsets in another; keyed recovery
+    # asks for (4,), the complement of the authorized set (1, 2, 3).
+    assert calls == {"choi_decoupled": 1}
+    assert asked == [list(infogroup.classify(
+        catalog("four_two_two")).forbidden), [(4,)]]
 
 
 @pytest.mark.parametrize("check", ["concealment", "all"])

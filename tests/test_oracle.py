@@ -191,13 +191,51 @@ def test_scan_norms_match_partial_trace(c):
     v = oracle.encoding_isometry(c)
     ops = oracle._logical_paulis(c.d, c.k)[1]
     lifts = v @ ops @ v.conj().T
-    ranks, norms, _ = oracle._scan(c, None)
+    ranks, norms, _, _ = oracle._scan(c, None)
     for row, subset in enumerate(subsets_in_order(c.n)):
         want = np.linalg.norm(oracle.partial_trace(lifts, c.d, subset),
                               axis=(1, 2))
         assert np.max(np.abs(norms[row] - want)) < 1e-12, subset
         assert ranks[row] == min(c.d**len(subset),
                                  c.d**(c.n - len(subset) + c.k))
+
+
+@given(_small_code())
+@settings(max_examples=40, deadline=None)
+def test_scan_stores_each_distance_exactly_or_as_a_lower_bound(c):
+    subsets = list(subsets_in_order(c.n))
+    _, _, stored, exact = oracle._scan(c, None)
+    # Every subset's distance afresh, from the same chunks as the scan.
+    want = oracle._distances(c, subsets, None)
+    assert np.all(stored <= want)
+    close = stored <= oracle.DETECTION_TOL
+    assert np.array_equal(exact, close)
+    assert np.array_equal(stored[close], want[close])
+    assert np.array_equal(close, want <= oracle.DETECTION_TOL)
+    assert oracle.choi_decoupled(c, subsets) == close.tolist()
+    assert oracle.choi_decoupling(c, subsets) == want.tolist()
+
+
+@pytest.mark.parametrize("name", ["ghz_8", "four_two_two"])
+def test_scan_takes_eigenvalues_only_of_decoupling_candidates(
+        monkeypatch, name):
+    c = catalog("ghz_n", 8) if name == "ghz_8" else catalog(name)
+    real = np.linalg.eigvalsh
+    matrices = []
+
+    def counting(a, *args, **kwargs):
+        matrices.append(int(np.prod(np.shape(a)[:-2])))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    oracle._scan.cache_clear()
+    scan = oracle._scan(c, None)
+    # Only forbidden subsets decouple: ghz_8's empty set, and
+    # four_two_two's empty set and four single carriers.
+    forbidden = set(classify(c).forbidden)
+    assert sum(matrices) == len(forbidden) == {"ghz_8": 1,
+                                               "four_two_two": 5}[name]
+    assert scan[3].tolist() == [s in forbidden for s in subsets_in_order(c.n)]
 
 
 def _random_density(rng, dim):
