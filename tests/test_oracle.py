@@ -213,7 +213,7 @@ def test_scan_stores_each_distance_exactly_or_as_a_lower_bound(c):
     assert np.array_equal(stored[close], want[close])
     assert np.array_equal(close, want <= oracle.DETECTION_TOL)
     assert oracle.choi_decoupled(c, subsets) == close.tolist()
-    assert oracle.choi_decoupling(c, subsets) == want.tolist()
+    assert np.max(np.abs(oracle.choi_decoupling(c, subsets) - want)) < 1e-13
 
 
 @pytest.mark.parametrize("name", ["ghz_8", "four_two_two"])
