@@ -19,8 +19,10 @@ DETECTION_TOL; elsewhere it keeps that half-norm, a lower bound since
 ||Delta||_1 >= ||Delta||_F, which already exceeds DETECTION_TOL.  Either
 value decides whether S decouples, and `choi_decoupling` recomputes the
 bounded ones it is asked for, so the distances it returns are exact.
-Absence never reduces, and expansion ties the reduction to the direct
-`reduced_state`.
+Absence reads neither the scan nor the reduction: it takes the entropies
+of S and its complement from the spectra of the encoding itself, which
+gives I(R:S) for every secret at once.  Expansion ties the reduction to
+the direct `reduced_state`.
 
 All of it is computed on each subset's support.  With W = V split into
 kept sites S and traced sites, A_S(X) lives on the column span of W, a
@@ -53,7 +55,8 @@ import numpy as np
 
 from . import pauli
 from .code import StabilizerCode
-from .infogroup import InfoGroup, group_from_rows, subsets_in_order
+from .infogroup import (InfoGroup, complement, group_from_rows,
+                        subsets_in_order)
 from .pauli import DEFAULT_AMPLITUDE_CAP, PauliProduct, ResourceLimitError
 
 __all__ = [
@@ -70,9 +73,7 @@ __all__ = [
     "choi_decoupled",
     "verify_concealment",
     "expansion_consistency",
-    "trace_distance",
     "random_secret",
-    "basis_secret",
 ]
 
 # Separated so detection never flips on roundoff: 1e-9 decides whether a
@@ -391,35 +392,9 @@ def _distances(code: StabilizerCode, subsets, cap: int | None) -> np.ndarray:
     return out
 
 
-def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """(1/2) ||a - b||_1 for Hermitian a, b."""
-    return float(_half_trace_norm(a - b))
-
-
-def _max_pairwise_distance(states) -> float:
-    """Largest trace distance over all pairs of `states`, shaped
-    (..., count, r, r), with pairs taken within each leading index.
-
-    One stacked eigvalsh call compares each state with all later ones, so
-    no stack of all count (count - 1) / 2 differences is held at once.
-    """
-    states = np.asarray(states)
-    worst = 0.0
-    for i in range(states.shape[-3] - 1):
-        diffs = states[..., i + 1:, :, :] - states[..., i:i + 1, :, :]
-        worst = max(worst, float(np.max(_half_trace_norm(diffs))))
-    return worst
-
-
 def random_secret(d: int, k: int, rng: np.random.Generator) -> np.ndarray:
     vec = rng.normal(size=d**k) + 1j * rng.normal(size=d**k)
     return vec / np.linalg.norm(vec)
-
-
-def basis_secret(d: int, k: int, j: int) -> np.ndarray:
-    vec = np.zeros(d**k, dtype=complex)
-    vec[j] = 1.0
-    return vec
 
 
 def info_group_bruteforce(code: StabilizerCode, subsets,
@@ -448,24 +423,31 @@ def info_group_bruteforce(code: StabilizerCode, subsets,
     return groups
 
 
-def verify_absence(code: StabilizerCode, subsets, secrets,
+def verify_absence(code: StabilizerCode, subsets,
                    cap: int | None = None) -> float:
-    """Max trace distance, over the subsets, among reduced secrets and the
-    secret-free state, both straight from W = _kept_first(V, d, S): W
-    W-dagger / d^k, read as d^|S| x (all other axes), and A A-dagger of
-    each encoded vector A = W s, arranged as (kept, traced)."""
+    """Max over the subsets of I(R:S) / log d = |k + H(S) - H(S-bar)|.
+
+    The Choi state of R, S and S-bar is pure and rho_R = I / d^k, so the
+    mutual information of the reference with S is zero iff S's reduced
+    state is the same for every secret, and equals rank G(S) log d
+    (Fattal et al., quant-ph/0406168).  H is the base-d entropy of rho_X = W W-dagger / d^k, with
+    W = _kept_first(V, d, X) read as d^|X| x (all other axes), from the
+    eigenvalues of its smaller Gram side; one `_lifts` pass gathers every
+    subset and complement.
+    """
     d, k = code.d, code.k
-    v = encoding_isometry(code, cap)
-    inputs = np.array(secrets, dtype=complex).reshape(len(secrets), d**k).T
-    worst = 0.0
-    for _, w in _lifts(v, d, subsets):
+    subsets = list(subsets)
+    every = subsets + [complement(subset, code.n) for subset in subsets]
+    entropy = np.zeros(len(every))
+    for positions, w in _lifts(encoding_isometry(code, cap), d, every):
         flat = w.reshape(w.shape[:2] + (-1,))
-        encoded = np.moveaxis(w @ inputs, -1, 1)  # (c, secret, kept, traced)
-        states = np.concatenate(
-            [(flat @ flat.conj().swapaxes(-1, -2) / d**k)[:, None],
-             encoded @ encoded.conj().swapaxes(-1, -2)], axis=1)
-        worst = max(worst, _max_pairwise_distance(states))
-    return worst
+        if flat.shape[1] > flat.shape[2]:
+            flat = flat.conj().swapaxes(-1, -2)
+        lam = np.linalg.eigvalsh(flat @ flat.conj().swapaxes(-1, -2)) / d**k
+        lam = np.where(lam > 0, lam, 1.0)  # 0 log 0 = 0, as is roundoff
+        entropy[positions] = -np.sum(lam * np.log(lam), axis=-1) / np.log(d)
+    gaps = k + entropy[:len(subsets)] - entropy[len(subsets):]
+    return float(np.max(np.abs(gaps), initial=0.0))
 
 
 def choi_decoupling(code: StabilizerCode, subsets,

@@ -101,8 +101,12 @@ def mod_rref_stack(a, p: int) -> np.ndarray:
     Returns shape (B, c, c): slot j of a slice holds its reduced row whose
     pivot is column j, or zeros if no row has that pivot.  The nonzero
     slots, in order, are ``row_space_basis`` of the slice, so two slices
-    span the same rows iff their outputs are equal.
+    span the same rows iff their outputs are equal.  Raises ValueError
+    for p >= 2^31, where a step's sum of two products below p^2 can wrap
+    int64.
     """
+    if p >= 2**31:
+        raise ValueError(f"mod_rref_stack needs p < 2^31, got {p}")
     m = np.asarray(a, dtype=np.int64) % p
     if m.ndim != 3:
         raise ValueError(f"expected a 3-D array, got shape {m.shape}")

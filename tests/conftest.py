@@ -154,6 +154,18 @@ def random_code(rng: np.random.Generator, d: int, n: int, k: int,
     return code
 
 
+def basis_secret(d: int, k: int, j: int) -> np.ndarray:
+    """The logical basis state |j> of k qudits."""
+    vec = np.zeros(d**k, dtype=complex)
+    vec[j] = 1.0
+    return vec
+
+
+def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """(1/2) ||a - b||_1 for Hermitian a, b."""
+    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(a - b))))
+
+
 def concealment_reference(code, plan, secrets, subsets) -> float:
     """Exact worst trace distance, over the subsets and every pair of
     `secrets`, between key-averaged reduced states: one dense projector
@@ -172,5 +184,5 @@ def concealment_reference(code, plan, secrets, subsets) -> float:
                     np.outer(state, state.conj()), d, subset)
             averaged.append(acc / len(keys))
         for a, b in itertools.combinations(averaged, 2):
-            worst = max(worst, oracle.trace_distance(a, b))
+            worst = max(worst, trace_distance(a, b))
     return worst

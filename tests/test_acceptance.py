@@ -20,7 +20,7 @@ from stabshare.infogroup import canonical_form, complement, subsets_in_order
 from stabshare.pauli import PauliProduct, dense_matrix
 from stabshare.twirl import intermediate_group, twirl_operator, twirl_plan
 
-from conftest import concealment_reference
+from conftest import basis_secret, concealment_reference
 
 
 @contextmanager
@@ -180,13 +180,22 @@ def test_criterion_8_distances_and_ramp_parameters():
 
 
 def test_criterion_9_twirl_necessity():
-    with criterion(9, "dropping any twirl generator restores "
-                      "distinguishability >= 0.5"):
-        secrets = [oracle.basis_secret(2, 1, 0), oracle.basis_secret(2, 1, 1),
-                   np.array([1, 1]) / np.sqrt(2)]
-        for c in [catalog("cnot_2_1"), catalog("ghz_n", 4)]:
+    with criterion(9, "a full twirl plan hides every pair of secrets and "
+                      "dropping any one of its 7 generators leaks"):
+        # Every qubit code leaks 1.0 per drop and four_two_two (k = 2) 0.5
+        # or 1.0 with these secrets; ghz_5 and four_two_two are held to the
+        # drop-one bound of 0.1.
+        bounds = [(catalog("cnot_2_1"), 0.5), (catalog("ghz_n", 4), 0.5),
+                  (catalog("ghz_n", 5), 0.1), (catalog("four_two_two"), 0.1)]
+        drops = 0
+        for c, bound in bounds:
+            d, k = c.d, c.k
+            secrets = [basis_secret(d, k, 0), basis_secret(d, k, 1),
+                       np.ones(d**k) / np.sqrt(d**k)]
             t = classify(c)
             plan = twirl_plan(c, t)
+            assert concealment_reference(c, plan, secrets,
+                                         t.intermediate) < 1e-10, c.name
             for drop in range(len(plan.twirl_generators)):
                 kept = tuple(g for i, g in enumerate(plan.twirl_generators)
                              if i != drop)
@@ -194,7 +203,9 @@ def test_criterion_9_twirl_necessity():
                                    key_length=len(kept))
                 leaked = concealment_reference(c, crippled, secrets,
                                                t.intermediate)
-                assert leaked >= 0.5, (c.name, drop, leaked)
+                assert leaked > bound, (c.name, drop, leaked)
+                drops += 1
+        assert drops == 7
 
 
 def _poly_shares(coeffs, n, p):

@@ -489,8 +489,8 @@ def test_simulate_fails_on_lossy_reduction(capsys, monkeypatch, check,
 
     # GHZ_3 in the X basis.  Its twirl leaves X-bar = ZZZ, whose
     # restriction to any traced set is diagonal, so a Choi state that drops
-    # a traced basis state also breaks concealment.  Absence builds its
-    # states from the encoding directly, so it still passes.
+    # a traced basis state also breaks concealment.  Absence reads its
+    # spectra from the encoding directly, so it still passes.
     path = DATA / "ghz_x_3.json"
     status, out, _ = run(capsys, "simulate", str(path), "--seed", "1",
                          "--check", check, "--format", "structured")
@@ -506,6 +506,27 @@ def test_simulate_fails_on_lossy_reduction(capsys, monkeypatch, check,
     for rec in results:
         if rec["check"] == "choi":
             assert abs(rec["measured"] - 0.0546875) < 1e-12
+
+
+def test_simulate_fails_absence_on_lossy_lifts(capsys, monkeypatch):
+    real = oracle._lifts
+
+    def lossy(v, d, subsets):
+        # Zero the first traced basis state of every gathered W.
+        for positions, w in real(v, d, subsets):
+            w = w.copy()
+            w[:, :, 0] = 0
+            yield positions, w
+
+    status, out, _ = run(capsys, "simulate", "catalog:five_qubit",
+                         "--seed", "1", "--format", "structured")
+    assert status == 0
+    monkeypatch.setattr(oracle, "_lifts", lossy)
+    status, out, _ = run(capsys, "simulate", "catalog:five_qubit",
+                         "--seed", "1", "--format", "structured")
+    assert status == 1
+    [rec] = [r for r in json.loads(out)["results"] if r["check"] == "absence"]
+    assert not rec["pass"] and rec["measured"] > 0.1
 
 
 def test_simulate_scans_each_chunk_once(capsys, monkeypatch):

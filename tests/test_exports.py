@@ -27,7 +27,8 @@ DELETED = {
                          "ALGEBRA_TOL", "stabilizer_elements",
                          "_encoded_logical", "_sector_projector",
                          "_eigen_scalar_root", "code_projector",
-                         "codewords"),
+                         "codewords", "trace_distance", "basis_secret",
+                         "_max_pairwise_distance"),
     "stabshare.cli": ("RunConfig", "_config_from_args"),
 }
 

@@ -15,7 +15,8 @@ from stabshare.pauli import (PauliProduct, ResourceLimitError, pairing,
 from stabshare.primefield import mod_rank
 from stabshare.twirl import twirl_operator, twirl_plan
 
-from conftest import concealment_reference, random_code
+from conftest import (basis_secret, concealment_reference, random_code,
+                      trace_distance)
 
 
 def test_cnot_codewords(cnot):
@@ -68,7 +69,7 @@ def test_encode_examples(cnot):
     bell = oracle.encode(cnot, plus)
     assert np.allclose(bell, np.array([1, 0, 0, 1]) / np.sqrt(2))
     for j in (0, 1):
-        assert np.allclose(oracle.encode(cnot, oracle.basis_secret(2, 1, j)),
+        assert np.allclose(oracle.encode(cnot, basis_secret(2, 1, j)),
                            oracle.encoding_isometry(cnot)[:, j])
     g = catalog("ghz_n", 3)
     alpha, beta = 0.6, 0.8j
@@ -238,27 +239,6 @@ def test_scan_takes_eigenvalues_only_of_decoupling_candidates(
     assert scan[3].tolist() == [s in forbidden for s in subsets_in_order(c.n)]
 
 
-def _random_density(rng, dim):
-    raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = raw @ raw.conj().T
-    return rho / np.trace(rho)
-
-
-@pytest.mark.parametrize("count,dim", [(1, 4), (2, 4), (7, 8), (8, 3)])
-def test_pairwise_distance_matches_trace_distance(count, dim):
-    rng = np.random.default_rng(count * dim)
-    states = [_random_density(rng, dim) for _ in range(count)]
-    want = max((oracle.trace_distance(a, b)
-                for a, b in itertools.combinations(states, 2)), default=0.0)
-    assert abs(oracle._max_pairwise_distance(states) - want) < 1e-12
-    # A stack (c, count, r, r) compares states within each of its c groups.
-    stacked = np.array([[_random_density(rng, dim) for _ in range(count)]
-                        for _ in range(3)])
-    want = max((oracle.trace_distance(a, b) for group in stacked
-                for a, b in itertools.combinations(group, 2)), default=0.0)
-    assert abs(oracle._max_pairwise_distance(stacked) - want) < 1e-12
-
-
 @st.composite
 def _code_and_subsets(draw):
     """A random code and a list of its subsets, in any order and possibly
@@ -305,9 +285,6 @@ def test_chunked_checks_match_one_subset_calls(name):
         fours = [s for s in subsets if len(s) == 4]
         chunks = list(oracle._lifts(oracle.encoding_isometry(c), c.d, fours))
         assert len(fours) == 70 and len(chunks) > 2
-    rng = np.random.default_rng(9)
-    secrets = [oracle.basis_secret(c.d, c.k, 0)]
-    secrets += [oracle.random_secret(c.d, c.k, rng) for _ in range(3)]
     # An empty twirl makes the intermediate subsets' distances nonzero.
     plan = twirl_plan(c, classify(c))
     plan = replace(plan, twirl_generators=(), key_length=0)
@@ -319,7 +296,7 @@ def test_chunked_checks_match_one_subset_calls(name):
         assert abs(dec - oracle.choi_decoupling(c, one)[0]) < 1e-13, one
     for check in [
             lambda group: oracle.verify_concealment(c, plan, group),
-            lambda group: oracle.verify_absence(c, group, secrets)]:
+            lambda group: oracle.verify_absence(c, group)]:
         each = [check(one) for one in singles]
         assert max(each) > 0.1
         assert abs(check(subsets) - max(each)) < 1e-13
@@ -334,7 +311,7 @@ def test_concealment_matches_per_key_reference(source):
     t = classify(c)
     plan = twirl_plan(c, t)
     rng = np.random.default_rng(4)
-    secrets = [oracle.basis_secret(c.d, c.k, j) for j in (0, 1)]
+    secrets = [basis_secret(c.d, c.k, j) for j in (0, 1)]
     secrets += [oracle.random_secret(c.d, c.k, rng) for _ in range(3)]
     # The full plan (distance ~0) and every plan with one generator dropped.
     plans = [plan]
@@ -360,15 +337,56 @@ def test_info_group_bruteforce_examples(cnot, four_two_two):
     assert brutes == info_group(four_two_two, subsets)
 
 
-def test_absence_examples(cnot, five_qubit):
-    rng = np.random.default_rng(1)
-    secrets = [oracle.random_secret(2, 1, rng) for _ in range(5)]
-    assert oracle.verify_absence(five_qubit, [(1, 2), (1, 4), (3, 5)],
-                                 secrets) < 1e-10
-    zero_one = [oracle.basis_secret(2, 1, 0), oracle.basis_secret(2, 1, 1)]
-    assert abs(oracle.verify_absence(cnot, [(1,)], zero_one) - 1.0) < 1e-12
-    assert abs(oracle.verify_absence(cnot, [(), (1,)], zero_one) - 1.0) < 1e-12
-    assert oracle.verify_absence(cnot, [()], zero_one) < 1e-12
+def test_absence_examples(cnot, five_qubit, four_two_two):
+    assert oracle.verify_absence(five_qubit, [(1, 2), (1, 4), (3, 5)]) < 1e-10
+    # cnot's first carrier holds Z-bar: I(R:S) = rank G(S) = 1 digit.
+    assert abs(oracle.verify_absence(cnot, [(1,)]) - 1.0) < 1e-12
+    assert abs(oracle.verify_absence(cnot, [(), (1,)]) - 1.0) < 1e-12
+    assert oracle.verify_absence(cnot, [()]) < 1e-12
+    assert oracle.verify_absence(cnot, []) == 0.0
+    # All carriers together hold every logical Pauli: 2k digits.
+    assert abs(oracle.verify_absence(four_two_two, [(1, 2, 3, 4)]) - 4) < 1e-12
+
+
+@st.composite
+def _random_codes(draw):
+    d = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, {2: 7, 3: 4, 5: 3}[d]))
+    k = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_code(rng, d, n, k)
+
+
+def _assert_absence_is_group_rank(c):
+    subsets = list(subsets_in_order(c.n))
+    for subset, group in zip(subsets, info_group(c, subsets), strict=True):
+        assert abs(oracle.verify_absence(c, [subset]) - group.rank) < 1e-12, (
+            c.name, subset)
+
+
+@given(_random_codes())
+@settings(max_examples=40, deadline=None)
+def test_absence_is_the_information_group_rank(c):
+    # The paper's claim that G(S) quantifies what S learns: for the Choi
+    # state, I(R:S) = rank G(S) log D (Fattal et al., quant-ph/0406168).
+    _assert_absence_is_group_rank(c)
+
+
+def _dense_codes():
+    """The catalog at the worked examples' sizes and the `tests/data`
+    codes, where D^(n+k) is within the default cap."""
+    codes = [catalog(name) for name in ("cnot_2_1", "four_two_two",
+                                        "five_qubit", "steane")]
+    codes += [catalog("ghz_n", n) for n in range(3, 9)]
+    codes += [load(path) for path in
+              sorted((Path(__file__).parent / "data").glob("*.json"))]
+    return [c for c in codes
+            if c.d**(c.n + c.k) <= pauli.DEFAULT_AMPLITUDE_CAP]
+
+
+@pytest.mark.parametrize("c", _dense_codes(), ids=lambda c: c.name)
+def test_absence_is_the_information_group_rank_on_fixed_codes(c):
+    _assert_absence_is_group_rank(c)
 
 
 def test_choi_decoupling_tracks_classification(five_qubit, four_two_two):
@@ -402,7 +420,7 @@ def _reference_decoupling(v: np.ndarray, d: int, subset) -> float:
     rho_rs = oracle.partial_trace(np.outer(omega, omega.conj()), d, keep)
     rho_r = oracle.partial_trace(rho_rs, d, range(1, k + 1))
     rho_s = oracle.partial_trace(rho_rs, d, range(k + 1, len(keep) + 1))
-    return oracle.trace_distance(rho_rs, np.kron(rho_r, rho_s))
+    return trace_distance(rho_rs, np.kron(rho_r, rho_s))
 
 
 @pytest.mark.parametrize("source", ["cnot_2_1", "four_two_two", "rand_3_3_2"])
@@ -435,7 +453,7 @@ def _code_and_plans(draw):
         drop = draw(st.integers(0, len(gens) - 1))
         kept = gens[:drop] + gens[drop + 1:]
         plans.append(replace(plan, twirl_generators=kept, key_length=len(kept)))
-    secrets = [oracle.basis_secret(d, k, j) for j in (0, d**k - 1)]
+    secrets = [basis_secret(d, k, j) for j in (0, d**k - 1)]
     secrets += [oracle.random_secret(d, k, rng) for _ in range(2)]
     return c, plans, secrets
 
@@ -521,7 +539,7 @@ def test_one_generator_of_a_minimal_key_can_conceal():
     plan = twirl_plan(c, t)
     assert [str(g) for g in plan.twirl_generators] == ["x1z0", "x0z1"]
     rng = np.random.default_rng(6)
-    secrets = [oracle.basis_secret(3, 1, j) for j in range(3)]
+    secrets = [basis_secret(3, 1, j) for j in range(3)]
     secrets += [oracle.random_secret(3, 1, rng) for _ in range(2)]
     for g in plan.twirl_generators:
         single = replace(plan, twirl_generators=(g,), key_length=1)

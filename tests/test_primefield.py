@@ -193,3 +193,15 @@ def test_rref_stack_slices_equal_row_space_basis(ap):
                               row_space_basis(piece, p))
         for j, row in enumerate(slots):  # slot j has its pivot in column j
             assert not row.any() or (not row[:j].any() and row[j] == 1)
+
+
+@pytest.mark.parametrize("p", [2**31 + 11, 4294967311, 2**61 - 1])
+def test_rref_stack_rejects_moduli_that_can_wrap_int64(p):
+    # From p = 2^31 (2^31 + 11 is the smallest prime above it) one step's
+    # sum of two products below p^2 can pass 2^63.  Unchecked, this rank-2
+    # slice came back with three nonzero slots, none with lead 1, mod
+    # 4294967311, and with one mod 2^61 - 1.
+    a = np.array([[[p - 2, 3, 5], [7, p - 3, 11]]])
+    assert len(row_space_basis(a[0], p)) == 2
+    with pytest.raises(ValueError, match="p < 2\\^31"):
+        mod_rref_stack(a, p)
