@@ -328,6 +328,9 @@ def cmd_share_key(args: argparse.Namespace) -> int:
         if missing:
             raise ValueError(
                 "explicit sharing needs " + ", ".join(missing))
+        outside = [v for v in key if not 0 <= v < args.P]
+        if outside:
+            raise ValueError(f"key digits {outside} outside 0..{args.P - 1}")
         shares = classical.shamir_share(key, args.q, args.n, args.P,
                                         args.seed)
     payload = shares.to_dict()

@@ -39,6 +39,11 @@ twirl: the intermediate group is the span plus the commutant of the
 intersection (see ``twirl.intermediate_group``).  ``info_group`` solves
 listed subsets directly, stacked by size, with the walk's column
 clearing: for ``classify --subset`` and ``simulate``.
+
+The triplet lists A, F and I in ``subsets_in_order`` order, with their
+counts by size in ``size_summary``.  Up to ``FULL_LISTING_MAX_N`` carriers
+it also keeps one ``SubsetRecord`` per subset; records are named tuples,
+the cheapest immutable record to build 2^n of.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -276,8 +282,9 @@ def canonical_form(group: InfoGroup) -> CanonicalForm:
 # Classification into (A, F, I).
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SubsetRecord:
+class SubsetRecord(NamedTuple):
+    """One subset's class and (r, s); an immutable tuple, cheap to build."""
+
     subset: tuple[int, ...]
     cls: str  # "A", "F" or "I"
     r: int
@@ -424,7 +431,8 @@ def classify(code: StabilizerCode) -> SchemeTriplet:
     gives ``leaf_span`` and ``leaf_core``.  By duality the complement of
     S gets the dual class and (k - r - s, s).
     Lists, extremal sets and the size summary come from arrays indexed by
-    subset bitmask; records are built only when kept.
+    subset bitmask.  The ``SubsetRecord`` tuples are built, in
+    ``subsets_in_order`` order, only when n <= ``FULL_LISTING_MAX_N``.
     """
     d, n, k = code.d, code.n, code.k
     if n > DEFAULT_CLASSIFY_CAP:
@@ -503,9 +511,15 @@ def classify(code: StabilizerCode) -> SchemeTriplet:
 
 
 def threshold_q(triplet: SchemeTriplet) -> int | None:
-    """q if the access structure is exactly {S : |S| >= q}, else None."""
-    if not triplet.authorized:
+    """q if the access structure is exactly {S : |S| >= q}, else None.
+
+    Read from ``size_summary``: q is the smallest size with an A set, and
+    the structure is a threshold one iff every set of size q or more is A.
+    """
+    summary = triplet.size_summary
+    q = next((size for size, a, _, _ in summary if a), None)
+    if q is None:
         return None
-    q = min(len(s) for s in triplet.authorized)
-    expected = sum(math.comb(triplet.n, j) for j in range(q, triplet.n + 1))
-    return q if len(triplet.authorized) == expected else None
+    n = triplet.n
+    full = sum(math.comb(n, j) for j in range(q, n + 1))
+    return q if sum(a for _, a, _, _ in summary) == full else None

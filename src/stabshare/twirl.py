@@ -104,12 +104,26 @@ def intermediate_group(code: StabilizerCode,
 
 
 def _prescription(triplet: SchemeTriplet) -> ClassicalPrescription:
-    merged = tuple(sorted(
-        triplet.forbidden + triplet.intermediate, key=lambda s: (len(s), s)))
+    """A as it is; F and I merged into one forbidden list, by size then
+    lexicographically.
+
+    Relies on F and I being in ``subsets_in_order`` order with their
+    counts by size in ``size_summary``: each size's slices merge by plain
+    tuple order, and the merged list holds the triplet's own tuples.
+    """
+    forbidden, intermediate = triplet.forbidden, triplet.intermediate
+    merged, f0, i0 = [], 0, 0
+    for _, _, nf, ni in triplet.size_summary:
+        merged += sorted(forbidden[f0:f0 + nf] + intermediate[i0:i0 + ni])
+        f0, i0 = f0 + nf, i0 + ni
+    if (f0, i0) != (len(forbidden), len(intermediate)):
+        raise infogroup.SchemeConsistencyError(
+            f"size_summary counts {f0} F and {i0} I subsets, the triplet "
+            f"lists {len(forbidden)} and {len(intermediate)}")
     return ClassicalPrescription(
         n=triplet.n,
         authorized=triplet.authorized,
-        forbidden=merged,
+        forbidden=tuple(merged),
         threshold_q=infogroup.threshold_q(triplet),
     )
 

@@ -272,7 +272,7 @@ def test_simulate_duality_fails_on_wrong_record(capsys, monkeypatch):
         t = real(c)
         records = list(t.records)
         idx = next(i for i, rec in enumerate(records) if rec.subset == (3, 4))
-        records[idx] = dataclasses.replace(records[idx], s=records[idx].s + 1)
+        records[idx] = records[idx]._replace(s=records[idx].s + 1)
         return dataclasses.replace(t, records=tuple(records))
 
     monkeypatch.setattr(cli.infogroup, "classify", skewed)
@@ -640,6 +640,24 @@ def test_share_key_missing_flags(capsys):
     status, _, err = run(capsys, "share-key", "--q", "3", "--seed", "2")
     assert status == 2
     assert "--n" in err and "--key" in err
+
+
+@pytest.mark.parametrize("key", ["7", "-1", "1,5", "0,4,-5"])
+def test_share_key_rejects_digits_outside_the_share_field(capsys, key):
+    # Reducing mod P would share a different key: 7 and -1 become 2 and 4.
+    status, out, err = run(capsys, "share-key", "--q", "2", "--n", "3",
+                           "--P", "5", f"--key={key}", "--seed", "1")
+    assert status == 2 and out == ""
+    assert "outside 0..4" in err
+
+
+def test_share_key_accepts_the_field_edges(capsys):
+    status, out, _ = run(capsys, "share-key", "--q", "2", "--n", "3",
+                         "--P", "5", "--key", "0,4", "--seed", "1",
+                         "--format", "structured")
+    assert status == 0
+    bundle = classical.ClassicalShareSet.from_dict(json.loads(out))
+    assert classical.reconstruct(bundle, (1, 2)) == [0, 4]
 
 
 def test_share_key_from_plan_perfect_scheme(capsys):

@@ -480,6 +480,19 @@ def test_classify_builds_no_records_past_the_listing_cap(monkeypatch):
     assert calls["SubsetRecord"] == 2**12
 
 
+def test_records_are_immutable_with_the_same_dict_and_repr(four_two_two):
+    t = classify(four_two_two)
+    rec = next(r for r in t.records if r.subset == (1, 2))
+    for field in ("subset", "cls", "r", "s"):
+        with pytest.raises(AttributeError):
+            setattr(rec, field, None)
+    assert rec.to_dict() == {"subset": [1, 2], "class": "I", "r": 0, "s": 2}
+    assert repr(rec) == "SubsetRecord(subset=(1, 2), cls='I', r=0, s=2)"
+    assert repr(t.records[0]) == "SubsetRecord(subset=(), cls='F', r=0, s=0)"
+    assert repr(t.records[-1]) == \
+        "SubsetRecord(subset=(1, 2, 3, 4), cls='A', r=2, s=0)"
+
+
 def _enumerated_threshold(t):
     """q if the authorized sets are exactly those of size >= q, by listing."""
     if not t.authorized:
@@ -496,6 +509,17 @@ def _enumerated_threshold(t):
     *(pytest.param(load(path), id=path.stem) for path in DATA_CODES)])
 def test_threshold_q_matches_enumeration(c):
     t = classify(c)
+    assert threshold_q(t) == _enumerated_threshold(t)
+
+
+@given(d=st.sampled_from([2, 3, 5, 7]),
+       nk=st.integers(1, 7).flatmap(
+           lambda n: st.tuples(st.just(n), st.integers(1, n))),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_threshold_q_matches_enumeration_on_random_codes(d, nk, seed):
+    # threshold_q reads the size summary; the reference lists the A sets.
+    t = classify(random_code(np.random.default_rng(seed), d, *nk))
     assert threshold_q(t) == _enumerated_threshold(t)
 
 

@@ -1,10 +1,14 @@
 import dataclasses
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stabshare import catalog, classify, infogroup
+from stabshare.code import load
 from stabshare.pauli import pairing, parse, symplectic_vector
 from stabshare.twirl import (
     intermediate_group,
@@ -12,6 +16,10 @@ from stabshare.twirl import (
     twirl_operator,
     twirl_plan,
 )
+
+from conftest import random_code
+
+DATA_CODES = sorted((Path(__file__).parent / "data").glob("*.json"))
 
 
 def plan_for(name, n=None):
@@ -163,3 +171,43 @@ def test_plan_report_round_trip():
     assert again == payload
     assert again["key_length"] == plan.key_length
     assert again["r"] + again["s"] == plan.k
+
+
+def _assert_prescription_merges_f_and_i(c):
+    t = classify(c)
+    forbidden = twirl_plan(c, t).prescription.forbidden
+    expected = sorted(t.forbidden + t.intermediate, key=lambda s: (len(s), s))
+    assert forbidden == tuple(expected)
+    # The triplet's own tuples, not copies of them.
+    assert all(got is own for got, own in zip(forbidden, expected))
+
+
+@pytest.mark.parametrize("c", [
+    *(pytest.param(catalog(name), id=name) for name in
+      ("cnot_2_1", "five_qubit", "four_two_two", "steane")),
+    *(pytest.param(catalog("ghz_n", n), id=f"ghz_{n}") for n in range(2, 14)),
+    *(pytest.param(load(path), id=path.stem) for path in DATA_CODES)])
+def test_prescription_merges_f_and_i_by_size(c):
+    _assert_prescription_merges_f_and_i(c)
+
+
+@given(d=st.sampled_from([2, 3, 5, 7]),
+       nk=st.integers(1, 7).flatmap(
+           lambda n: st.tuples(st.just(n), st.integers(1, n))),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_prescription_merges_f_and_i_on_random_codes(d, nk, seed):
+    _assert_prescription_merges_f_and_i(
+        random_code(np.random.default_rng(seed), d, *nk))
+
+
+@pytest.mark.parametrize("column, delta", [(2, -1), (2, 1), (3, 1)])
+def test_prescription_rejects_a_size_summary_that_miscounts(column, delta):
+    c = catalog("four_two_two")
+    t = classify(c)
+    rows = [list(row) for row in t.size_summary]
+    rows[2][column] += delta
+    bad = dataclasses.replace(t, size_summary=tuple(map(tuple, rows)))
+    with pytest.raises(infogroup.SchemeConsistencyError,
+                       match="size_summary counts"):
+        twirl_plan(c, bad)
