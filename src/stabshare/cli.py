@@ -140,26 +140,20 @@ def cmd_twirl_plan(args: argparse.Namespace) -> int:
 
 
 def _duality_mismatch(c: StabilizerCode, triplet: infogroup.SchemeTriplet,
-                      groups: list[infogroup.InfoGroup],
+                      order: list, slots: np.ndarray,
                       intermediate: infogroup.InfoGroup) -> str | None:
     """First disagreement between commutants, direct solves and `classify`.
 
-    `groups` holds the direct G(S) of every subset in enumeration order, so
-    subset -1 - i is the complement of subset i.  On their stack of echelon
-    slots: the commutant of G(S) is G(S-bar) iff the two pair to zero and
-    their ranks sum to 2k; each class and, where `classify` keeps records,
-    each (r, s), from the same ``infogroup`` helpers that `classify` uses,
-    must be what it reported.  Last, `intermediate`, the group that the
-    twirl is built from, must be the span of the direct groups of the
-    intermediate subsets.
+    `slots` is ``infogroup._direct_slots`` of `order`, every subset in
+    enumeration order, so subset -1 - i is the complement of subset i.  On
+    it: the commutant of G(S) is G(S-bar) iff the two pair to zero and their
+    ranks sum to 2k; each class and, where `classify` keeps records, each
+    (r, s), from the same ``infogroup`` helpers that `classify` uses, must
+    be what it reported.  Last, `intermediate`, the group that the twirl is
+    built from, must be the span of the intermediate subsets' slot rows.
     """
     d, k = c.d, c.k
-    order = list(infogroup.subsets_in_order(c.n))
-    ranks = np.array([g.rank for g in groups])
-    rows = np.array([row for g in groups for row in g.generators],
-                    dtype=np.int64).reshape(-1, 2 * k)
-    slots = np.zeros((len(groups), 2 * k, 2 * k), dtype=np.int64)
-    slots[np.repeat(np.arange(len(groups)), ranks), (rows != 0).argmax(1)] = rows
+    ranks = slots.any(axis=2).sum(axis=1)
     dual = (ranks + ranks[::-1] == 2 * k) & ~pairing(
         slots, slots[::-1], d).any(axis=(1, 2))
     if triplet.records is None:  # no (r, s) to compare: the rank decides
@@ -186,9 +180,10 @@ def _duality_mismatch(c: StabilizerCode, triplet: infogroup.SchemeTriplet,
         rec = triplet.records[j]
         return (f"classify gives {list(comp)} (r, s) = "
                 f"{(rec.r, rec.s)}, its group {tuple(rs[j].tolist())}")
-    spanned = infogroup.group_from_rows(d, k, sorted({
-        row for g, cls in zip(groups, reported.tolist()) if cls == "I"
-        for row in g.generators}))
+    # Distinct rows by first index: a plain np.unique imports numpy.ma.
+    rows = slots[reported == "I"].reshape(-1, 2 * k)
+    _, first = np.unique(rows.view(f"V{16 * k}")[:, 0], return_index=True)
+    spanned = infogroup.group_from_rows(d, k, rows[first])
     if intermediate != spanned:
         return ("intermediate group from classify differs from the span of "
                 "the direct G(S) over the intermediate subsets")
@@ -221,31 +216,30 @@ def run_checks(c: StabilizerCode, seed: int, which: str,
 
     triplet = infogroup.classify(c)
     subsets = list(infogroup.subsets_in_order(c.n))
-    groups = infogroup.info_group(c, subsets)
+    slots = infogroup._direct_slots(c, subsets)
     intermediate = twirl.intermediate_group(c, triplet)
-    mismatch = _duality_mismatch(c, triplet, groups, intermediate)
+    mismatch = _duality_mismatch(c, triplet, subsets, slots, intermediate)
     add("duality", mismatch is None,
         detail=mismatch or "access/forbidden duality holds")
     if mismatch is not None:
         return False, results  # every later check builds on the triplet
 
+    auth, forb = set(triplet.authorized), set(triplet.forbidden)
     if which in ("all", "duality"):
-        auth = set(triplet.authorized)
-        forb = set(triplet.forbidden)
         ok = (all(t in auth for s in auth for t in infogroup.one_larger(s, c.n))
               and all(t in forb for s in forb for t in infogroup.one_smaller(s)))
         add("monotonicity", ok)
 
     if which in ("all", "infogroup"):
         brute = oracle.info_group_bruteforce(c, subsets, cap=cap)
-        mismatches = [subset for subset, symbolic, dense in
-                      zip(subsets, groups, brute) if symbolic != dense]
+        mismatches = [subset for subset, symbolic, dense in zip(
+            subsets, infogroup._groups(c.d, c.k, slots), brute)
+            if symbolic != dense]
         add("infogroup", not mismatches,
             detail=f"{2**c.n} subsets compared" if not mismatches
             else f"mismatch at {mismatches[:3]}")
 
     if which in ("all", "choi"):
-        forb = set(triplet.forbidden)
         ok = oracle.choi_decoupled(c, subsets, cap=cap) == [
             subset in forb for subset in subsets]
         worst = max(oracle.choi_decoupling(c, triplet.forbidden, cap=cap),
@@ -314,6 +308,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_share_key(args: argparse.Namespace) -> int:
     key = tuple(int(v) for v in args.key.split(",")) if args.key else None
     if args.from_plan is not None:
+        if any(v is not None for v in (args.key, args.q, args.P)):
+            raise ValueError("--from-plan takes the key, q and P from the "
+                             "plan; drop --key, --q and --P")
         c = _load_code(args.from_plan, args.n)
         triplet = infogroup.classify(c)
         plan = twirl.twirl_plan(c, triplet)

@@ -36,9 +36,9 @@ class from the rank, 2r as the rank of the Gram matrix of pairings.
 ``simulate``'s duality check shares it.  Over the distinct intermediate
 groups G(L), ``classify`` also keeps their span and intersection for the
 twirl: the intermediate group is the span plus the commutant of the
-intersection (see ``twirl.intermediate_group``).  ``info_group`` solves
-listed subsets directly, stacked by size, with the walk's column
-clearing: for ``classify --subset`` and ``simulate``.
+intersection (see ``twirl.intermediate_group``).  ``_direct_slots`` solves
+listed subsets directly, by size, with the walk's column clearing, into
+echelon slots: ``simulate``'s checks read them, ``info_group`` wraps them.
 
 The triplet lists A, F and I in ``subsets_in_order`` order, with their
 counts by size in ``size_summary``.  Up to ``FULL_LISTING_MAX_N`` carriers
@@ -112,14 +112,10 @@ class InfoGroup:
     @property
     def access_class(self) -> str:
         """"A" (full), "F" (trivial) or "I" (anything in between)."""
-        if self.is_full:
-            return "A"
-        return "F" if self.is_trivial else "I"
+        return _CLASSES[_class_code(self.rank, self.k)]
 
     def generator_rows(self) -> np.ndarray:
-        if not self.generators:
-            return np.zeros((0, 2 * self.k), dtype=np.int64)
-        return np.array(self.generators, dtype=np.int64)
+        return np.reshape(self.generators, (-1, 2 * self.k)).astype(np.int64)
 
 
 def group_from_rows(d: int, k: int, rows) -> InfoGroup:
@@ -149,12 +145,18 @@ def one_larger(subset, n: int) -> list[tuple[int, ...]]:
 
 
 def info_group(code: StabilizerCode, subsets) -> list[InfoGroup]:
-    """The information group of each of `subsets` (1-based), in order.
+    """The information group of each of `subsets` (1-based), in order: the
+    ``_direct_slots`` echelons, whose slots ``simulate``'s checks read."""
+    return _groups(code.d, code.k, _direct_slots(code, subsets))
+
+
+def _direct_slots(code: StabilizerCode, subsets) -> np.ndarray:
+    """G(S) of each of `subsets` (1-based), as (len(subsets), 2k, 2k) slots.
 
     By subset size, in chunks under ``_SOLVE_BUDGET``: ``_clear`` removes
     the complement's x and z columns of the [logical; stabilizer] rows
     tagged with their 2k logical coefficients, and ``mod_rref_stack`` of
-    the tags left is G(S)'s echelon basis.
+    the tags left is G(S)'s echelon, each row in the slot of its pivot.
     """
     d, n, k = code.d, code.n, code.k
     subsets = list(subsets)
@@ -167,7 +169,8 @@ def info_group(code: StabilizerCode, subsets) -> list[InfoGroup]:
     rows = np.hstack([np.vstack([code.logical_rows(), code.stabilizer_rows()]),
                       np.eye(n + k, 2 * k, dtype=np.int64)]) % d
     keep = np.hstack([~inside, ~inside, np.ones((len(subsets), 2 * k), bool)])
-    sizes, out = inside.sum(axis=1), [None] * len(subsets)
+    sizes = inside.sum(axis=1)
+    out = np.zeros((len(subsets), 2 * k, 2 * k), dtype=np.int64)
     for size in range(n + 1):
         where = np.flatnonzero(sizes == size)
         cols = np.nonzero(keep[where])[1].reshape(-1, 2 * (n - size + k))
@@ -177,11 +180,14 @@ def info_group(code: StabilizerCode, subsets) -> list[InfoGroup]:
             at = np.arange(len(chunk))
             for _ in range(2 * (n - size)):
                 chunk = _clear(chunk, at, d)
-            for i, echelon in zip(where[lo:lo + step].tolist(),
-                                  mod_rref_stack(chunk, d).tolist()):
-                out[i] = InfoGroup(d, k, tuple(
-                    tuple(row) for row in echelon if any(row)))
+            out[where[lo:lo + step]] = mod_rref_stack(chunk, d)
     return out
+
+
+def _groups(d: int, k: int, slots: np.ndarray) -> list[InfoGroup]:
+    """One ``InfoGroup`` per slice of a stack of echelon slots."""
+    return [InfoGroup(d, k, tuple(tuple(row) for row in echelon if any(row)))
+            for echelon in slots.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +225,7 @@ def commutant(group: InfoGroup) -> InfoGroup:
     d, k = group.d, group.k
     # Row i holds the coefficients c with pairing(g_i, w) = c . w.
     null = mod_nullspace(pairing(group.generator_rows(), np.eye(2 * k), d), d)
-    base = np.array(null, dtype=np.int64) if null else np.zeros((0, 2 * k))
-    return group_from_rows(d, k, base)
+    return group_from_rows(d, k, np.array(null, dtype=np.int64))
 
 
 def canonical_form(group: InfoGroup) -> CanonicalForm:
@@ -334,7 +339,7 @@ class SchemeTriplet:
         return out
 
 
-# Int64 cells per chunk of ``info_group`` and per Gram chunk of
+# Int64 cells per chunk of ``_direct_slots`` and per Gram chunk of
 # ``_class_rs``, and for ``classify``'s kept rows.  Also per batch of
 # ``_walk``, which bounds its memory: a batch whose next level would pass
 # it drops its zero rows, then splits.

@@ -4,10 +4,13 @@ Each entry is the exit status and the sha256 of the ``--format structured``
 stdout of one command on a catalog code or on a code file in ``data/``.
 ``share-key`` derives its key from the code's twirl plan with ``--seed 1``;
 on codes with no intermediate structure it exits 2 with empty stdout.
-``simulate`` is left out: its floating-point measurements depend on the
-BLAS build.
+``simulate`` runs only ``--check duality --seed 1``, whose records carry
+no floating-point measurement; the dense checks' measurements depend on
+the BLAS build.  ghz_13 is past ``FULL_LISTING_MAX_N``, where the duality
+check reads each class from the rank alone.
 
-The files are random odd-prime codes.  In [[3,2]]_3 and
+The ``rand_`` files are random odd-prime codes; ``ghz_x_3`` is the
+3-qubit GHZ code in the X basis, written as Pauli strings.  In [[3,2]]_3 and
 [[7,2]]_65537 the intermediate subsets split as (r, s) = (0, 1) and (1, 1),
 in [[8,2]]_10007 as (1, 0), so both terms of the complement's
 (k - r - s, s) are pinned.  [[5,1]]_3 is the one whose access structure
@@ -140,20 +143,46 @@ GOLDEN = {
         0, "eb0127e63424a40f5de52e0e7f9b20c1ddcd0b9e3fc58ecee987814c1274fe90"),
     ("share-key", "rand_3_5_1"): (
         0, "bb15e7fb7d3eacb280e99d81fcc523c7edf159742596550d3e0f45c9cb409816"),
+    ("simulate", "cnot_2_1"): (
+        0, "ad54a344095b99b9775ed722a8741d70840923adb3bb527a411265cf6e58b995"),
+    ("simulate", "five_qubit"): (
+        0, "69f179c200e778a586eec18b287517f81d35b03235656f15a2a6196b68512f23"),
+    ("simulate", "four_two_two"): (
+        0, "0f3c2baabda511afd40bd215f9337f9cb115eda3883e101465187cc6fdea0bb3"),
+    ("simulate", "steane"): (
+        0, "d17f381cf9e888133c72082c7a80b779d00b639168d852b85294aabea0831d47"),
+    ("simulate", "ghz_3"): (
+        0, "67368a02983f1596af3226cbaacc2686238ca379e63bbad1333dcad4ff2674ff"),
+    ("simulate", "ghz_8"): (
+        0, "0b9ad47e2c28538f19b48aa091e5caee2f7d4ea605df7992c203ca0108dcfe1d"),
+    ("simulate", "ghz_13"): (
+        0, "c02d2369a2cdff1f14c5504aabc70f1463574f88897eb471af3df9af97387847"),
+    ("simulate", "ghz_x_3"): (
+        0, "b4141af78e59b309500db07c8ba16e78f6cb8fdb7d3068cf71c76a7fb8d5cad1"),
+    ("simulate", "rand_3_3_2"): (
+        0, "7ffd09ba92e51ab5956ea6aa76d4cb21926a9b917e4566a2a7f9c7068c6b0dca"),
+    ("simulate", "rand_3_5_1"): (
+        0, "a7ef8b99864932d1b3c9085a006379053cd3de2d39b6a77bb6ca9c4f23b5902e"),
+    ("simulate", "rand_10007_8_2"): (
+        0, "fd732958c518ddff87925f7b570a705fd4ce27f033ef1e19b3c0803858cac5ae"),
+    ("simulate", "rand_65537_7_2"): (
+        0, "76638f2e2ba12b910d1f07ba32073b13335128901a6cdc3bb2518044b91cfffd"),
 }
 
 DATA = Path(__file__).parent / "data"
 
 
 def _argv(command: str, code: str) -> list[str]:
-    if code.startswith("ghz_"):
-        source = ["catalog:ghz_n", "--n", code[len("ghz_"):]]
-    elif code.startswith("rand_"):
+    if (DATA / f"{code}.json").exists():
         source = [str(DATA / f"{code}.json")]
+    elif code.startswith("ghz_"):
+        source = ["catalog:ghz_n", "--n", code[len("ghz_"):]]
     else:
         source = [f"catalog:{code}"]
     if command == "share-key":
         return ["share-key", "--from-plan", *source, "--seed", "1"]
+    if command == "simulate":
+        return ["simulate", *source, "--seed", "1", "--check", "duality"]
     return [command, *source]
 
 
