@@ -144,13 +144,14 @@ def _duality_mismatch(c: StabilizerCode, triplet: infogroup.SchemeTriplet,
                       intermediate: infogroup.InfoGroup) -> str | None:
     """First disagreement between commutants, direct solves and `classify`.
 
-    `slots` is ``infogroup._direct_slots`` of `order`, every subset in
-    enumeration order, so subset -1 - i is the complement of subset i.  On
-    it: the commutant of G(S) is G(S-bar) iff the two pair to zero and their
-    ranks sum to 2k; each class and, where `classify` keeps records, each
-    (r, s), from the same ``infogroup`` helpers that `classify` uses, must
-    be what it reported.  Last, `intermediate`, the group that the twirl is
-    built from, must be the span of the intermediate subsets' slot rows.
+    `slots` is ``infogroup.info_group(c, order, slots=True)``, every subset
+    in enumeration order, so subset -1 - i is the complement of subset i.
+    On it: the commutant of G(S) is G(S-bar) iff the two pair to zero and
+    their ranks sum to 2k; each class and, where `classify` keeps records,
+    each (r, s), from the same ``infogroup`` helpers that `classify` uses,
+    must be what it reported.  Last, `intermediate`, the group that the
+    twirl is built from, must be the span of the intermediate subsets' slot
+    rows.
     """
     d, k = c.d, c.k
     ranks = slots.any(axis=2).sum(axis=1)
@@ -180,9 +181,8 @@ def _duality_mismatch(c: StabilizerCode, triplet: infogroup.SchemeTriplet,
         rec = triplet.records[j]
         return (f"classify gives {list(comp)} (r, s) = "
                 f"{(rec.r, rec.s)}, its group {tuple(rs[j].tolist())}")
-    # Distinct rows by first index: a plain np.unique imports numpy.ma.
     rows = slots[reported == "I"].reshape(-1, 2 * k)
-    _, first = np.unique(rows.view(f"V{16 * k}")[:, 0], return_index=True)
+    first, _ = infogroup._distinct_rows(rows)
     spanned = infogroup.group_from_rows(d, k, rows[first])
     if intermediate != spanned:
         return ("intermediate group from classify differs from the span of "
@@ -216,7 +216,7 @@ def run_checks(c: StabilizerCode, seed: int, which: str,
 
     triplet = infogroup.classify(c)
     subsets = list(infogroup.subsets_in_order(c.n))
-    slots = infogroup._direct_slots(c, subsets)
+    slots = infogroup.info_group(c, subsets, slots=True)
     intermediate = twirl.intermediate_group(c, triplet)
     mismatch = _duality_mismatch(c, triplet, subsets, slots, intermediate)
     add("duality", mismatch is None,
@@ -224,8 +224,9 @@ def run_checks(c: StabilizerCode, seed: int, which: str,
     if mismatch is not None:
         return False, results  # every later check builds on the triplet
 
-    auth, forb = set(triplet.authorized), set(triplet.forbidden)
     if which in ("all", "duality"):
+        auth = set(triplet.authorized)
+        forb = set(triplet.forbidden)
         ok = (all(t in auth for s in auth for t in infogroup.one_larger(s, c.n))
               and all(t in forb for s in forb for t in infogroup.one_smaller(s)))
         add("monotonicity", ok)
@@ -240,6 +241,7 @@ def run_checks(c: StabilizerCode, seed: int, which: str,
             else f"mismatch at {mismatches[:3]}")
 
     if which in ("all", "choi"):
+        forb = set(triplet.forbidden)
         ok = oracle.choi_decoupled(c, subsets, cap=cap) == [
             subset in forb for subset in subsets]
         worst = max(oracle.choi_decoupling(c, triplet.forbidden, cap=cap),

@@ -36,9 +36,10 @@ class from the rank, 2r as the rank of the Gram matrix of pairings.
 ``simulate``'s duality check shares it.  Over the distinct intermediate
 groups G(L), ``classify`` also keeps their span and intersection for the
 twirl: the intermediate group is the span plus the commutant of the
-intersection (see ``twirl.intermediate_group``).  ``_direct_slots`` solves
-listed subsets directly, by size, with the walk's column clearing, into
-echelon slots: ``simulate``'s checks read them, ``info_group`` wraps them.
+intersection (see ``twirl.intermediate_group``).  ``info_group`` solves
+listed subsets directly, stacked by size, with the walk's column
+clearing: for ``classify --subset``, and for ``simulate``, whose checks
+read its stack of echelon slots.
 
 The triplet lists A, F and I in ``subsets_in_order`` order, with their
 counts by size in ``size_summary``.  Up to ``FULL_LISTING_MAX_N`` carriers
@@ -112,10 +113,14 @@ class InfoGroup:
     @property
     def access_class(self) -> str:
         """"A" (full), "F" (trivial) or "I" (anything in between)."""
-        return _CLASSES[_class_code(self.rank, self.k)]
+        if self.is_full:
+            return "A"
+        return "F" if self.is_trivial else "I"
 
     def generator_rows(self) -> np.ndarray:
-        return np.reshape(self.generators, (-1, 2 * self.k)).astype(np.int64)
+        if not self.generators:
+            return np.zeros((0, 2 * self.k), dtype=np.int64)
+        return np.array(self.generators, dtype=np.int64)
 
 
 def group_from_rows(d: int, k: int, rows) -> InfoGroup:
@@ -144,19 +149,16 @@ def one_larger(subset, n: int) -> list[tuple[int, ...]]:
             for i in range(1, n + 1) if i not in subset]
 
 
-def info_group(code: StabilizerCode, subsets) -> list[InfoGroup]:
-    """The information group of each of `subsets` (1-based), in order: the
-    ``_direct_slots`` echelons, whose slots ``simulate``'s checks read."""
-    return _groups(code.d, code.k, _direct_slots(code, subsets))
-
-
-def _direct_slots(code: StabilizerCode, subsets) -> np.ndarray:
-    """G(S) of each of `subsets` (1-based), as (len(subsets), 2k, 2k) slots.
+def info_group(code: StabilizerCode, subsets, *,
+               slots: bool = False) -> list[InfoGroup] | np.ndarray:
+    """The information group of each of `subsets` (1-based), in order.
 
     By subset size, in chunks under ``_SOLVE_BUDGET``: ``_clear`` removes
     the complement's x and z columns of the [logical; stabilizer] rows
     tagged with their 2k logical coefficients, and ``mod_rref_stack`` of
     the tags left is G(S)'s echelon, each row in the slot of its pivot.
+    With `slots`, that (len(subsets), 2k, 2k) stack is returned as it is,
+    for ``simulate``'s checks; otherwise ``_groups`` of it.
     """
     d, n, k = code.d, code.n, code.k
     subsets = list(subsets)
@@ -181,7 +183,7 @@ def _direct_slots(code: StabilizerCode, subsets) -> np.ndarray:
             for _ in range(2 * (n - size)):
                 chunk = _clear(chunk, at, d)
             out[where[lo:lo + step]] = mod_rref_stack(chunk, d)
-    return out
+    return out if slots else _groups(d, k, out)
 
 
 def _groups(d: int, k: int, slots: np.ndarray) -> list[InfoGroup]:
@@ -225,7 +227,8 @@ def commutant(group: InfoGroup) -> InfoGroup:
     d, k = group.d, group.k
     # Row i holds the coefficients c with pairing(g_i, w) = c . w.
     null = mod_nullspace(pairing(group.generator_rows(), np.eye(2 * k), d), d)
-    return group_from_rows(d, k, np.array(null, dtype=np.int64))
+    base = np.array(null, dtype=np.int64) if null else np.zeros((0, 2 * k))
+    return group_from_rows(d, k, base)
 
 
 def canonical_form(group: InfoGroup) -> CanonicalForm:
@@ -339,7 +342,7 @@ class SchemeTriplet:
         return out
 
 
-# Int64 cells per chunk of ``_direct_slots`` and per Gram chunk of
+# Int64 cells per chunk of ``info_group`` and per Gram chunk of
 # ``_class_rs``, and for ``classify``'s kept rows.  Also per batch of
 # ``_walk``, which bounds its memory: a batch whose next level would pass
 # it drops its zero rows, then splits.
@@ -409,6 +412,14 @@ def _class_code(rank: np.ndarray, k: int) -> np.ndarray:
     return 1 - (rank == 2 * k) + (rank == 0)
 
 
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First index of each distinct row of a C-contiguous 2-D int64 array,
+    and each row's index among those.  ``np.unique`` without an index
+    output, ``axis=0`` form included, imports ``numpy.ma``."""
+    return np.unique(rows.view(f"V{rows.shape[1] * 8}")[:, 0],
+                     return_index=True, return_inverse=True)[1:]
+
+
 def _class_rs(slots: np.ndarray, d: int) -> np.ndarray:
     """Class code, r and s of each slice of a (B, 2k, 2k) stack of echelon
     slots (as ``mod_rref_stack`` returns them), as a (3, B) array.
@@ -455,9 +466,7 @@ def classify(code: StabilizerCode) -> SchemeTriplet:
     eye = np.eye(2 * k, dtype=np.int64)
     kept = np.zeros((2, 0, 2 * k), dtype=np.int64)
     for masks, echelons in _walk(code):
-        flat = echelons.reshape(len(masks), -1)
-        _, first, inverse = np.unique(flat.view(f"V{flat.shape[1] * 8}")[:, 0],
-                                      return_index=True, return_inverse=True)
+        first, inverse = _distinct_rows(echelons.reshape(len(masks), -1))
         solved = _class_rs(echelons[first], d)
         by_mask[:, masks] = solved[:, inverse]
         leaves = echelons[first[solved[0] == 1]]

@@ -14,6 +14,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import infogroup
 from .code import StabilizerCode
 from .infogroup import CanonicalForm, InfoGroup, SchemeTriplet
@@ -97,7 +99,8 @@ def intermediate_group(code: StabilizerCode,
     """
     rows = (triplet.leaf_span.generators
             + infogroup.commutant(triplet.leaf_core).generators)
-    return infogroup.group_from_rows(code.d, code.k, rows)
+    return infogroup.group_from_rows(code.d, code.k,
+                                     np.array(rows, dtype=np.int64))
 
 
 def _prescription(triplet: SchemeTriplet) -> ClassicalPrescription:

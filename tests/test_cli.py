@@ -221,16 +221,16 @@ def test_simulate_checks_each(capsys):
 
 
 def test_simulate_duality_fails_on_wrong_commutant(capsys, monkeypatch):
-    real = infogroup._direct_slots
+    real = infogroup.info_group
 
-    def full_set_trivial(c, subsets):
+    def full_set_trivial(c, subsets, slots):
         # The full set's group comes back trivial, so the commutant of
         # G([]) (everything) is not the direct G([1, 2, 3, 4]).
-        slots = real(c, subsets)
-        slots[[len(s) == c.n for s in subsets]] = 0
-        return slots
+        out = real(c, subsets, slots=slots)
+        out[[len(s) == c.n for s in subsets]] = 0
+        return out
 
-    monkeypatch.setattr(infogroup, "_direct_slots", full_set_trivial)
+    monkeypatch.setattr(infogroup, "info_group", full_set_trivial)
     status, out, _ = run(capsys, "simulate", "catalog:four_two_two",
                          "--seed", "3", "--check", "duality",
                          "--format", "structured")
@@ -244,16 +244,16 @@ def test_simulate_duality_fails_on_wrong_commutant(capsys, monkeypatch):
 
 def test_simulate_duality_fails_on_a_group_outside_the_commutant(
         capsys, monkeypatch):
-    real = infogroup._direct_slots
+    real = infogroup.info_group
 
-    def swapped(c, subsets):
+    def swapped(c, subsets, slots):
         # G([3, 4]) becomes G([1, 3]) = <X_2, Z_1>: the same rank, class
         # and (r, s), but Z_1 does not commute with X_1 in G([1, 2]).
-        slots = real(c, subsets)
-        slots[subsets.index((3, 4))] = slots[subsets.index((1, 3))]
-        return slots
+        out = real(c, subsets, slots=slots)
+        out[subsets.index((3, 4))] = out[subsets.index((1, 3))]
+        return out
 
-    monkeypatch.setattr(infogroup, "_direct_slots", swapped)
+    monkeypatch.setattr(infogroup, "info_group", swapped)
     status, out, _ = run(capsys, "simulate", "catalog:four_two_two",
                          "--seed", "3", "--check", "duality",
                          "--format", "structured")
@@ -361,19 +361,19 @@ def test_simulate_duality_fails_on_wrong_intermediate_group(capsys,
 def test_simulate_solves_each_subset_once(capsys, monkeypatch, check):
     calls = count_calls(monkeypatch, infogroup, "commutant")
     solved = []
-    real = infogroup._direct_slots
+    real = infogroup.info_group
 
-    def recording(c, subsets):
+    def recording(c, subsets, **kwargs):
         solved.append(list(subsets))
-        return real(c, subsets)
+        return real(c, subsets, **kwargs)
 
-    monkeypatch.setattr(infogroup, "_direct_slots", recording)
+    monkeypatch.setattr(infogroup, "info_group", recording)
     leaves = walk_leaves(monkeypatch)
     status, _, _ = run(capsys, "simulate", "catalog:four_two_two",
                        "--seed", "1", "--check", check)
     assert status == 0
     # classify's lattice walk solves the 8 subsets without carrier 4, and
-    # one `_direct_slots` call solves the 16 direct groups shared by duality
+    # one `info_group` call solves the 16 direct groups shared by duality
     # and infogroup under every check: the intermediate group comes from
     # the walk, with no solve of its own.  The duality check compares each
     # pair by its pairings and ranks, with no commutant; the one commutant
@@ -385,7 +385,7 @@ def test_simulate_solves_each_subset_once(capsys, monkeypatch, check):
 
 
 def test_simulate_resource_cap(capsys, monkeypatch):
-    calls = count_calls(monkeypatch, infogroup, "classify", "_direct_slots")
+    calls = count_calls(monkeypatch, infogroup, "classify", "info_group")
     for check in ("all", "concealment", "choi", "infogroup"):
         status, _, err = run(capsys, "simulate", "catalog:ghz_n", "--n", "13",
                              "--seed", "1", "--check", check)
@@ -407,7 +407,7 @@ def test_simulate_meets_the_choi_cap_first(capsys, monkeypatch, check):
     # ghz_12's encoding has D^n = 4096 amplitudes, within the default cap;
     # its Choi vector has D^(n+k) = 8192, and every dense check reads the
     # scan's Choi states.
-    calls = count_calls(monkeypatch, infogroup, "classify", "_direct_slots")
+    calls = count_calls(monkeypatch, infogroup, "classify", "info_group")
     status, _, err = run(capsys, "simulate", "catalog:ghz_n", "--n", "12",
                          "--seed", "1", "--check", check)
     assert status == 3

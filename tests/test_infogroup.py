@@ -108,21 +108,21 @@ def test_batched_info_group_matches_the_reference(d, nk, seed, data):
            lambda n: st.tuples(st.just(n), st.integers(1, n))),
        seed=st.integers(0, 2**32 - 1), data=st.data())
 @settings(max_examples=40, deadline=None)
-def test_direct_slots_put_each_echelon_row_at_its_pivot(d, nk, seed, data):
+def test_info_group_slots_put_each_echelon_row_at_its_pivot(d, nk, seed,
+                                                            data):
     # The duality check reads ranks, pairings and rows off the slots, so
     # slice j must hold G(S_j)'s echelon rows, each in the slot of its
     # pivot, and zeros elsewhere, in any order and with repeats.
     n, k = nk
     c = random_code(np.random.default_rng(seed), d, n, k)
     every = list(subsets_in_order(n))
-    solved = dict(zip(every, info_group(c, every)))
     subsets = data.draw(st.lists(st.sampled_from(every), max_size=12))
     subsets = data.draw(st.permutations(subsets + subsets[:4]))
     expected = np.zeros((len(subsets), 2 * k, 2 * k), dtype=np.int64)
     for j, s in enumerate(subsets):
-        for row in solved[s].generators:
+        for row in info_group_reference(c, s).generators:
             expected[j, np.flatnonzero(row)[0]] = row
-    slots = infogroup._direct_slots(c, subsets)
+    slots = info_group(c, subsets, slots=True)
     assert slots.dtype == np.int64 and np.array_equal(slots, expected)
 
 
