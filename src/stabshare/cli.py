@@ -38,7 +38,10 @@ def _emit(args: argparse.Namespace, payload: dict,
 def _load_code(source: str, size_param: int | None) -> StabilizerCode:
     if source.startswith("catalog:"):
         return code_mod.catalog(source[len("catalog:"):], size_param)
-    return code_mod.load(source)
+    try:
+        return code_mod.load(source)
+    except OSError as exc:  # a missing file, a directory, no permission
+        raise ValueError(str(exc)) from exc
 
 
 def _code_label(c: StabilizerCode, delta: int | None) -> str:
@@ -140,8 +143,7 @@ def cmd_twirl_plan(args: argparse.Namespace) -> int:
 
 
 def _duality_mismatch(c: StabilizerCode, triplet: infogroup.SchemeTriplet,
-                      order: list, slots: np.ndarray,
-                      intermediate: infogroup.InfoGroup) -> str | None:
+                      order: list, slots: np.ndarray) -> str | None:
     """First disagreement between commutants, direct solves and `classify`.
 
     `slots` is ``infogroup.info_group(c, order, slots=True)``, every subset
@@ -149,9 +151,9 @@ def _duality_mismatch(c: StabilizerCode, triplet: infogroup.SchemeTriplet,
     On it: the commutant of G(S) is G(S-bar) iff the two pair to zero and
     their ranks sum to 2k; each class and, where `classify` keeps records,
     each (r, s), from the same ``infogroup`` helpers that `classify` uses,
-    must be what it reported.  Last, `intermediate`, the group that the
-    twirl is built from, must be the span of the intermediate subsets' slot
-    rows.
+    must be what it reported.  Last, ``twirl.intermediate_group``, which
+    the twirl is built from, must be the span of the intermediate subsets'
+    slot rows.
     """
     d, k = c.d, c.k
     ranks = slots.any(axis=2).sum(axis=1)
@@ -184,7 +186,7 @@ def _duality_mismatch(c: StabilizerCode, triplet: infogroup.SchemeTriplet,
     rows = slots[reported == "I"].reshape(-1, 2 * k)
     first, _ = infogroup._distinct_rows(rows)
     spanned = infogroup.group_from_rows(d, k, rows[first])
-    if intermediate != spanned:
+    if twirl.intermediate_group(c, triplet) != spanned:
         return ("intermediate group from classify differs from the span of "
                 "the direct G(S) over the intermediate subsets")
     return None
@@ -217,8 +219,7 @@ def run_checks(c: StabilizerCode, seed: int, which: str,
     triplet = infogroup.classify(c)
     subsets = list(infogroup.subsets_in_order(c.n))
     slots = infogroup.info_group(c, subsets, slots=True)
-    intermediate = twirl.intermediate_group(c, triplet)
-    mismatch = _duality_mismatch(c, triplet, subsets, slots, intermediate)
+    mismatch = _duality_mismatch(c, triplet, subsets, slots)
     add("duality", mismatch is None,
         detail=mismatch or "access/forbidden duality holds")
     if mismatch is not None:
@@ -251,7 +252,7 @@ def run_checks(c: StabilizerCode, seed: int, which: str,
 
     if which not in ("all", "concealment"):
         return all(r["pass"] for r in results), results
-    plan = twirl.twirl_plan(c, triplet, intermediate)
+    plan = twirl.twirl_plan(c, triplet)
     # Concealment is gated on the intermediate subsets, not on the plan, so
     # an empty plan for a code that needs a twirl fails the check.
     if triplet.intermediate:
@@ -339,9 +340,12 @@ def cmd_share_key(args: argparse.Namespace) -> int:
     for player, values in sorted(shares.shares.items()):
         text.append(f"  player {player}: {list(values)}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload, sort_keys=True,
-                                separators=(",", ":")) + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(payload, sort_keys=True,
+                                    separators=(",", ":")) + "\n")
+        except OSError as exc:
+            raise ValueError(str(exc)) from exc
         text.append(f"wrote {args.out}")
         _emit(args, {"written": args.out, **payload}, text)
     else:
@@ -413,12 +417,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # numpy rejects a negative seed, and random.Random would use |seed|.
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError("--seed must be a nonnegative integer, "
+                             f"got {args.seed}")
         return _DISPATCH[args.command](args)
     except ResourceLimitError as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (CodeFileError, CodeValidationError, FileNotFoundError,
-            ValueError) as exc:
+    except (CodeFileError, CodeValidationError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -13,7 +13,7 @@ survives the trace iff some stabilizer word makes its bare product act as
 the identity on the complement of S.
 
 The complement needs no second solve: G(S-bar) is the symplectic
-commutant of G(S) inside Z_d^(2k) (Gheorghiu, Looi & Griffiths, PRA 81,
+commutant C(G(S)) inside Z_d^(2k) (Gheorghiu, Looi & Griffiths, PRA 81,
 032326 (2010)).  So their classes are dual (A and F swap, I stays I), and
 if G(S) has r hyperbolic pairs and s isotropic generators, G(S-bar) has
 k - r - s pairs and the same s (the two share their radical).
@@ -34,9 +34,9 @@ Groups repeat (ghz_16 has 2 distinct groups among 32,768 leaves), so
 ``_class_rs`` decides each chunk's distinct echelons on one stack: the
 class from the rank, 2r as the rank of the Gram matrix of pairings.
 ``simulate``'s duality check shares it.  Over the distinct intermediate
-groups G(L), ``classify`` also keeps their span and intersection for the
-twirl: the intermediate group is the span plus the commutant of the
-intersection (see ``twirl.intermediate_group``).  ``info_group`` solves
+groups G(L), ``classify`` also folds the rows of G(L) and of C(G(L)) into
+one echelon: the intermediate group that the twirl hides (see
+``twirl.intermediate_group``).  ``info_group`` solves
 listed subsets directly, stacked by size, with the walk's column
 clearing: for ``classify --subset``, and for ``simulate``, whose checks
 read its stack of echelon slots.
@@ -58,8 +58,7 @@ import numpy as np
 
 from .code import StabilizerCode
 from .pauli import ResourceLimitError, pairing
-from .primefield import (mod_nullspace, mod_rref_stack, mod_solve,
-                         row_space_basis)
+from .primefield import mod_rref_stack, mod_solve, row_space_basis
 
 __all__ = [
     "InfoGroup",
@@ -68,7 +67,6 @@ __all__ = [
     "SchemeTriplet",
     "SchemeConsistencyError",
     "info_group",
-    "commutant",
     "canonical_form",
     "classify",
     "subsets_in_order",
@@ -218,19 +216,6 @@ class CanonicalForm:
         return 2 * self.r + self.s
 
 
-def commutant(group: InfoGroup) -> InfoGroup:
-    """All w in Z_d^(2k) with zero pairing against every generator.
-
-    Returned in the same echelon basis as ``info_group``, so the commutant
-    of G(S) equals G(S-bar) generator for generator.
-    """
-    d, k = group.d, group.k
-    # Row i holds the coefficients c with pairing(g_i, w) = c . w.
-    null = mod_nullspace(pairing(group.generator_rows(), np.eye(2 * k), d), d)
-    base = np.array(null, dtype=np.int64) if null else np.zeros((0, 2 * k))
-    return group_from_rows(d, k, base)
-
-
 def canonical_form(group: InfoGroup) -> CanonicalForm:
     """Symplectic Gram-Schmidt plus a conjugate partner per isotropic vector.
 
@@ -317,11 +302,9 @@ class SchemeTriplet:
     maximal_forbidden: tuple[tuple[int, ...], ...]
     size_summary: tuple[tuple[int, int, int, int], ...]  # (size, nA, nF, nI)
     records: tuple[SubsetRecord, ...] | None  # kept for n <= FULL_LISTING_MAX_N
-    # Over the intermediate subsets L without carrier n: the span of the
-    # G(L) and their intersection (the full group if there is no such L).
-    # Not part of the structured output.
-    leaf_span: InfoGroup
-    leaf_core: InfoGroup
+    # The span of G(S) over every intermediate S, for the twirl; not part
+    # of the structured output.
+    intermediate_span: InfoGroup
 
     def to_dict(self) -> dict:
         out = {
@@ -443,9 +426,8 @@ def classify(code: StabilizerCode) -> SchemeTriplet:
 
     ``_walk`` yields the echelon basis of G(S) for every S without carrier
     n, in chunks; ``_class_rs`` decides each chunk's distinct groups at
-    once.  The intermediate ones are kept on two slices, whose echelon
-    gives ``leaf_span`` and ``leaf_core``.  By duality the complement of
-    S gets the dual class and (k - r - s, s).
+    once, and the intermediate ones fold into ``intermediate_span``.  By
+    duality the complement of S gets the dual class and (k - r - s, s).
     Lists, extremal sets and the size summary come from arrays indexed by
     subset bitmask.  The ``SubsetRecord`` tuples are built, in
     ``subsets_in_order`` order, only when n <= ``FULL_LISTING_MAX_N``.
@@ -459,22 +441,22 @@ def classify(code: StabilizerCode) -> SchemeTriplet:
     # All are at most n <= 20, so int8 keeps these 2^n-long arrays small.
     half = 1 << (n - 1)
     by_mask = np.zeros((3, 2 * half), dtype=np.int8)
-    # For each distinct intermediate echelon M, its rows, and the rows of
-    # (I - M)^T, which span the dot-product complement of M's rows (being
-    # reduced, M is idempotent).  The groups' intersection is the
-    # complement of the sum of those complements.
+    # For each distinct intermediate leaf echelon M of G(L), M's rows and
+    # C(G(L))'s: M is idempotent, being reduced, so the rows y of (I - M)^T
+    # span the dot-product complement of M's rows, and u = pairing(y, I) =
+    # (-y_z | y_x) has pairing(g, u) = g . y.  One echelon folds both sets.
     eye = np.eye(2 * k, dtype=np.int64)
-    kept = np.zeros((2, 0, 2 * k), dtype=np.int64)
+    kept = np.zeros((0, 2 * k), dtype=np.int64)
     for masks, echelons in _walk(code):
         first, inverse = _distinct_rows(echelons.reshape(len(masks), -1))
         solved = _class_rs(echelons[first], d)
         by_mask[:, masks] = solved[:, inverse]
         leaves = echelons[first[solved[0] == 1]]
-        kept = np.concatenate([kept, np.stack([
-            leaves, (eye - leaves).swapaxes(1, 2)]).reshape(2, -1, 2 * k)], 1)
+        commuting = pairing((eye - leaves).swapaxes(1, 2), eye, d)
+        kept = np.concatenate([kept, leaves.reshape(-1, 2 * k),
+                               commuting.reshape(-1, 2 * k)])
         if kept.size > _SOLVE_BUDGET:
-            kept = mod_rref_stack(kept, d)
-    span, dual = mod_rref_stack(kept, d)
+            kept = mod_rref_stack(kept[None], d)[0]
     # Mask m >= half is the complement of 2 half - 1 - m: dual class,
     # (k - r - s, s).
     low = by_mask[:, half - 1::-1]
@@ -519,8 +501,7 @@ def classify(code: StabilizerCode) -> SchemeTriplet:
         size_summary=tuple((size, a, f, i) for size, (a, i, f)
                            in enumerate(counts.reshape(-1, 3).tolist())),
         records=records,
-        leaf_span=group_from_rows(d, k, span),
-        leaf_core=group_from_rows(d, k, (eye - dual).T),
+        intermediate_span=_groups(d, k, mod_rref_stack(kept[None], d))[0],
     )
 
 

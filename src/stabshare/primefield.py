@@ -2,10 +2,10 @@
 
 Every function takes a plain integer array (or nested lists) and the
 modulus p, and returns reduced int64 arrays: ``mod_rref`` is Gauss-Jordan
-elimination, and rank, solve, nullspace and row-space basis are built on
-it.  Inside, ``mod_rref`` works on lists of Python ints, which never
-overflow and, at the sizes this package targets (tens of rows), make each
-row operation cheaper than a numpy call would.
+elimination, and rank, solve and row-space basis are built on it.
+Inside, ``mod_rref`` works on lists of Python ints, which never overflow
+and, at the sizes this package targets (tens of rows), make each row
+operation cheaper than a numpy call would.
 
 ``mod_rref_stack`` reduces a whole stack of small matrices at once on
 int64: fraction-free, so every product stays below p^2, with one Fermat
@@ -25,7 +25,6 @@ __all__ = [
     "mod_rref_stack",
     "mod_rank",
     "mod_solve",
-    "mod_nullspace",
     "row_space_basis",
 ]
 
@@ -160,21 +159,6 @@ def mod_solve(a, b, p: int) -> np.ndarray | None:
     for row, col in enumerate(pivots):
         x[col] = red[row, n_cols]
     return x
-
-
-def mod_nullspace(a, p: int) -> list[np.ndarray]:
-    """Basis of {x : a x = 0 mod p}; size is cols - rank."""
-    m = _as_matrix(a)
-    red = (m % p).tolist()
-    _, pivots = _rref_lists(red, p)
-    basis = []
-    for free in sorted(set(range(m.shape[1])) - set(pivots)):
-        v = [0] * m.shape[1]
-        v[free] = 1
-        for row, col in enumerate(pivots):
-            v[col] = -red[row][free] % p
-        basis.append(np.array(v, dtype=np.int64))
-    return basis
 
 
 def row_space_basis(a, p: int) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Twirl plans: hiding the intermediate structure with a keyed Pauli.
 
-The group generated by the union of all intermediate information groups is
-canonicalized into r hyperbolic pairs (a_i, b_i) and s isotropic generators
-c_j.  The twirl generators are the Pauli products a_1, b_1, ..., a_r, b_r
+The group generated by the union of all intermediate information groups,
+which ``classify`` builds as one span, is canonicalized into r hyperbolic
+pairs (a_i, b_i) and s isotropic generators c_j.  The twirl generators are the Pauli products a_1, b_1, ..., a_r, b_r
 followed by a conjugate partner w_j of each c_j on the input qudits.
 Averaging over all d^(2r+s) keyed products kills every nonidentity element
 of the intermediate group, so subsets that could see partial information
@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import infogroup
 from .code import StabilizerCode
@@ -86,21 +84,13 @@ def intermediate_group(code: StabilizerCode,
     """Group generated by the union of G(S) over all intermediate S.
 
     A plain set union of subgroups is generally not closed, so this is the
-    span closure: the smallest group containing every intermediate G(S).
-    The complement of an intermediate subset is intermediate, so every
-    intermediate S is either a leaf L of ``classify``'s walk (a subset
-    without carrier n) or the complement of one, with G(L-bar) = C(G(L)),
-    the commutant.  Since the sum of commutants is the commutant of the
-    intersection, the group is
-
-        sum_L G(L) + C(intersection_L G(L)) = leaf_span + C(leaf_core),
-
-    exactly, whether or not G(S) grows with S.  No subset is solved here.
+    span closure.  Every intermediate S is a leaf L of ``classify``'s walk
+    (a subset without carrier n) or the complement of one, whose group is
+    the commutant C(G(L)); so the group is sum_L G(L) + sum_L C(G(L)),
+    exactly, whether or not G(S) grows with S.  ``classify`` builds it as
+    ``intermediate_span``, so no subset is solved here.
     """
-    rows = (triplet.leaf_span.generators
-            + infogroup.commutant(triplet.leaf_core).generators)
-    return infogroup.group_from_rows(code.d, code.k,
-                                     np.array(rows, dtype=np.int64))
+    return triplet.intermediate_span
 
 
 def _prescription(triplet: SchemeTriplet) -> ClassicalPrescription:
@@ -128,16 +118,12 @@ def _prescription(triplet: SchemeTriplet) -> ClassicalPrescription:
     )
 
 
-def twirl_plan(code: StabilizerCode, triplet: SchemeTriplet | None = None,
-               group: InfoGroup | None = None) -> TwirlPlan:
-    """Derive the minimal twirl for a code (empty plan when I is empty).
-
-    `group` is the triplet's intermediate group, if the caller has built it.
-    """
+def twirl_plan(code: StabilizerCode,
+               triplet: SchemeTriplet | None = None) -> TwirlPlan:
+    """Derive the minimal twirl for a code (empty plan when I is empty)."""
     if triplet is None:
         triplet = infogroup.classify(code)
-    if group is None:
-        group = intermediate_group(code, triplet)
+    group = intermediate_group(code, triplet)
     canonical = infogroup.canonical_form(group)
     k, d = code.k, code.d
     gens = tuple(from_symplectic(d, v) for v in

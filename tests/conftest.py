@@ -8,7 +8,7 @@ import pytest
 from stabshare import catalog, infogroup, oracle, validate
 from stabshare.code import StabilizerCode
 from stabshare.pauli import dense_matrix, from_symplectic, pairing
-from stabshare.primefield import mod_nullspace
+from stabshare.primefield import mod_rref
 from stabshare.twirl import twirl_operator
 
 
@@ -76,6 +76,17 @@ def count_calls(monkeypatch, module, *names) -> Counter:
     return calls
 
 
+def nullspace(a, p: int) -> np.ndarray:
+    """Basis of {x : a x = 0 mod p}, one row per free column of
+    ``mod_rref``: that column set to 1, the other free ones to 0."""
+    red, rank, pivots = mod_rref(a, p)
+    free = [j for j in range(red.shape[1]) if j not in pivots]
+    basis = np.zeros((len(free), red.shape[1]), dtype=np.int64)
+    basis[range(len(free)), free] = 1
+    basis[:, pivots] = -red[:rank, free].T % p
+    return basis
+
+
 def info_group_reference(code: StabilizerCode, subset) -> infogroup.InfoGroup:
     """G(S) of one subset by a nullspace solve, independent of the batched
     ``info_group``: every (v, a) whose combination v . logicals +
@@ -88,9 +99,17 @@ def info_group_reference(code: StabilizerCode, subset) -> infogroup.InfoGroup:
     comp = infogroup.complement(subset, n)
     stacked = np.vstack([code.logical_rows(), code.stabilizer_rows()])
     cols = [i - 1 for i in comp] + [n + i - 1 for i in comp]
-    kernel = mod_nullspace(stacked[:, cols].T % d, d)
-    projected = np.array(kernel, dtype=np.int64).reshape(-1, n + k)[:, :2 * k]
-    return infogroup.group_from_rows(d, k, projected)
+    kernel = nullspace(stacked[:, cols].T, d)
+    return infogroup.group_from_rows(d, k, kernel[:, :2 * k])
+
+
+def commutant_reference(group: infogroup.InfoGroup) -> infogroup.InfoGroup:
+    """C(G) = {w : pairing(g, w) = 0 for every generator g}, by a
+    nullspace solve: row i of pairing(G, I) holds the coefficients c with
+    pairing(g_i, w) = c . w."""
+    d, k = group.d, group.k
+    rows = pairing(group.generator_rows(), np.eye(2 * k, dtype=np.int64), d)
+    return infogroup.group_from_rows(d, k, nullspace(rows, d))
 
 
 def walk_leaves(monkeypatch) -> list[int]:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import random
 from collections import Counter
 import subprocess
 import sys
@@ -118,6 +119,32 @@ def test_cap_and_seed_belong_to_simulate_only(capsys, command, flag):
     assert f"unrecognized arguments: {flag} 4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("check", cli.CHECK_NAMES)
+def test_simulate_rejects_a_negative_seed_before_any_work(capsys, monkeypatch,
+                                                          check):
+    # numpy rejects a negative seed only once `--check all` reaches the
+    # expansion check; the other checks would ignore it.
+    calls = count_calls(monkeypatch, infogroup, "classify")
+    status, out, err = run(capsys, "simulate", "catalog:cnot_2_1",
+                           "--seed", "-1", "--check", check)
+    assert (status, out) == (2, "")
+    assert err == "input error: --seed must be a nonnegative integer, got -1\n"
+    assert not calls
+
+
+@pytest.mark.parametrize("argv", [
+    ("--q", "2", "--n", "3", "--P", "5", "--key", "4"),
+    ("--from-plan", "catalog:ghz_n", "--n", "4")])
+def test_share_key_rejects_a_negative_seed(capsys, monkeypatch, argv):
+    # random.Random seeds with |seed|, so -7 would repeat the shares of 7.
+    calls = count_calls(monkeypatch, infogroup, "classify")
+    status, out, err = run(capsys, "share-key", *argv, "--seed", "-7")
+    assert (status, out) == (2, "")
+    assert err == "input error: --seed must be a nonnegative integer, got -7\n"
+    assert not calls
+    assert run(capsys, "share-key", *argv, "--seed", "0")[0] == 0
+
+
 @pytest.mark.parametrize("flag", ["--trace-tol", "--state-tol"])
 def test_simulate_tolerances_are_fixed(capsys, flag):
     with pytest.raises(SystemExit) as exc:
@@ -138,6 +165,26 @@ def test_unknown_catalog_is_input_error(capsys):
     status, _, err = run(capsys, "classify", "catalog:toric")
     assert status == 2
     assert "unknown catalog" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate",), ("classify",), ("twirl-plan",),
+    ("simulate", "--seed", "1"), ("share-key", "--seed", "1", "--from-plan")])
+def test_unreadable_code_file_is_input_error(tmp_path, capsys, argv):
+    # A directory and a missing file: exit 2, not a traceback and exit 1.
+    for path in (tmp_path, tmp_path / "missing.json"):
+        status, out, err = run(capsys, *argv, str(path))
+        assert (status, out) == (2, ""), path
+        assert err.startswith("input error: [Errno "), err
+
+
+def test_broken_stdout_pipe_is_not_an_input_error(monkeypatch):
+    def broken(*args):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(cli, "_emit", broken)
+    with pytest.raises(BrokenPipeError):
+        main(["classify", "catalog:cnot_2_1"])
 
 
 def test_classify_four_two_two_lists_pairs(capsys):
@@ -333,12 +380,15 @@ def test_simulate_duality_fails_on_wrong_walk_leaf(capsys, monkeypatch):
 
 def test_simulate_duality_fails_on_wrong_intermediate_group(capsys,
                                                            monkeypatch):
-    def span_only(c, triplet):
-        # Drops the commutant of the leaves' intersection, which on this
-        # code adds generators the leaves' span lacks.
-        return triplet.leaf_span
+    def leaves_only(c, triplet):
+        # The span of the leaves' direct groups alone: it drops the
+        # complements' groups C(G(L)), which on this code add generators.
+        leaves = [s for s in triplet.intermediate if c.n not in s]
+        rows = [row for g in infogroup.info_group(c, leaves)
+                for row in g.generators]
+        return infogroup.group_from_rows(c.d, c.k, rows)
 
-    monkeypatch.setattr(twirl, "intermediate_group", span_only)
+    monkeypatch.setattr(twirl, "intermediate_group", leaves_only)
     status, out, _ = run(capsys, "simulate", str(DATA / "rand_3_3_2.json"),
                          "--seed", "3", "--check", "duality",
                          "--format", "structured")
@@ -359,7 +409,6 @@ def test_simulate_duality_fails_on_wrong_intermediate_group(capsys,
     pytest.param("infogroup", id="infogroup-24"),
     pytest.param("duality", id="duality-24")])
 def test_simulate_solves_each_subset_once(capsys, monkeypatch, check):
-    calls = count_calls(monkeypatch, infogroup, "commutant")
     solved = []
     real = infogroup.info_group
 
@@ -376,12 +425,9 @@ def test_simulate_solves_each_subset_once(capsys, monkeypatch, check):
     # one `info_group` call solves the 16 direct groups shared by duality
     # and infogroup under every check: the intermediate group comes from
     # the walk, with no solve of its own.  The duality check compares each
-    # pair by its pairings and ranks, with no commutant; the one commutant
-    # is `intermediate_group`'s, built once: its cross-check and the twirl
-    # plan read the same group.
+    # pair by its pairings and ranks, with no commutant.
     assert len(leaves) == 8
     assert solved == [list(infogroup.subsets_in_order(4))]
-    assert calls == {"commutant": 1}
 
 
 def test_simulate_resource_cap(capsys, monkeypatch):
@@ -570,9 +616,9 @@ def test_simulate_makes_one_choi_call_per_check(capsys, monkeypatch):
 def test_simulate_fails_on_wrong_empty_plan(capsys, monkeypatch, check):
     real = twirl.twirl_plan
 
-    def empty(c, triplet=None, group=None):
+    def empty(c, triplet=None):
         # cnot_2_1 has intermediate subsets but this plan twirls nothing.
-        return dataclasses.replace(real(c, triplet, group),
+        return dataclasses.replace(real(c, triplet),
                                    twirl_generators=(), key_length=0)
 
     monkeypatch.setattr(twirl, "twirl_plan", empty)
@@ -583,6 +629,25 @@ def test_simulate_fails_on_wrong_empty_plan(capsys, monkeypatch, check):
     conceal = next(r for r in json.loads(out)["results"]
                    if r["check"] == "concealment")
     assert conceal["pass"] is False
+
+
+def test_simulate_fails_key_reconstruction_on_a_wrong_key(capsys,
+                                                           monkeypatch):
+    real = classical.key_transport
+    plan = twirl.twirl_plan(catalog("four_two_two"))
+    # Seeds 1 and 2 draw different keys for this plan.
+    assert (twirl.draw_key(plan, random.Random(1))
+            != twirl.draw_key(plan, random.Random(2)))
+
+    def next_seed(plan, triplet, seed):
+        return real(plan, triplet, seed + 1)
+
+    monkeypatch.setattr(classical, "key_transport", next_seed)
+    status, out, _ = run(capsys, "simulate", "catalog:four_two_two",
+                         "--seed", "1", "--format", "structured")
+    assert status == 1
+    failed = [r["check"] for r in json.loads(out)["results"] if not r["pass"]]
+    assert failed == ["key_reconstruction"]
 
 
 def _limit_memory():
@@ -688,6 +753,16 @@ def test_share_key_writes_file(tmp_path, capsys):
     bundle = classical.ClassicalShareSet.from_dict(
         json.loads(out_path.read_text()))
     assert classical.reconstruct(bundle, (1, 3)) == [4]
+
+
+def test_share_key_unwritable_out_is_input_error(tmp_path, capsys):
+    # A directory and a file in a missing directory: exit 2, nothing printed.
+    for path in (tmp_path, tmp_path / "missing" / "bundle.json"):
+        status, out, err = run(capsys, "share-key", "--q", "2", "--n", "3",
+                               "--P", "5", "--key", "4", "--seed", "0",
+                               "--out", str(path))
+        assert (status, out) == (2, ""), path
+        assert err.startswith("input error: [Errno "), err
 
 
 def test_validate_file_round_trip(tmp_path, capsys):

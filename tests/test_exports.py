@@ -13,14 +13,17 @@ PACKAGES = ("stabshare",) + tuple(
 
 DELETED = {
     "stabshare.primefield": ("FieldElement", "FieldMatrix", "row_reduce",
-                             "solve", "nullspace", "row_span_contains"),
+                             "solve", "nullspace", "row_span_contains",
+                             "mod_nullspace"),
     "stabshare.pauli": ("PauliSubgroup", "subgroup_membership",
                         "commutation_exponent", "inverse",
                         "_single_qudit_xz"),
     "stabshare.infogroup": ("pairing_matrix", "_pairing_row",
                             "InfoGroup.contains", "InfoGroup.elements",
                             "_restrict", "_DUAL_CLASS", "_rs_of",
-                            "_contains", "_meet", "_CELL_BUDGET"),
+                            "_contains", "_meet", "_CELL_BUDGET",
+                            "commutant", "SchemeTriplet.leaf_span",
+                            "SchemeTriplet.leaf_core"),
     "stabshare.twirl": ("twirl_average_is_zero", "enumerate_keys"),
     "stabshare.oracle": ("verify_perfect_presence", "pauli_eigen_sectors",
                          "hs_inner", "choi_check", "_choi_marginal",
@@ -34,7 +37,11 @@ DELETED = {
 
 
 def _has(obj, dotted: str) -> bool:
+    """Whether `obj` has the dotted attribute; a dataclass field without a
+    default, which is no class attribute, counts."""
     head, _, rest = dotted.partition(".")
+    if not rest and head in getattr(obj, "__dataclass_fields__", {}):
+        return True
     return hasattr(obj, head) and (not rest or _has(getattr(obj, head), rest))
 
 

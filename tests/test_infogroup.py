@@ -2,7 +2,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stabshare import catalog, infogroup, oracle, primefield
@@ -11,7 +11,6 @@ from stabshare.infogroup import (
     InfoGroup,
     canonical_form,
     classify,
-    commutant,
     complement,
     group_from_rows,
     info_group,
@@ -24,8 +23,8 @@ from stabshare.pauli import ResourceLimitError, multiply, pairing
 from stabshare.primefield import mod_rank
 from stabshare.twirl import intermediate_group
 
-from conftest import (count_calls, info_group_reference, random_code,
-                      walk_leaves)
+from conftest import (commutant_reference, count_calls, info_group_reference,
+                      random_code, walk_leaves)
 
 DATA_CODES = sorted((Path(__file__).parent / "data").glob("*.json"))
 
@@ -40,9 +39,10 @@ def test_cnot_singletons_are_z(cnot):
 
 
 def test_groups_compare_by_span(cnot):
-    # Equal generators mean the same subgroup, whichever subset produced it.
+    # Equal generators mean the same subgroup, whichever subset or rows
+    # produced it.
     one, two = info_group(cnot, [(1,), (2,)])
-    assert one == commutant(two)
+    assert one == two == group_from_rows(2, 1, [[0, 1], [0, 1], [0, 0]])
 
 
 def test_ghz_proper_subsets_are_z():
@@ -352,7 +352,7 @@ def test_one_carrier_neighbours():
 
 
 def test_classify_solves_half_the_subsets(monkeypatch):
-    calls = count_calls(monkeypatch, infogroup, "info_group", "commutant")
+    calls = count_calls(monkeypatch, infogroup, "info_group")
     leaves = walk_leaves(monkeypatch)
     classify(catalog("ghz_n", 8))
     # The lattice walk solves each subset without carrier 8 once, and the
@@ -434,25 +434,21 @@ def test_classify_solves_each_distinct_leaf_once(c, monkeypatch):
     # One call per chunk, on that chunk's distinct echelons.
     assert seen == chunks
     assert sum(map(len, seen)) < 2 ** (c.n - 1)
-    # Only each chunk's distinct intermediate groups reach the span and
-    # core; they must lose nothing.  The intersection is taken as the
-    # commutant of the commutants' span.
-    groups = info_group(c, [s for s in t.intermediate if c.n not in s])
-    span = lambda gs: group_from_rows(
-        c.d, c.k, [row for g in gs for row in g.generators])
-    assert t.leaf_span == span(groups)
-    assert t.leaf_core == commutant(span(commutant(g) for g in groups))
+    # Only each chunk's distinct intermediate groups reach the span; they
+    # must lose nothing.
+    rows = [row for g in info_group(c, t.intermediate) for row in g.generators]
+    assert t.intermediate_span == group_from_rows(
+        c.d, c.k, np.array(rows, dtype=np.int64).reshape(-1, 2 * c.k))
 
 
 def test_classify_makes_no_list_elimination_per_group(monkeypatch):
-    # About 200 distinct groups, all decided on stacks: the only list
-    # eliminations are the two ``group_from_rows`` of leaf_span and
-    # leaf_core.
+    # About 200 distinct groups, all decided and spanned on stacks: no
+    # list elimination at all.
     c = random_code(np.random.default_rng(0), 3, 12, 2)
     assert len({echelon.tobytes() for _, echelon in _walk_leaves(c)}) > 100
     calls = count_calls(monkeypatch, primefield, "_rref_lists")
     classify(c)
-    assert calls["_rref_lists"] == 2
+    assert not calls
 
 
 def test_walk_batches_stay_under_the_solve_budget(monkeypatch):
@@ -560,7 +556,8 @@ def test_intermediate_group_spans_the_direct_groups(c):
     if t.intermediate:
         assert not group.is_trivial
         # Coisotropic: the group contains its own commutant, hence r + s = k.
-        with_commutant = group.generators + commutant(group).generators
+        with_commutant = (group.generators
+                          + commutant_reference(group).generators)
         assert group_from_rows(c.d, c.k, with_commutant) == group
 
 
@@ -574,21 +571,28 @@ def test_commutant_duality_on_random_codes(d, nk, seed):
     c = random_code(np.random.default_rng(seed), d, n, k)
     subsets = list(subsets_in_order(n))
     solved = dict(zip(subsets, info_group(c, subsets)))
+    # G(S-bar) = C(G(S)): the two pair to zero and their ranks sum to 2k.
     for s, g in solved.items():
-        assert (commutant(g).generators
-                == solved[complement(s, n)].generators), s
+        other = solved[complement(s, n)]
+        assert g.rank + other.rank == 2 * k, s
+        assert not pairing(g.generator_rows(), other.generator_rows(),
+                           d).any(), s
 
     t = classify(c)
     assert [(r.subset, r.cls, r.r, r.s) for r in t.records] == \
         _reference_records(c)
 
-    rows = [row for g in info_group(c, t.intermediate) for row in g.generators]
-    spanned = group_from_rows(d, k, np.array(rows).reshape(-1, 2 * k))
-    assert intermediate_group(c, t).generators == spanned.generators
 
-    leaves = [solved[s] for s in t.intermediate if n not in s]
-    span = lambda gs: group_from_rows(
-        d, k, np.array([row for g in gs for row in g.generators],
-                       dtype=np.int64).reshape(-1, 2 * k))
-    assert t.leaf_span == span(leaves)
-    assert t.leaf_core == commutant(span(commutant(g) for g in leaves))
+@given(d=st.sampled_from([2, 3, 5, 7]),
+       nk=st.integers(1, 6).flatmap(
+           lambda n: st.tuples(st.just(n), st.integers(1, n))),
+       seed=st.integers(0, 2**32 - 1))
+@example(d=3, nk=(2, 2), seed=1)  # C(G(L)) spanned with the wrong sign fails
+@settings(max_examples=40, deadline=None)
+def test_intermediate_group_spans_the_direct_groups_on_random_codes(d, nk,
+                                                                    seed):
+    c = random_code(np.random.default_rng(seed), d, *nk)
+    t = classify(c)
+    rows = [row for g in info_group(c, t.intermediate) for row in g.generators]
+    assert intermediate_group(c, t) == group_from_rows(
+        d, c.k, np.array(rows, dtype=np.int64).reshape(-1, 2 * c.k))
