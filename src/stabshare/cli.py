@@ -421,6 +421,9 @@ def main(argv=None) -> int:
         if getattr(args, "seed", 0) < 0:
             raise ValueError("--seed must be a nonnegative integer, "
                              f"got {args.seed}")
+        # A cap below one admits no dense object, not even a scalar.
+        if getattr(args, "cap", None) is not None and args.cap < 1:
+            raise ValueError(f"--cap must be a positive integer, got {args.cap}")
         return _DISPATCH[args.command](args)
     except ResourceLimitError as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)

@@ -220,13 +220,17 @@ def _steane() -> StabilizerCode:
 
 
 def catalog(name: str, size_param: int | None = None) -> StabilizerCode:
-    """Return a named catalog code; ghz_n takes the carrier count."""
-    if name == "cnot_2_1":
-        return _qubit_code("cnot_2_1", 2, 1, ["ZZ"], ["XX"], ["ZI"])
+    """Return a named catalog code; ghz_n takes the carrier count, and the
+    other codes, of fixed size, take none."""
     if name == "ghz_n":
         if size_param is None:
             raise ValueError("ghz_n requires the carrier count n")
         return _ghz(int(size_param))
+    if size_param is not None and name in CATALOG_NAMES:
+        raise ValueError(f"catalog code {name} has a fixed size; "
+                         f"it takes no carrier count (got {size_param})")
+    if name == "cnot_2_1":
+        return _qubit_code("cnot_2_1", 2, 1, ["ZZ"], ["XX"], ["ZI"])
     if name == "five_qubit":
         return _qubit_code("five_qubit", 5, 1,
                            ["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"],

@@ -26,13 +26,16 @@ clears its x and z columns, one fraction-free pivot each, and at a leaf
 the span's logical coefficients span G(S): the cleaning-lemma view of G(S)
 as the logicals with a representative on S (Bravyi & Terhal, NJP 11,
 043029 (2009)), made incremental.  Each level treats all its nodes at
-once, on stacked int64 arrays in chunks under ``_SOLVE_BUDGET``.  The
+once, on stacked int64 arrays in batches under ``_SOLVE_BUDGET``.  The
 walk visits only the subsets without carrier n; each other subset is the
 complement of one of them and gets its record by the rule above.
 
-Groups repeat (ghz_16 has 2 distinct groups among 32,768 leaves), so
-``_class_rs`` decides each chunk's distinct echelons on one stack: the
-class from the rank, 2r as the rank of the Gram matrix of pairings.
+Nodes repeat: a node's subtree depends on its rows alone, so each level
+keeps only a batch's distinct nodes, and an index maps every subset to
+its node (ghz_16's 32,768 leaves come from 16 nodes, with 2 distinct
+groups).  ``_class_rs`` decides each batch's distinct echelons on one
+stack: the class from the rank, 2r as the rank of the Gram matrix of
+pairings.
 ``simulate``'s duality check shares it.  Over the distinct intermediate
 groups G(L), ``classify`` also folds the rows of G(L) and of C(G(L)) into
 one echelon: the intermediate group that the twirl hides (see
@@ -327,8 +330,8 @@ class SchemeTriplet:
 
 # Int64 cells per chunk of ``info_group`` and per Gram chunk of
 # ``_class_rs``, and for ``classify``'s kept rows.  Also per batch of
-# ``_walk``, which bounds its memory: a batch whose next level would pass
-# it drops its zero rows, then splits.
+# ``_walk``, which bounds its memory: a batch whose next level (or leaf
+# reduction) would pass it drops its zero rows, then splits its nodes.
 _SOLVE_BUDGET = 1 << 14
 
 
@@ -347,44 +350,59 @@ def _clear(rows: np.ndarray, at: np.ndarray, d: int) -> np.ndarray:
 
 
 def _walk(code: StabilizerCode):
-    """Yield (masks, echelons) for chunks of the subsets S of {1..n-1}.
+    """Yield (masks, state, echelons) for batches of the subsets S of
+    {1..n-1}.
 
-    masks[b] has bit i-1 set for each carrier i in S; echelons[b] is
-    ``mod_rref_stack`` of G(S)'s generators.  Each node's rows are the
-    (x|z) image on the undecided carriers of the combinations that act as
-    the identity on S-bar so far, then their 2k logical coefficients.
-    Carrier n is put in S-bar at the root, then each level decides the
-    next of carriers 1..n-1 for every node of a batch at once.
+    masks[b] has bit i-1 set for each carrier i in S, and G(S)'s echelon,
+    ``mod_rref_stack`` of its generators, is echelons[state[b]].  Each
+    node's rows are the (x|z) image on the undecided carriers of the
+    combinations that act as the identity on S-bar so far, then their 2k
+    logical coefficients.  Carrier n is put in S-bar at the root, then
+    each level decides the next of carriers 1..n-1 for every node of a
+    batch at once.  A node's subtree depends on its rows alone, so after
+    each level a batch keeps only its distinct nodes (byte-equal rows) and
+    ``state`` maps each of its masks to one of them.
     """
     d, n, k = code.d, code.n, code.k
     stacked = np.vstack([code.logical_rows(), code.stabilizer_rows()]) % d
     order = [n - 1, *range(n - 1)]  # carrier n, then 1..n-1
     image = stacked[:, [j for i in order for j in (i, n + i)]]
     rows = np.hstack([image, np.eye(n + k, 2 * k, dtype=np.int64)])[None]
-    root = np.zeros(1, dtype=np.int64)  # its mask, and arange(1)
-    stack = [(1, root, _clear(_clear(rows, root, d), root, d))]
+    root = np.zeros(1, dtype=np.int64)  # its mask and state, and arange(1)
+    stack = [(1, root, root, _clear(_clear(rows, root, d), root, d))]
     while stack:
-        i, masks, rows = stack.pop()
-        if i == n:
-            yield masks, mod_rref_stack(rows, d)
-            continue
-        if 2 * rows.size > _SOLVE_BUDGET:
-            # Keep as many rows as the fullest slice has (one at least,
-            # for ``_clear``), nonzero rows first.
+        i, masks, state, rows = stack.pop()
+        # A level doubles a batch's nodes; a leaf batch is reduced as it is.
+        grow = 2 if i < n else 1
+        if grow * rows.size > _SOLVE_BUDGET:
+            # Keep as many rows as the fullest node has (one at least, for
+            # ``_clear``), nonzero rows first.
             nonzero = rows.any(axis=2)
             keep = np.argsort(~nonzero, axis=1, kind="stable")
             keep = keep[:, :max(nonzero.sum(axis=1).max(), 1)]
             rows = rows[np.arange(len(rows))[:, None], keep]
-            if 2 * rows.size > _SOLVE_BUDGET and len(masks) > 1:
-                h = len(masks) // 2
-                stack += [(i, masks[h:], rows[h:]), (i, masks[:h], rows[:h])]
+            if grow * rows.size > _SOLVE_BUDGET and len(rows) > 1:
+                h, low = len(rows) // 2, state < len(rows) // 2
+                stack += [(i, masks[~low], state[~low] - h, rows[h:]),
+                          (i, masks[low], state[low], rows[:h])]
                 continue
-        at = np.arange(len(masks))
+        if i == n:
+            yield masks, state, mod_rref_stack(rows, d)
+            continue
+        at = np.arange(len(rows))
         rows = np.concatenate([rows[:, :, 2:],
                                _clear(_clear(rows, at, d), at, d)])
+        state = np.concatenate([state, state + len(at)])
+        if len(at) > 1:  # a one-node batch's two children rarely match
+            first, inverse = _distinct_rows(rows.reshape(len(rows), -1))
+            rows, state = rows[first], inverse[state]
         stack.append((i + 1, np.concatenate([masks | 1 << (i - 1), masks]),
-                      rows))
+                      state, rows))
 
+
+# Most rows that ``_distinct_rows`` compares by a dict; on the walk's
+# batches a sort costs less from about 32 rows on.
+_FEW_ROWS = 32
 
 # Class codes in ``classify``'s arrays; the dual of code c is 2 - c.
 _CLASSES = "AIF"
@@ -397,10 +415,30 @@ def _class_code(rank: np.ndarray, k: int) -> np.ndarray:
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First index of each distinct row of a C-contiguous 2-D int64 array,
-    and each row's index among those.  ``np.unique`` without an index
-    output, ``axis=0`` form included, imports ``numpy.ma``."""
-    return np.unique(rows.view(f"V{rows.shape[1] * 8}")[:, 0],
-                     return_index=True, return_inverse=True)[1:]
+    and each row's index among those.
+
+    Up to ``_FEW_ROWS`` rows go through a dict on their bytes, cheaper
+    there than ``np.unique``'s fixed overhead; more go through its sort,
+    on a void view.  ``np.unique`` without an index output, ``axis=0``
+    form included, imports ``numpy.ma``.
+    """
+    if len(rows) > _FEW_ROWS:
+        return np.unique(rows.view(f"V{rows.shape[1] * 8}")[:, 0],
+                         return_index=True, return_inverse=True)[1:]
+    width, data, ids = rows.shape[1] * 8, rows.tobytes(), {}
+    inverse = np.array([ids.setdefault(data[j:j + width], len(ids))
+                        for j in range(0, len(data), width)], dtype=np.intp)
+    # Reversed, the last write to each entry is the row's first index.
+    first = np.empty(len(ids), dtype=np.intp)
+    first[inverse[::-1]] = np.arange(len(rows) - 1, -1, -1)
+    return first, inverse
+
+
+def _fold(rows: np.ndarray, d: int) -> np.ndarray:
+    """``mod_rref_stack`` slots of the span of a 2-D stack of rows, from
+    its distinct nonzero rows only."""
+    rows = rows[rows.any(axis=1)]
+    return mod_rref_stack(rows[_distinct_rows(rows)[0]][None], d)[0]
 
 
 def _class_rs(slots: np.ndarray, d: int) -> np.ndarray:
@@ -425,8 +463,10 @@ def classify(code: StabilizerCode) -> SchemeTriplet:
     """Classify every subset of carriers.
 
     ``_walk`` yields the echelon basis of G(S) for every S without carrier
-    n, in chunks; ``_class_rs`` decides each chunk's distinct groups at
-    once, and the intermediate ones fold into ``intermediate_span``.  By
+    n, once per distinct node of a batch, with the index from each S to
+    its node; ``_class_rs`` decides the batch's distinct groups at once and
+    the index scatters them, and the intermediate ones fold into
+    ``intermediate_span``.  By
     duality the complement of S gets the dual class and (k - r - s, s).
     Lists, extremal sets and the size summary come from arrays indexed by
     subset bitmask.  The ``SubsetRecord`` tuples are built, in
@@ -447,16 +487,16 @@ def classify(code: StabilizerCode) -> SchemeTriplet:
     # (-y_z | y_x) has pairing(g, u) = g . y.  One echelon folds both sets.
     eye = np.eye(2 * k, dtype=np.int64)
     kept = np.zeros((0, 2 * k), dtype=np.int64)
-    for masks, echelons in _walk(code):
-        first, inverse = _distinct_rows(echelons.reshape(len(masks), -1))
+    for masks, state, echelons in _walk(code):
+        first, inverse = _distinct_rows(echelons.reshape(len(echelons), -1))
         solved = _class_rs(echelons[first], d)
-        by_mask[:, masks] = solved[:, inverse]
+        by_mask[:, masks] = solved[:, inverse[state]]
         leaves = echelons[first[solved[0] == 1]]
         commuting = pairing((eye - leaves).swapaxes(1, 2), eye, d)
         kept = np.concatenate([kept, leaves.reshape(-1, 2 * k),
                                commuting.reshape(-1, 2 * k)])
         if kept.size > _SOLVE_BUDGET:
-            kept = mod_rref_stack(kept[None], d)[0]
+            kept = _fold(kept, d)
     # Mask m >= half is the complement of 2 half - 1 - m: dual class,
     # (k - r - s, s).
     low = by_mask[:, half - 1::-1]
@@ -501,7 +541,7 @@ def classify(code: StabilizerCode) -> SchemeTriplet:
         size_summary=tuple((size, a, f, i) for size, (a, i, f)
                            in enumerate(counts.reshape(-1, 3).tolist())),
         records=records,
-        intermediate_span=_groups(d, k, mod_rref_stack(kept[None], d))[0],
+        intermediate_span=_groups(d, k, _fold(kept, d)[None])[0],
     )
 
 

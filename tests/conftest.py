@@ -118,9 +118,9 @@ def walk_leaves(monkeypatch) -> list[int]:
     real = infogroup._walk
 
     def recording(code):
-        for masks, echelons in real(code):
+        for masks, state, echelons in real(code):
             leaves.extend(masks.tolist())
-            yield masks, echelons
+            yield masks, state, echelons
 
     monkeypatch.setattr(infogroup, "_walk", recording)
     return leaves

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from stabshare import catalog, classical, cli, infogroup, oracle, pauli, twirl
@@ -130,6 +131,36 @@ def test_simulate_rejects_a_negative_seed_before_any_work(capsys, monkeypatch,
     assert (status, out) == (2, "")
     assert err == "input error: --seed must be a nonnegative integer, got -1\n"
     assert not calls
+
+
+@pytest.mark.parametrize("check", ["all", "duality"])
+@pytest.mark.parametrize("cap", ["-5", "0"])
+def test_simulate_rejects_a_cap_below_one_before_any_work(capsys, monkeypatch,
+                                                          check, cap):
+    # Such a cap would fail every dense check as "resource cap exceeded"
+    # (exit 3), and pass `--check duality`, which builds no dense object.
+    calls = count_calls(monkeypatch, infogroup, "classify")
+    status, out, err = run(capsys, "simulate", "catalog:cnot_2_1",
+                           "--seed", "1", "--cap", cap, "--check", check)
+    assert (status, out) == (2, "")
+    assert err == f"input error: --cap must be a positive integer, got {cap}\n"
+    assert not calls
+    assert run(capsys, "simulate", "catalog:cnot_2_1", "--seed", "1",
+               "--cap", "1", "--check", "duality")[0] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate", "catalog:five_qubit", "--n", "9"),
+    ("classify", "catalog:steane", "--n", "5"),
+    ("twirl-plan", "catalog:four_two_two", "--n", "4"),
+    ("simulate", "catalog:cnot_2_1", "--n", "2", "--seed", "1"),
+    ("share-key", "--from-plan", "catalog:four_two_two", "--n", "4",
+     "--seed", "1")])
+def test_fixed_size_catalog_codes_reject_n(capsys, argv):
+    status, out, err = run(capsys, *argv)
+    assert (status, out) == (2, "")
+    assert err.startswith("input error: catalog code ")
+    assert "has a fixed size" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -333,6 +364,13 @@ def test_simulate_duality_fails_on_wrong_record(capsys, monkeypatch):
     assert duality["detail"].startswith("classify gives [3, 4] (r, s)")
 
 
+def _zero_leaf(masks, state, echelons, mask):
+    """A walk batch in which leaf `mask` alone gets a zero echelon: the
+    batch's other leaves may share its node, so it points at a new one."""
+    return (masks, np.where(masks == mask, len(echelons), state),
+            np.concatenate([echelons, np.zeros_like(echelons[:1])]))
+
+
 def test_simulate_duality_compares_classes_past_the_listing_cap(
         capsys, monkeypatch):
     # On ghz_13 classify keeps no records, so the check reads each class
@@ -340,10 +378,8 @@ def test_simulate_duality_compares_classes_past_the_listing_cap(
     real = infogroup._walk
 
     def corrupted(c):
-        for masks, echelons in real(c):
-            echelons = echelons.copy()
-            echelons[masks == 0b111] = 0
-            yield masks, echelons
+        for masks, state, echelons in real(c):
+            yield _zero_leaf(masks, state, echelons, 0b111)
 
     monkeypatch.setattr(infogroup, "_walk", corrupted)
     status, out, _ = run(capsys, "simulate", "catalog:ghz_n", "--n", "13",
@@ -362,10 +398,8 @@ def test_simulate_duality_fails_on_wrong_walk_leaf(capsys, monkeypatch):
 
     def corrupted(c):
         # Leaf {1, 2, 3} (bitmask 0b111) loses every generator of its group.
-        for masks, echelons in real(c):
-            echelons = echelons.copy()
-            echelons[masks == 0b111] = 0
-            yield masks, echelons
+        for masks, state, echelons in real(c):
+            yield _zero_leaf(masks, state, echelons, 0b111)
 
     monkeypatch.setattr(infogroup, "_walk", corrupted)
     status, out, _ = run(capsys, "simulate", "catalog:four_two_two",

@@ -6,6 +6,7 @@ import pytest
 
 from stabshare import oracle, pauli
 from stabshare.code import (
+    CATALOG_NAMES,
     CodeFileError,
     CodeValidationError,
     StabilizerCode,
@@ -47,6 +48,13 @@ def test_ghz_catalog_shape():
         catalog("ghz_n")
     with pytest.raises(ValueError):
         catalog("ghz_n", 1)
+
+
+@pytest.mark.parametrize("name", [n for n in CATALOG_NAMES if n != "ghz_n"])
+def test_fixed_size_catalog_codes_take_no_carrier_count(name):
+    with pytest.raises(ValueError, match=f"{name} has a fixed size"):
+        catalog(name, 5)
+    assert catalog(name, None) == catalog(name)
 
 
 def test_unknown_catalog_name():

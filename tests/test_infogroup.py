@@ -374,8 +374,8 @@ def _reference_records(c):
 def _walk_leaves(c):
     """(subset, echelon) for every leaf of the lattice walk."""
     return [(tuple(i + 1 for i in range(c.n) if mask >> i & 1), echelon)
-            for masks, echelons in infogroup._walk(c)
-            for mask, echelon in zip(masks.tolist(), echelons)]
+            for masks, state, echelons in infogroup._walk(c)
+            for mask, echelon in zip(masks.tolist(), echelons[state])]
 
 
 def _assert_walk_matches_direct_solves(c):
@@ -421,7 +421,7 @@ def test_walk_matches_info_group_on_data_codes(path):
 def test_classify_solves_each_distinct_leaf_once(c, monkeypatch):
     _assert_walk_matches_direct_solves(c)
     chunks = [{echelon.tobytes() for echelon in echelons}
-              for _, echelons in infogroup._walk(c)]
+              for _, _, echelons in infogroup._walk(c)]
     real, seen = infogroup._class_rs, []
 
     def recording(slots, d):
@@ -466,18 +466,60 @@ def test_walk_batches_stay_under_the_solve_budget(monkeypatch):
     assert 0 < max(cells) <= infogroup._SOLVE_BUDGET // 2
 
 
+def test_walk_merges_equal_nodes_on_ghz_12(monkeypatch):
+    # Without merging, the leaf echelons of ghz_12 cover all 2,048 leaves;
+    # merged level by level, a few dozen distinct nodes reach the leaves.
+    real, states = infogroup.mod_rref_stack, []
+
+    def recording(rows, d):
+        states.append(len(rows))
+        return real(rows, d)
+
+    monkeypatch.setattr(infogroup, "mod_rref_stack", recording)
+    c = catalog("ghz_n", 12)
+    batches = list(infogroup._walk(c))
+    assert 0 < sum(states) <= 64
+    # Every node of a batch is some leaf's, and each leaf is covered once.
+    for masks, state, echelons in batches:
+        assert np.array_equal(np.unique(state), np.arange(len(echelons)))
+    assert sorted(m for masks, _, _ in batches for m in masks.tolist()) == \
+        list(range(2 ** 11))
+
+
+def test_fold_reduces_only_distinct_nonzero_rows(monkeypatch):
+    rows = np.array([[1, 2, 0, 0], [0, 0, 0, 0], [1, 2, 0, 0],
+                     [0, 1, 1, 0], [2, 4, 0, 0], [0, 0, 0, 0]])
+    real, seen = infogroup.mod_rref_stack, []
+
+    def recording(a, p):
+        seen.append(a.copy())
+        return real(a, p)
+
+    monkeypatch.setattr(infogroup, "mod_rref_stack", recording)
+    folded = infogroup._fold(rows, 5)
+    assert [a.tolist() for a in seen] == [[[[1, 2, 0, 0], [0, 1, 1, 0],
+                                             [2, 4, 0, 0]]]]
+    assert np.array_equal(folded, real(rows[None], 5)[0])
+    # No nonzero row at all: the zero span.
+    assert not infogroup._fold(np.zeros((3, 4), dtype=np.int64), 5).any()
+
+
 @pytest.mark.parametrize("c", [
     pytest.param(catalog("steane"), id="steane"),
     pytest.param(catalog("ghz_n", 6), id="ghz_6"),
     *(pytest.param(load(p), id=p.stem) for p in DATA_CODES)])
 def test_walk_chunks_do_not_change_the_triplet(c, monkeypatch):
     whole = classify(c)
-    # At the smallest budget every batch is split down to one node, so
-    # the leaves arrive in pairs, the two sides of carrier n - 1; and the
-    # rows kept for the span and core are reduced after every pair.
+    # At the smallest budget every batch, leaf batches included, is split
+    # down to one node, so each yields one echelon; its masks are the
+    # leaves of that node, and together they cover every leaf once.  The
+    # rows kept for the intermediate span are reduced after every batch.
     monkeypatch.setattr(infogroup, "_SOLVE_BUDGET", 0)
-    assert [len(masks) for masks, _ in infogroup._walk(c)] == \
-        [2] * 2 ** (c.n - 2)
+    batches = list(infogroup._walk(c))
+    assert all(len(echelons) == 1 and not state.any()
+               for _, state, echelons in batches)
+    assert sorted(m for masks, _, _ in batches for m in masks.tolist()) == \
+        list(range(2 ** (c.n - 1)))
     _assert_walk_matches_direct_solves(c)
     assert classify(c) == whole
 
