@@ -330,8 +330,8 @@ class SchemeTriplet:
 
 # Int64 cells per chunk of ``info_group`` and per Gram chunk of
 # ``_class_rs``, and for ``classify``'s kept rows.  Also per batch of
-# ``_walk``, which bounds its memory: a batch whose next level (or leaf
-# reduction) would pass it drops its zero rows, then splits its nodes.
+# ``_walk``, which bounds its memory: a batch whose next level would pass
+# it drops its zero rows, then splits its nodes.
 _SOLVE_BUDGET = 1 << 14
 
 
@@ -372,23 +372,21 @@ def _walk(code: StabilizerCode):
     stack = [(1, root, root, _clear(_clear(rows, root, d), root, d))]
     while stack:
         i, masks, state, rows = stack.pop()
-        # A level doubles a batch's nodes; a leaf batch is reduced as it is.
-        grow = 2 if i < n else 1
-        if grow * rows.size > _SOLVE_BUDGET:
+        if i == n:
+            yield masks, state, mod_rref_stack(rows, d)
+            continue
+        if 2 * rows.size > _SOLVE_BUDGET:
             # Keep as many rows as the fullest node has (one at least, for
             # ``_clear``), nonzero rows first.
             nonzero = rows.any(axis=2)
             keep = np.argsort(~nonzero, axis=1, kind="stable")
             keep = keep[:, :max(nonzero.sum(axis=1).max(), 1)]
             rows = rows[np.arange(len(rows))[:, None], keep]
-            if grow * rows.size > _SOLVE_BUDGET and len(rows) > 1:
+            if 2 * rows.size > _SOLVE_BUDGET and len(rows) > 1:
                 h, low = len(rows) // 2, state < len(rows) // 2
                 stack += [(i, masks[~low], state[~low] - h, rows[h:]),
                           (i, masks[low], state[low], rows[:h])]
                 continue
-        if i == n:
-            yield masks, state, mod_rref_stack(rows, d)
-            continue
         at = np.arange(len(rows))
         rows = np.concatenate([rows[:, :, 2:],
                                _clear(_clear(rows, at, d), at, d)])
@@ -399,10 +397,6 @@ def _walk(code: StabilizerCode):
         stack.append((i + 1, np.concatenate([masks | 1 << (i - 1), masks]),
                       state, rows))
 
-
-# Most rows that ``_distinct_rows`` compares by a dict; on the walk's
-# batches a sort costs less from about 32 rows on.
-_FEW_ROWS = 32
 
 # Class codes in ``classify``'s arrays; the dual of code c is 2 - c.
 _CLASSES = "AIF"
@@ -415,23 +409,19 @@ def _class_code(rank: np.ndarray, k: int) -> np.ndarray:
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First index of each distinct row of a C-contiguous 2-D int64 array,
-    and each row's index among those.
+    and each row's index among those, as ``np.unique`` numbers them.
 
-    Up to ``_FEW_ROWS`` rows go through a dict on their bytes, cheaper
-    there than ``np.unique``'s fixed overhead; more go through its sort,
-    on a void view.  ``np.unique`` without an index output, ``axis=0``
-    form included, imports ``numpy.ma``.
+    A stable sort of the rows' bytes: ``np.unique``'s method, without the
+    fixed cost of its general form, which the walk meets at every level.
     """
-    if len(rows) > _FEW_ROWS:
-        return np.unique(rows.view(f"V{rows.shape[1] * 8}")[:, 0],
-                         return_index=True, return_inverse=True)[1:]
-    width, data, ids = rows.shape[1] * 8, rows.tobytes(), {}
-    inverse = np.array([ids.setdefault(data[j:j + width], len(ids))
-                        for j in range(0, len(data), width)], dtype=np.intp)
-    # Reversed, the last write to each entry is the row's first index.
-    first = np.empty(len(ids), dtype=np.intp)
-    first[inverse[::-1]] = np.arange(len(rows) - 1, -1, -1)
-    return first, inverse
+    rows = rows.view(f"V{rows.shape[1] * 8}")[:, 0]
+    order = rows.argsort(kind="stable")
+    ranked = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = ranked[1:] != ranked[:-1]
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = new.cumsum() - 1
+    return order[new], inverse
 
 
 def _fold(rows: np.ndarray, d: int) -> np.ndarray:

@@ -486,6 +486,17 @@ def test_walk_merges_equal_nodes_on_ghz_12(monkeypatch):
         list(range(2 ** 11))
 
 
+@pytest.mark.parametrize("shape", [(0, 3), (1, 3), (2, 1), (9, 2), (300, 4)])
+def test_distinct_rows_finds_each_rows_first_copy(shape):
+    rows = np.random.default_rng(shape[0]).integers(-2, 3, shape)
+    first, inverse = infogroup._distinct_rows(rows)
+    want_first = np.unique(rows, axis=0, return_index=True)[1]
+    # One first index per distinct row, and every row maps to its copy.
+    assert np.array_equal(np.sort(first), np.sort(want_first))
+    assert np.array_equal(rows[first][inverse], rows)
+    assert sorted(set(inverse.tolist())) == list(range(len(first)))
+
+
 def test_fold_reduces_only_distinct_nonzero_rows(monkeypatch):
     rows = np.array([[1, 2, 0, 0], [0, 0, 0, 0], [1, 2, 0, 0],
                      [0, 1, 1, 0], [2, 4, 0, 0], [0, 0, 0, 0]])
@@ -497,8 +508,10 @@ def test_fold_reduces_only_distinct_nonzero_rows(monkeypatch):
 
     monkeypatch.setattr(infogroup, "mod_rref_stack", recording)
     folded = infogroup._fold(rows, 5)
-    assert [a.tolist() for a in seen] == [[[[1, 2, 0, 0], [0, 1, 1, 0],
-                                             [2, 4, 0, 0]]]]
+    # One reduction, of the three distinct nonzero rows in some order.
+    assert len(seen) == 1 and len(seen[0]) == 1
+    assert sorted(seen[0][0].tolist()) == [[0, 1, 1, 0], [1, 2, 0, 0],
+                                           [2, 4, 0, 0]]
     assert np.array_equal(folded, real(rows[None], 5)[0])
     # No nonzero row at all: the zero span.
     assert not infogroup._fold(np.zeros((3, 4), dtype=np.int64), 5).any()
@@ -510,14 +523,16 @@ def test_fold_reduces_only_distinct_nonzero_rows(monkeypatch):
     *(pytest.param(load(p), id=p.stem) for p in DATA_CODES)])
 def test_walk_chunks_do_not_change_the_triplet(c, monkeypatch):
     whole = classify(c)
-    # At the smallest budget every batch, leaf batches included, is split
-    # down to one node, so each yields one echelon; its masks are the
-    # leaves of that node, and together they cover every leaf once.  The
-    # rows kept for the intermediate span are reduced after every batch.
+    # At the smallest budget every batch is split down to one node before
+    # each level, so a leaf batch holds that node's two children, or one
+    # if they match; every echelon is some mask's, and together the masks
+    # cover every leaf once.  The rows kept for the intermediate span are
+    # reduced after every batch.
     monkeypatch.setattr(infogroup, "_SOLVE_BUDGET", 0)
     batches = list(infogroup._walk(c))
-    assert all(len(echelons) == 1 and not state.any()
-               for _, state, echelons in batches)
+    assert all(len(echelons) <= 2 and np.array_equal(
+        np.unique(state), np.arange(len(echelons)))
+        for _, state, echelons in batches)
     assert sorted(m for masks, _, _ in batches for m in masks.tolist()) == \
         list(range(2 ** (c.n - 1)))
     _assert_walk_matches_direct_solves(c)
