@@ -44,16 +44,15 @@ listed subsets directly, stacked by size, with the walk's column
 clearing: for ``classify --subset``, and for ``simulate``, whose checks
 read its stack of echelon slots.
 
-The triplet lists A, F and I in ``subsets_in_order`` order, with their
-counts by size in ``size_summary``.  Up to ``FULL_LISTING_MAX_N`` carriers
-it also keeps one ``SubsetRecord`` per subset; records are named tuples,
-the cheapest immutable record to build 2^n of.
+The triplet lists A, F and I in ``subsets_in_order`` order, a stable sort
+by size once the mask bits are reversed, with their counts by size in
+``size_summary``.  Up to ``FULL_LISTING_MAX_N`` carriers it also keeps a
+``SubsetRecord`` per subset, a named tuple: the cheapest immutable record.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -134,9 +133,9 @@ def complement(subset, n: int) -> tuple[int, ...]:
 
 
 def subsets_in_order(n: int):
-    """All subsets of {1..n}, ordered by size then lexicographically."""
-    for size in range(n + 1):
-        yield from itertools.combinations(range(1, n + 1), size)
+    """Iterator over all subsets of {1..n}, by size then lexicographically."""
+    return itertools.chain.from_iterable(
+        itertools.combinations(range(1, n + 1), size) for size in range(n + 1))
 
 
 def one_smaller(subset) -> list[tuple[int, ...]]:
@@ -456,11 +455,11 @@ def classify(code: StabilizerCode) -> SchemeTriplet:
     n, once per distinct node of a batch, with the index from each S to
     its node; ``_class_rs`` decides the batch's distinct groups at once and
     the index scatters them, and the intermediate ones fold into
-    ``intermediate_span``.  By
-    duality the complement of S gets the dual class and (k - r - s, s).
-    Lists, extremal sets and the size summary come from arrays indexed by
-    subset bitmask.  The ``SubsetRecord`` tuples are built, in
-    ``subsets_in_order`` order, only when n <= ``FULL_LISTING_MAX_N``.
+    ``intermediate_span``.  By duality the complement of S gets the dual
+    class and (k - r - s, s).  Lists, extremal sets and the size summary
+    come from arrays indexed by subset bitmask, put in ``subsets_in_order``
+    order by a bit reversal and a stable sort by size.  ``SubsetRecord``
+    tuples are built only when n <= ``FULL_LISTING_MAX_N``.
     """
     d, n, k = code.d, code.n, code.k
     if n > DEFAULT_CLASSIFY_CAP:
@@ -501,24 +500,26 @@ def classify(code: StabilizerCode) -> SchemeTriplet:
         shape = (-1, 2, 1 << j)
         minimal.reshape(shape)[:, 1] &= not_a.reshape(shape)[:, 0]
 
-    # The masks in ``subsets_in_order``, from the same enumeration of bits.
-    bits = [1 << j for j in range(n)]
-    in_order = np.fromiter(map(sum, itertools.chain.from_iterable(
-        itertools.combinations(bits, size) for size in range(n + 1))),
-        dtype=np.int32, count=2 * half)
+    # Carrier i to bit n - i, set when i is out of S: within a size, tuple
+    # order is ascending mask order, so a stable sort by size gives it.  The
+    # sizes are int32: numpy's radix sort of 8-bit keys adds 128 KiB of RSS.
+    table = np.concatenate([by_mask, minimal[None], minimal[None, ::-1]])
+    table = table.reshape(5, *[2] * n).transpose(0, *range(n, 0, -1))
+    table = table.reshape(5, -1)[:, ::-1]
+    sizes = np.full(2 * half, n, dtype=np.int32)
+    for j in range(n):  # doubling: setting bit j takes a carrier out
+        np.subtract(sizes[:1 << j], 1, out=sizes[1 << j:2 << j])
+    counts = np.bincount(3 * sizes + table[0], minlength=3 * (n + 1))
+    cls, r_of, s_of, first_a, last_f = table[:, sizes.argsort(kind="stable")]
     subsets = list(subsets_in_order(n))
-    cls, r_of, s_of = by_mask[:, in_order]
 
     def listed(flags):
         return tuple(itertools.compress(subsets, flags.tolist()))
 
-    sizes = np.repeat(np.arange(n + 1, dtype=np.int8),
-                      [math.comb(n, j) for j in range(n + 1)])
-    counts = np.bincount(3 * sizes + cls, minlength=3 * (n + 1))
     records = None
     if n <= FULL_LISTING_MAX_N:
         records = tuple(map(SubsetRecord, subsets,
-                            map(_CLASSES.__getitem__, cls.tolist()),
+                            np.array(list(_CLASSES), object)[cls].tolist(),
                             r_of.tolist(), s_of.tolist()))
 
     return SchemeTriplet(
@@ -526,8 +527,8 @@ def classify(code: StabilizerCode) -> SchemeTriplet:
         authorized=listed(cls == 0),
         forbidden=listed(cls == 2),
         intermediate=listed(cls == 1),
-        minimal_authorized=listed(minimal[in_order]),
-        maximal_forbidden=listed(minimal[::-1][in_order]),
+        minimal_authorized=listed(first_a),
+        maximal_forbidden=listed(last_f),
         size_summary=tuple((size, a, f, i) for size, (a, i, f)
                            in enumerate(counts.reshape(-1, 3).tolist())),
         records=records,
@@ -545,6 +546,4 @@ def threshold_q(triplet: SchemeTriplet) -> int | None:
     q = next((size for size, a, _, _ in summary if a), None)
     if q is None:
         return None
-    n = triplet.n
-    full = sum(math.comb(n, j) for j in range(q, n + 1))
-    return q if sum(a for _, a, _, _ in summary) == full else None
+    return None if any(f or i for _, _, f, i in summary[q:]) else q

@@ -98,13 +98,14 @@ def _prescription(triplet: SchemeTriplet) -> ClassicalPrescription:
     lexicographically.
 
     Relies on F and I being in ``subsets_in_order`` order with their
-    counts by size in ``size_summary``: each size's slices merge by plain
-    tuple order, and the merged list holds the triplet's own tuples.
+    counts by size in ``size_summary``: a size with both sorts its slices
+    by plain tuple order, and the merged list holds the triplet's own tuples.
     """
     forbidden, intermediate = triplet.forbidden, triplet.intermediate
     merged, f0, i0 = [], 0, 0
     for _, _, nf, ni in triplet.size_summary:
-        merged += sorted(forbidden[f0:f0 + nf] + intermediate[i0:i0 + ni])
+        both = forbidden[f0:f0 + nf] + intermediate[i0:i0 + ni]
+        merged += sorted(both) if nf and ni else both
         f0, i0 = f0 + nf, i0 + ni
     if (f0, i0) != (len(forbidden), len(intermediate)):
         raise infogroup.SchemeConsistencyError(

@@ -332,6 +332,65 @@ def test_classify_cap():
 def test_subset_enumeration_order():
     order = list(subsets_in_order(3))
     assert order == [(), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]
+    for n in range(11):
+        every = {tuple(i + 1 for i in range(n) if mask >> i & 1)
+                 for mask in range(1 << n)}
+        assert list(subsets_in_order(n)) == sorted(
+            every, key=lambda s: (len(s), s))
+
+
+_LISTED = ("authorized", "forbidden", "intermediate", "minimal_authorized",
+           "maximal_forbidden", "size_summary")
+
+
+def _reference_listing(c):
+    """The listed fields of the triplet, filtered from ``subsets_in_order``
+    by each subset's class from its own solve."""
+    n = c.n
+    subsets = list(subsets_in_order(n))
+    cls = {s: g.access_class for s, g in zip(subsets, info_group(c, subsets))}
+
+    def where(test):
+        return tuple(s for s in subsets if test(s))
+
+    return dict(zip(_LISTED, (
+        where(lambda s: cls[s] == "A"),
+        where(lambda s: cls[s] == "F"),
+        where(lambda s: cls[s] == "I"),
+        where(lambda s: cls[s] == "A"
+              and all(cls[t] != "A" for t in one_smaller(s))),
+        where(lambda s: cls[s] == "F"
+              and all(cls[t] != "F" for t in one_larger(s, n))),
+        tuple((size, *(sum(len(s) == size and cls[s] == x for s in subsets)
+                       for x in "AFI")) for size in range(n + 1)),
+    )))
+
+
+def _assert_listing_matches_the_reference(c):
+    t = classify(c)
+    assert {field: getattr(t, field) for field in _LISTED} == \
+        _reference_listing(c)
+
+
+@given(d=st.sampled_from([2, 3, 5, 7]),
+       nk=st.integers(1, 7).flatmap(
+           lambda n: st.tuples(st.just(n), st.integers(1, n))),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_classify_lists_in_subset_order_on_random_codes(d, nk, seed):
+    # Pins the order of the A, F and I lists and of the extremal sets, not
+    # only their contents.
+    _assert_listing_matches_the_reference(
+        random_code(np.random.default_rng(seed), d, *nk))
+
+
+@pytest.mark.parametrize("c", [
+    pytest.param(catalog("ghz_n", 13), id="ghz_13"),
+    pytest.param(random_code(np.random.default_rng(13), 3, 13, 2),
+                 id="random_3_13_2")])
+def test_classify_lists_in_subset_order_past_the_listing_cap(c):
+    assert c.n > infogroup.FULL_LISTING_MAX_N
+    _assert_listing_matches_the_reference(c)
 
 
 def test_random_qubit_codes_match_bruteforce():
