@@ -8,6 +8,7 @@ identical inputs and seed produce byte-identical bytes.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import random
 import sys
@@ -81,7 +82,7 @@ def _triplet_summary(triplet: infogroup.SchemeTriplet) -> str:
         if q is not None:
             return f"threshold ({q},{triplet.n})"
         return "perfect (non-threshold access structure)"
-    sizes = sorted({len(s) for s in triplet.intermediate})
+    sizes = [size for size, _, _, i in triplet.size_summary if i]
     return (f"ramp: authorized {len(triplet.authorized)}, forbidden "
             f"{len(triplet.forbidden)}, intermediate {len(triplet.intermediate)} "
             f"(sizes {sizes})")
@@ -111,11 +112,9 @@ def cmd_classify(args: argparse.Namespace) -> int:
     triplet = infogroup.classify(c)
     payload = {"code": c.name, "summary": _triplet_summary(triplet),
                **triplet.to_dict()}
-    lines = [f"{c.name}: {_triplet_summary(triplet)}"]
-    if triplet.records is not None:
-        for rec in triplet.records:
-            lines.append(
-                f"  {list(rec.subset)!s:<24} {rec.cls}  r={rec.r} s={rec.s}")
+    lines = [f"{c.name}: {payload['summary']}"] + [
+        f"  {rec['subset']!s:<24} {rec['class']}  r={rec['r']} s={rec['s']}"
+        for rec in payload.get("records", ())]
     _emit(args, payload, lines)
     return EXIT_OK
 
@@ -149,27 +148,23 @@ def _duality_mismatch(c: StabilizerCode, triplet: infogroup.SchemeTriplet,
     `slots` is ``infogroup.info_group(c, order, slots=True)``, every subset
     in enumeration order, so subset -1 - i is the complement of subset i.
     On it: the commutant of G(S) is G(S-bar) iff the two pair to zero and
-    their ranks sum to 2k; each class and, where `classify` keeps records,
-    each (r, s), from the same ``infogroup`` helpers that `classify` uses,
-    must be what it reported.  Last, ``twirl.intermediate_group``, which
-    the twirl is built from, must be the span of the intermediate subsets'
-    slot rows.
+    their ranks sum to 2k; each class and (r, s), from ``_class_rs`` as in
+    `classify`, must be what its columns hold, and its A, F and I lists
+    what its ``classes`` puts in each.  Last, the twirl's
+    ``twirl.intermediate_group`` must span the intermediate slot rows.
     """
     d, k = c.d, c.k
     ranks = slots.any(axis=2).sum(axis=1)
-    dual = (ranks + ranks[::-1] == 2 * k) & ~pairing(
-        slots, slots[::-1], d).any(axis=(1, 2))
-    if triplet.records is None:  # no (r, s) to compare: the rank decides
-        solved = infogroup._class_code(ranks, k)[None]
-    else:
-        solved = infogroup._class_rs(slots, d)
-    direct, rs = np.array(list(infogroup._CLASSES))[solved[0]], solved[1:].T
-    classes = ({s: "A" for s in triplet.authorized}
-               | {s: "F" for s in triplet.forbidden})
-    reported = np.array([classes.get(s, "I") for s in order])
-    bad = ~dual | (direct != reported)
-    if triplet.records is not None:
-        bad |= (rs != [(rec.r, rec.s) for rec in triplet.records]).any(axis=1)
+    half = len(slots) // 2  # G(S) pairs with G(S-bar) as G(S-bar) with G(S)
+    clash = pairing(slots[:half], slots[:half - 1:-1], d).any(axis=(1, 2))
+    dual = (ranks + ranks[::-1] == 2 * k) & ~np.r_[clash, clash[::-1]]
+    # Class letter, r and s of each subset, one solve per distinct group.
+    first, inverse = infogroup._distinct_rows(slots.reshape(len(slots), -1))
+    solved = infogroup._class_rs(slots[first], d)
+    solved[0] = infogroup._CLASS_LETTERS[solved[0]]
+    reported = np.frombuffer(triplet.classes.encode() + triplet.r + triplet.s,
+                             np.uint8).reshape(3, -1)
+    bad = ~dual | (solved[:, inverse] != reported).any(axis=0)
     # The first failing pair (i, -1 - i), G(-1 - i) checked before G(i).
     for i in np.flatnonzero(bad | bad[::-1])[:1].tolist():
         j = -1 - i if bad[-1 - i] else i
@@ -177,13 +172,19 @@ def _duality_mismatch(c: StabilizerCode, triplet: infogroup.SchemeTriplet,
         if not dual[j]:
             return (f"commutant of G({list(subset)}) differs from the "
                     f"direct G({list(comp)})")
-        if direct[j] != reported[j]:
-            return (f"classify puts {list(comp)} in {reported[j]}, "
-                    f"its group in {direct[j]}")
-        rec = triplet.records[j]
-        return (f"classify gives {list(comp)} (r, s) = "
-                f"{(rec.r, rec.s)}, its group {tuple(rs[j].tolist())}")
-    rows = slots[reported == "I"].reshape(-1, 2 * k)
+        cls, *rs = reported[:, j].tolist()
+        want, *solved_rs = solved[:, inverse[j]].tolist()
+        if cls != want:
+            return (f"classify puts {list(comp)} in {chr(cls)}, "
+                    f"its group in {chr(want)}")
+        return (f"classify gives {list(comp)} (r, s) = {tuple(rs)}, "
+                f"its group {tuple(solved_rs)}")
+    lists = triplet.authorized, triplet.forbidden, triplet.intermediate
+    for letter, listed in zip(b"AFI", lists):
+        flags = (reported[0] == letter).tolist()
+        if tuple(itertools.compress(order, flags)) != listed:
+            return f"classify's {chr(letter)} list differs from its classes"
+    rows = slots[first][solved[0] == ord("I")].reshape(-1, 2 * k)
     first, _ = infogroup._distinct_rows(rows)
     spanned = infogroup.group_from_rows(d, k, rows[first])
     if twirl.intermediate_group(c, triplet) != spanned:

@@ -27,34 +27,32 @@ the span's logical coefficients span G(S): the cleaning-lemma view of G(S)
 as the logicals with a representative on S (Bravyi & Terhal, NJP 11,
 043029 (2009)), made incremental.  Each level treats all its nodes at
 once, on stacked int64 arrays in batches under ``_SOLVE_BUDGET``.  The
-walk visits only the subsets without carrier n; each other subset is the
-complement of one of them and gets its record by the rule above.
+walk visits only the subsets without carrier n; the rule above gives each
+other subset, the complement of one of them, its class and (r, s).
 
 Nodes repeat: a node's subtree depends on its rows alone, so each level
-keeps only a batch's distinct nodes, and an index maps every subset to
-its node (ghz_16's 32,768 leaves come from 16 nodes, with 2 distinct
-groups).  ``_class_rs`` decides each batch's distinct echelons on one
-stack: the class from the rank, 2r as the rank of the Gram matrix of
-pairings.
-``simulate``'s duality check shares it.  Over the distinct intermediate
-groups G(L), ``classify`` also folds the rows of G(L) and of C(G(L)) into
-one echelon: the intermediate group that the twirl hides (see
-``twirl.intermediate_group``).  ``info_group`` solves
-listed subsets directly, stacked by size, with the walk's column
-clearing: for ``classify --subset``, and for ``simulate``, whose checks
-read its stack of echelon slots.
+keeps only a batch's distinct nodes, and an index maps every subset to its
+node (ghz_16's 32,768 leaves come from 16 nodes, with 2 distinct groups).
+``_class_rs`` decides each batch's distinct echelons on one stack: the
+class from the rank, 2r as the rank of the Gram matrix of pairings.
+``simulate``'s duality check shares it, once per distinct group of all 2^n
+subsets.  Over the distinct intermediate groups G(L), ``classify`` also
+folds the rows of G(L) and of C(G(L)) into one echelon: the intermediate
+group that the twirl hides (see ``twirl.intermediate_group``).
+``info_group`` solves listed subsets directly, stacked by size, with the
+walk's column clearing: for ``classify --subset``, and for ``simulate``,
+whose checks read its stack of echelon slots.
 
 The triplet lists A, F and I in ``subsets_in_order`` order, a stable sort
 by size once the mask bits are reversed, with their counts by size in
-``size_summary``.  Up to ``FULL_LISTING_MAX_N`` carriers it also keeps a
-``SubsetRecord`` per subset, a named tuple: the cheapest immutable record.
+``size_summary``; its columns hold each subset's class, r and s in that
+order at every n, and ``to_dict`` lists them up to ``FULL_LISTING_MAX_N``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -65,7 +63,6 @@ from .primefield import mod_rref_stack, mod_solve, row_space_basis
 __all__ = [
     "InfoGroup",
     "CanonicalForm",
-    "SubsetRecord",
     "SchemeTriplet",
     "SchemeConsistencyError",
     "info_group",
@@ -277,19 +274,6 @@ def canonical_form(group: InfoGroup) -> CanonicalForm:
 # Classification into (A, F, I).
 # ---------------------------------------------------------------------------
 
-class SubsetRecord(NamedTuple):
-    """One subset's class and (r, s); an immutable tuple, cheap to build."""
-
-    subset: tuple[int, ...]
-    cls: str  # "A", "F" or "I"
-    r: int
-    s: int
-
-    def to_dict(self) -> dict:
-        return {"subset": list(self.subset), "class": self.cls,
-                "r": self.r, "s": self.s}
-
-
 @dataclass(frozen=True)
 class SchemeTriplet:
     """The (access, forbidden, intermediate) classification of all subsets."""
@@ -303,7 +287,9 @@ class SchemeTriplet:
     minimal_authorized: tuple[tuple[int, ...], ...]
     maximal_forbidden: tuple[tuple[int, ...], ...]
     size_summary: tuple[tuple[int, int, int, int], ...]  # (size, nA, nF, nI)
-    records: tuple[SubsetRecord, ...] | None  # kept for n <= FULL_LISTING_MAX_N
+    classes: str  # "A", "F" or "I" per subset, in subsets_in_order order
+    r: bytes
+    s: bytes
     # The span of G(S) over every intermediate S, for the twirl; not part
     # of the structured output.
     intermediate_span: InfoGroup
@@ -322,8 +308,10 @@ class SchemeTriplet:
             "minimal_authorized": [list(s) for s in self.minimal_authorized],
             "maximal_forbidden": [list(s) for s in self.maximal_forbidden],
         }
-        if self.records is not None:
-            out["records"] = [rec.to_dict() for rec in self.records]
+        if self.n <= FULL_LISTING_MAX_N:
+            rows = zip(subsets_in_order(self.n), self.classes, self.r, self.s)
+            out["records"] = [{"subset": list(subset), "class": cls, "r": r,
+                               "s": s} for subset, cls, r, s in rows]
         return out
 
 
@@ -399,6 +387,7 @@ def _walk(code: StabilizerCode):
 
 # Class codes in ``classify``'s arrays; the dual of code c is 2 - c.
 _CLASSES = "AIF"
+_CLASS_LETTERS = np.frombuffer(_CLASSES.encode(), np.uint8)  # read-only
 
 
 def _class_code(rank: np.ndarray, k: int) -> np.ndarray:
@@ -456,10 +445,10 @@ def classify(code: StabilizerCode) -> SchemeTriplet:
     its node; ``_class_rs`` decides the batch's distinct groups at once and
     the index scatters them, and the intermediate ones fold into
     ``intermediate_span``.  By duality the complement of S gets the dual
-    class and (k - r - s, s).  Lists, extremal sets and the size summary
-    come from arrays indexed by subset bitmask, put in ``subsets_in_order``
-    order by a bit reversal and a stable sort by size.  ``SubsetRecord``
-    tuples are built only when n <= ``FULL_LISTING_MAX_N``.
+    class and (k - r - s, s).  Lists, extremal sets, the size summary and
+    the class, r and s columns come from arrays indexed by subset bitmask,
+    put in ``subsets_in_order`` order by a bit reversal and a stable sort
+    by size.
     """
     d, n, k = code.d, code.n, code.k
     if n > DEFAULT_CLASSIFY_CAP:
@@ -516,12 +505,6 @@ def classify(code: StabilizerCode) -> SchemeTriplet:
     def listed(flags):
         return tuple(itertools.compress(subsets, flags.tolist()))
 
-    records = None
-    if n <= FULL_LISTING_MAX_N:
-        records = tuple(map(SubsetRecord, subsets,
-                            np.array(list(_CLASSES), object)[cls].tolist(),
-                            r_of.tolist(), s_of.tolist()))
-
     return SchemeTriplet(
         n=n, d=d, k=k,
         authorized=listed(cls == 0),
@@ -531,7 +514,8 @@ def classify(code: StabilizerCode) -> SchemeTriplet:
         maximal_forbidden=listed(last_f),
         size_summary=tuple((size, a, f, i) for size, (a, i, f)
                            in enumerate(counts.reshape(-1, 3).tolist())),
-        records=records,
+        classes=_CLASS_LETTERS[cls].tobytes().decode(),
+        r=r_of.tobytes(), s=s_of.tobytes(),
         intermediate_span=_groups(d, k, _fold(kept, d)[None])[0],
     )
 

@@ -112,6 +112,11 @@ def commutant_reference(group: infogroup.InfoGroup) -> infogroup.InfoGroup:
     return infogroup.group_from_rows(d, k, nullspace(rows, d))
 
 
+def records(t: infogroup.SchemeTriplet) -> list[tuple]:
+    """(subset, class, r, s) of every subset, from the triplet's columns."""
+    return list(zip(infogroup.subsets_in_order(t.n), t.classes, t.r, t.s))
+
+
 def walk_leaves(monkeypatch) -> list[int]:
     """Record the bitmask of every leaf that ``infogroup._walk`` yields."""
     leaves = []

@@ -346,12 +346,8 @@ def test_simulate_duality_fails_on_wrong_record(capsys, monkeypatch):
     real = infogroup.classify
 
     def skewed(c):
-        # [3, 4] is a complement record, written by the duality rule.
-        t = real(c)
-        records = list(t.records)
-        idx = next(i for i, rec in enumerate(records) if rec.subset == (3, 4))
-        records[idx] = records[idx]._replace(s=records[idx].s + 1)
-        return dataclasses.replace(t, records=tuple(records))
+        # [3, 4] is a complement, filled in by the duality rule.
+        return _bump_s(real(c), (3, 4))
 
     monkeypatch.setattr(cli.infogroup, "classify", skewed)
     status, out, _ = run(capsys, "simulate", "catalog:four_two_two",
@@ -364,6 +360,52 @@ def test_simulate_duality_fails_on_wrong_record(capsys, monkeypatch):
     assert duality["detail"].startswith("classify gives [3, 4] (r, s)")
 
 
+def test_simulate_duality_compares_rs_past_the_listing_cap(capsys,
+                                                           monkeypatch):
+    real = infogroup.classify
+
+    def skewed(c):
+        # [13] is the complement of [1, ..., 12]: the walk never visits it.
+        return _bump_s(real(c), (13,))
+
+    monkeypatch.setattr(cli.infogroup, "classify", skewed)
+    status, out, _ = run(capsys, "simulate", "catalog:ghz_n", "--n", "13",
+                         "--seed", "3", "--check", "duality",
+                         "--format", "structured")
+    assert status == 1
+    duality = next(r for r in json.loads(out)["results"]
+                   if r["check"] == "duality")
+    assert duality["detail"] == ("classify gives [13] (r, s) = (0, 2), its "
+                                 "group (0, 1)")
+
+
+def test_simulate_duality_fails_on_a_list_that_disagrees_with_classes(
+        capsys, monkeypatch):
+    real = infogroup.classify
+
+    def dropped(c):
+        # The classes column still puts [1] in F.
+        t = real(c)
+        forbidden = tuple(s for s in t.forbidden if s != (1,))
+        return dataclasses.replace(t, forbidden=forbidden)
+
+    monkeypatch.setattr(cli.infogroup, "classify", dropped)
+    status, out, _ = run(capsys, "simulate", "catalog:four_two_two",
+                         "--seed", "3", "--check", "duality",
+                         "--format", "structured")
+    assert status == 1
+    duality = next(r for r in json.loads(out)["results"]
+                   if r["check"] == "duality")
+    assert duality["detail"] == "classify's F list differs from its classes"
+
+
+def _bump_s(t, subset):
+    """`t` with one more isotropic generator in `subset`'s s byte."""
+    s = bytearray(t.s)
+    s[list(infogroup.subsets_in_order(t.n)).index(subset)] += 1
+    return dataclasses.replace(t, s=bytes(s))
+
+
 def _zero_leaf(masks, state, echelons, mask):
     """A walk batch in which leaf `mask` alone gets a zero echelon: the
     batch's other leaves may share its node, so it points at a new one."""
@@ -373,8 +415,9 @@ def _zero_leaf(masks, state, echelons, mask):
 
 def test_simulate_duality_compares_classes_past_the_listing_cap(
         capsys, monkeypatch):
-    # On ghz_13 classify keeps no records, so the check reads each class
-    # from the rank alone; every proper nonempty subset is intermediate.
+    # ghz_13 is past the listing cap, where classify's structured output
+    # lists no records; the check still compares every class with its
+    # columns.  Every proper nonempty subset is intermediate.
     real = infogroup._walk
 
     def corrupted(c):

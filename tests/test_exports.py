@@ -23,7 +23,8 @@ DELETED = {
                             "_restrict", "_DUAL_CLASS", "_rs_of",
                             "_contains", "_meet", "_CELL_BUDGET",
                             "commutant", "SchemeTriplet.leaf_span",
-                            "SchemeTriplet.leaf_core"),
+                            "SchemeTriplet.leaf_core", "SubsetRecord",
+                            "SchemeTriplet.records"),
     "stabshare.twirl": ("twirl_average_is_zero", "enumerate_keys"),
     "stabshare.oracle": ("verify_perfect_presence", "pauli_eigen_sectors",
                          "hs_inner", "choi_check", "_choi_marginal",

@@ -6,8 +6,9 @@ stdout of one command on a catalog code or on a code file in ``data/``.
 on codes with no intermediate structure it exits 2 with empty stdout.
 ``simulate`` runs only ``--check duality --seed 1``, whose records carry
 no floating-point measurement; the dense checks' measurements depend on
-the BLAS build.  ghz_13 is past ``FULL_LISTING_MAX_N``, where the duality
-check reads each class from the rank alone.
+the BLAS build.  ghz_13 is past ``FULL_LISTING_MAX_N``: its ``classify``
+output lists no records, while the duality check still compares every
+subset's class and (r, s).
 
 The ``rand_`` files are random odd-prime codes; ``ghz_x_3`` is the
 3-qubit GHZ code in the X basis, written as Pauli strings.  In [[3,2]]_3 and

@@ -24,7 +24,7 @@ from stabshare.primefield import mod_rank
 from stabshare.twirl import intermediate_group
 
 from conftest import (commutant_reference, count_calls, info_group_reference,
-                      random_code, walk_leaves)
+                      random_code, records, walk_leaves)
 
 DATA_CODES = sorted((Path(__file__).parent / "data").glob("*.json"))
 
@@ -260,11 +260,14 @@ def test_steane_not_threshold_but_perfect(steane):
 
 def test_records_and_summary(four_two_two):
     t = classify(four_two_two)
-    assert t.records is not None
-    rec = {r.subset: r for r in t.records}
-    assert rec[(1, 2)].cls == "I" and (rec[(1, 2)].r, rec[(1, 2)].s) == (0, 2)
-    assert rec[(1, 2, 3)].cls == "A"
-    assert rec[(1, 2, 3)].r == 2 and rec[(1, 2, 3)].s == 0
+    rec = {subset: rest for subset, *rest in records(t)}
+    assert rec[(1, 2)] == ["I", 0, 2]
+    assert rec[(1, 2, 3)] == ["A", 2, 0]
+    listed = t.to_dict()["records"]
+    assert listed[0] == {"subset": [], "class": "F", "r": 0, "s": 0}
+    assert {"subset": [1, 2], "class": "I", "r": 0, "s": 2} in listed
+    assert listed[-1] == {"subset": [1, 2, 3, 4], "class": "A", "r": 2,
+                          "s": 0}
     assert dict((sz, (a, f, i)) for sz, a, f, i in t.size_summary)[2] == (0, 0, 6)
     assert set(t.minimal_authorized) == set(all_subsets_of_size(4, {3}))
     assert set(t.maximal_forbidden) == {(1,), (2,), (3,), (4,)}
@@ -286,9 +289,9 @@ def test_duality_and_monotonicity(catalog_codes):
                 assert tuple(sorted(set(s) - {drop})) in forbidden
         total = len(t.authorized) + len(t.forbidden) + len(t.intermediate)
         assert total == 2**c.n
-        direct = info_group(c, [rec.subset for rec in t.records])
-        for rec, g in zip(t.records, direct, strict=True):
-            assert rec.cls == g.access_class, (c.name, rec)
+        direct = info_group(c, list(subsets_in_order(c.n)))
+        for rec, g in zip(records(t), direct, strict=True):
+            assert rec[1] == g.access_class, (c.name, rec)
 
 
 def test_ramp_bounds_against_classification(catalog_codes):
@@ -415,7 +418,7 @@ def test_classify_solves_half_the_subsets(monkeypatch):
     leaves = walk_leaves(monkeypatch)
     classify(catalog("ghz_n", 8))
     # The lattice walk solves each subset without carrier 8 once, and the
-    # duality rule writes the other 128 records: no per-subset solve.
+    # duality rule fills in the other 128: no per-subset solve.
     assert not calls
     assert sorted(leaves) == list(range(128))
 
@@ -439,7 +442,7 @@ def _walk_leaves(c):
 
 def _assert_walk_matches_direct_solves(c):
     """The lattice walk against the reference solve, and classify's
-    records."""
+    columns."""
     n = c.n
     leaves = _walk_leaves(c)
     # One leaf for each subset without carrier n.
@@ -450,9 +453,7 @@ def _assert_walk_matches_direct_solves(c):
         assert echelon.shape == (2 * c.k, 2 * c.k)
         basis = tuple(map(tuple, echelon[echelon.any(axis=1)].tolist()))
         assert basis == info_group_reference(c, s).generators, s
-    t = classify(c)
-    assert [(r.subset, r.cls, r.r, r.s) for r in t.records] == \
-        _reference_records(c)
+    assert records(classify(c)) == _reference_records(c)
 
 
 @given(d=st.sampled_from([2, 3, 5, 7]),
@@ -603,29 +604,18 @@ def test_classify_at_the_largest_prime():
     # fraction-free product in the walk and the stacked echelon is < p^2.
     c = random_code(np.random.default_rng(3), 2**31 - 1, 1, 1)
     _assert_walk_matches_direct_solves(c)
-    assert [(r.cls, r.r, r.s) for r in classify(c).records] == \
-        [("F", 0, 0), ("A", 1, 0)]
+    assert records(classify(c)) == [((), "F", 0, 0), ((1,), "A", 1, 0)]
 
 
-def test_classify_builds_no_records_past_the_listing_cap(monkeypatch):
-    calls = count_calls(monkeypatch, infogroup, "SubsetRecord")
-    assert classify(catalog("ghz_n", 13)).records is None
-    assert not calls
-    classify(catalog("ghz_n", 12))
-    assert calls["SubsetRecord"] == 2**12
-
-
-def test_records_are_immutable_with_the_same_dict_and_repr(four_two_two):
-    t = classify(four_two_two)
-    rec = next(r for r in t.records if r.subset == (1, 2))
-    for field in ("subset", "cls", "r", "s"):
-        with pytest.raises(AttributeError):
-            setattr(rec, field, None)
-    assert rec.to_dict() == {"subset": [1, 2], "class": "I", "r": 0, "s": 2}
-    assert repr(rec) == "SubsetRecord(subset=(1, 2), cls='I', r=0, s=2)"
-    assert repr(t.records[0]) == "SubsetRecord(subset=(), cls='F', r=0, s=0)"
-    assert repr(t.records[-1]) == \
-        "SubsetRecord(subset=(1, 2, 3, 4), cls='A', r=2, s=0)"
+def test_classify_builds_no_records_past_the_listing_cap():
+    assert len(classify(catalog("ghz_n", 12)).to_dict()["records"]) == 2**12
+    t = classify(catalog("ghz_n", 13))
+    assert "records" not in t.to_dict()
+    # The columns are kept at every n.  On ghz_13 every proper nonempty
+    # subset is intermediate with (r, s) = (0, 1).
+    assert t.classes == "F" + "I" * (2**13 - 2) + "A"
+    assert t.r == bytes(2**13 - 1) + b"\1"
+    assert t.s == b"\0" + b"\1" * (2**13 - 2) + b"\0"
 
 
 def _enumerated_threshold(t):
@@ -694,9 +684,7 @@ def test_commutant_duality_on_random_codes(d, nk, seed):
         assert not pairing(g.generator_rows(), other.generator_rows(),
                            d).any(), s
 
-    t = classify(c)
-    assert [(r.subset, r.cls, r.r, r.s) for r in t.records] == \
-        _reference_records(c)
+    assert records(classify(c)) == _reference_records(c)
 
 
 @given(d=st.sampled_from([2, 3, 5, 7]),
