@@ -23,15 +23,15 @@ def describe(code):
         tq = plan.prescription.threshold_q
         scheme = (f"Shamir ({tq},{code.n})" if tq is not None
                   else "monotone over minimal authorized sets")
+    ramp = "I" in triplet.classes
     kind = (f"threshold ({threshold_q(triplet)},{code.n})"
-            if not triplet.intermediate and threshold_q(triplet) is not None
-            else ("perfect, non-threshold" if not triplet.intermediate
+            if not ramp and threshold_q(triplet) is not None
+            else ("perfect, non-threshold" if not ramp
                   else f"ramp ({q},{ramp_l},{code.n})"))
     return {
         "code": f"[[{code.n},{code.k},{delta}]]_{code.d} {code.name}",
         "scheme": kind,
-        "A/F/I": f"{len(triplet.authorized)}/{len(triplet.forbidden)}/"
-                 f"{len(triplet.intermediate)}",
+        "A/F/I": "/".join(str(triplet.classes.count(x)) for x in "AFI"),
         "twirl": twirl,
         "key": str(plan.key_length),
         "classical": scheme,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import random
 import sys
 
@@ -78,13 +79,13 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def _triplet_summary(triplet: infogroup.SchemeTriplet) -> str:
     q = infogroup.threshold_q(triplet)
-    if not triplet.intermediate:
+    if "I" not in triplet.classes:
         if q is not None:
             return f"threshold ({q},{triplet.n})"
         return "perfect (non-threshold access structure)"
     sizes = [size for size, _, _, i in triplet.size_summary if i]
-    return (f"ramp: authorized {len(triplet.authorized)}, forbidden "
-            f"{len(triplet.forbidden)}, intermediate {len(triplet.intermediate)} "
+    a, f, i = map(triplet.classes.count, "AFI")
+    return (f"ramp: authorized {a}, forbidden {f}, intermediate {i} "
             f"(sizes {sizes})")
 
 
@@ -141,19 +142,44 @@ def cmd_twirl_plan(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _extremal_and_monotone(triplet: infogroup.SchemeTriplet):
+    """Minimal A and maximal F flags (bytes of 0 or 1) by the triplet's
+    classes, and whether A is closed upward and F downward.
+
+    By bitmask, row 0 holds each level (F 0, I 1, A 2) and row 1 2 - level
+    of the complement, where one carrier smaller reads one carrier larger.
+    The least level one carrier larger (2 if none; bit j is axis 2 of the
+    (2, -1, 2, 2^j) view) flags maximal F in row 0, minimal A at complements
+    in row 1, and, where a level exceeds it, a break of monotonicity."""
+    masks = infogroup._subset_masks(triplet.n)[0]
+    by_mask = np.empty((2, len(masks)), dtype=np.uint8)
+    by_mask[0, masks] = np.frombuffer(triplet.classes.encode().translate(
+        bytes.maketrans(b"FIA", b"\0\1\2")), np.uint8)
+    by_mask[1] = 2 - by_mask[0, ::-1]
+    least = np.full(by_mask.shape, 2, dtype=np.uint8)
+    for j in range(triplet.n):
+        shape = (2, -1, 2, 1 << j)
+        lower = least.reshape(shape)[:, :, 0]
+        np.minimum(lower, by_mask.reshape(shape)[:, :, 1], out=lower)
+    last_f = (by_mask == 0) & (least != 0)
+    return (last_f[1, ::-1][masks].tobytes(), last_f[0, masks].tobytes(),
+            not np.count_nonzero(by_mask[0] > least[0]))
+
+
 def _duality_mismatch(c: StabilizerCode, triplet: infogroup.SchemeTriplet,
-                      order: list, slots: np.ndarray) -> str | None:
+                      order: list, slots: np.ndarray, extremal) -> str | None:
     """First disagreement between commutants, direct solves and `classify`.
 
     `slots` is ``infogroup.info_group(c, order, slots=True)``, every subset
     in enumeration order, so subset -1 - i is the complement of subset i.
     On it: the commutant of G(S) is G(S-bar) iff the two pair to zero and
     their ranks sum to 2k; each class and (r, s), from ``_class_rs`` as in
-    `classify`, must be what its columns hold, and its A, F and I lists
-    what its ``classes`` puts in each.  Last, the twirl's
+    `classify`, must be what its columns hold.  From those direct classes
+    follows what key sharing reads: the minimal A and maximal F sets (the
+    `extremal` flags) and ``size_summary``.  Last, the twirl's
     ``twirl.intermediate_group`` must span the intermediate slot rows.
     """
-    d, k = c.d, c.k
+    d, n, k = c.d, c.n, c.k
     ranks = slots.any(axis=2).sum(axis=1)
     half = len(slots) // 2  # G(S) pairs with G(S-bar) as G(S-bar) with G(S)
     clash = pairing(slots[:half], slots[:half - 1:-1], d).any(axis=(1, 2))
@@ -179,11 +205,17 @@ def _duality_mismatch(c: StabilizerCode, triplet: infogroup.SchemeTriplet,
                     f"its group in {chr(want)}")
         return (f"classify gives {list(comp)} (r, s) = {tuple(rs)}, "
                 f"its group {tuple(solved_rs)}")
-    lists = triplet.authorized, triplet.forbidden, triplet.intermediate
-    for letter, listed in zip(b"AFI", lists):
-        flags = (reported[0] == letter).tolist()
-        if tuple(itertools.compress(order, flags)) != listed:
-            return f"classify's {chr(letter)} list differs from its classes"
+    listed = triplet.minimal_authorized, triplet.maximal_forbidden
+    for name, sets, flags in zip(("minimal A", "maximal F"), listed, extremal):
+        direct = tuple(itertools.compress(order, flags))
+        if sets != direct:
+            odd = [list(s) for s in sorted(set(sets) ^ set(direct))[:3]]
+            return f"classify's {name} sets differ from its classes' by {odd}"
+    ends = itertools.accumulate(math.comb(n, size) for size in range(n + 1))
+    summary = [(size, *map(triplet.classes[lo:hi].count, "AFI")) for size,
+               (lo, hi) in enumerate(itertools.pairwise([0, *ends]))]
+    if tuple(summary) != triplet.size_summary:
+        return f"classify's size_summary differs from its classes' {summary}"
     rows = slots[first][solved[0] == ord("I")].reshape(-1, 2 * k)
     first, _ = infogroup._distinct_rows(rows)
     spanned = infogroup.group_from_rows(d, k, rows[first])
@@ -220,18 +252,18 @@ def run_checks(c: StabilizerCode, seed: int, which: str,
     triplet = infogroup.classify(c)
     subsets = list(infogroup.subsets_in_order(c.n))
     slots = infogroup.info_group(c, subsets, slots=True)
-    mismatch = _duality_mismatch(c, triplet, subsets, slots)
+    *extremal, monotone = _extremal_and_monotone(triplet)
+    mismatch = _duality_mismatch(c, triplet, subsets, slots, extremal)
     add("duality", mismatch is None,
         detail=mismatch or "access/forbidden duality holds")
     if mismatch is not None:
         return False, results  # every later check builds on the triplet
 
     if which in ("all", "duality"):
-        auth = set(triplet.authorized)
-        forb = set(triplet.forbidden)
-        ok = (all(t in auth for s in auth for t in infogroup.one_larger(s, c.n))
-              and all(t in forb for s in forb for t in infogroup.one_smaller(s)))
-        add("monotonicity", ok)
+        add("monotonicity", monotone)
+    if which == "duality":
+        return all(r["pass"] for r in results), results
+    forbidden, intermediate = triplet.forbidden, triplet.intermediate
 
     if which in ("all", "infogroup"):
         brute = oracle.info_group_bruteforce(c, subsets, cap=cap)
@@ -243,10 +275,9 @@ def run_checks(c: StabilizerCode, seed: int, which: str,
             else f"mismatch at {mismatches[:3]}")
 
     if which in ("all", "choi"):
-        forb = set(triplet.forbidden)
         ok = oracle.choi_decoupled(c, subsets, cap=cap) == [
-            subset in forb for subset in subsets]
-        worst = max(oracle.choi_decoupling(c, triplet.forbidden, cap=cap),
+            cls == "F" for cls in triplet.classes]
+        worst = max(oracle.choi_decoupling(c, forbidden, cap=cap),
                     default=0.0)
         add("choi", ok, measured=worst,
             detail="reference decouples exactly from the forbidden structure")
@@ -256,16 +287,14 @@ def run_checks(c: StabilizerCode, seed: int, which: str,
     plan = twirl.twirl_plan(c, triplet)
     # Concealment is gated on the intermediate subsets, not on the plan, so
     # an empty plan for a code that needs a twirl fails the check.
-    if triplet.intermediate:
-        worst = oracle.verify_concealment(c, plan, triplet.intermediate,
-                                          cap=cap)
+    if intermediate:
+        worst = oracle.verify_concealment(c, plan, intermediate, cap=cap)
         add("concealment", worst < oracle.STATE_TOL, measured=worst,
-            detail=f"{len(triplet.intermediate)} intermediate subsets, "
-                   "every secret")
+            detail=f"{len(intermediate)} intermediate subsets, every secret")
 
     if which == "all":
-        if triplet.forbidden:
-            worst = oracle.verify_absence(c, triplet.forbidden, cap=cap)
+        if forbidden:
+            worst = oracle.verify_absence(c, forbidden, cap=cap)
             add("absence", worst < oracle.STATE_TOL, measured=worst)
         secret = oracle.random_secret(c.d, c.k, np.random.default_rng(seed))
         worst = oracle.expansion_consistency(c, secret, subsets[:4], cap=cap)

@@ -43,10 +43,10 @@ group that the twirl hides (see ``twirl.intermediate_group``).
 walk's column clearing: for ``classify --subset``, and for ``simulate``,
 whose checks read its stack of echelon slots.
 
-The triplet lists A, F and I in ``subsets_in_order`` order, a stable sort
-by size once the mask bits are reversed, with their counts by size in
-``size_summary``; its columns hold each subset's class, r and s in that
-order at every n, and ``to_dict`` lists them up to ``FULL_LISTING_MAX_N``.
+The triplet's columns hold each subset's class, r and s in
+``subsets_in_order`` order, listed by ``to_dict`` up to ``FULL_LISTING_MAX_N``.
+Beside them it keeps what key sharing reads (the extremal sets and
+``size_summary``); its A, F and I lists are derived from ``classes``.
 """
 
 from __future__ import annotations
@@ -69,8 +69,6 @@ __all__ = [
     "canonical_form",
     "classify",
     "subsets_in_order",
-    "one_smaller",
-    "one_larger",
     "complement",
     "threshold_q",
 ]
@@ -135,15 +133,11 @@ def subsets_in_order(n: int):
         itertools.combinations(range(1, n + 1), size) for size in range(n + 1))
 
 
-def one_smaller(subset) -> list[tuple[int, ...]]:
-    """Every subset with one carrier of the sorted `subset` removed."""
-    return [subset[:j] + subset[j + 1:] for j in range(len(subset))]
-
-
-def one_larger(subset, n: int) -> list[tuple[int, ...]]:
-    """Every subset of {1..n} with one carrier added to `subset`."""
-    return [tuple(sorted(subset + (i,)))
-            for i in range(1, n + 1) if i not in subset]
+def _subsets_of_class(table, letters: str) -> tuple:
+    """The subsets whose ``table.classes`` letter is in `letters`, in order."""
+    keep = table.classes.encode().translate(
+        bytes.maketrans(b"AFI", bytes(x in letters for x in "AFI")))
+    return tuple(itertools.compress(subsets_in_order(table.n), keep))
 
 
 def info_group(code: StabilizerCode, subsets, *,
@@ -276,14 +270,11 @@ def canonical_form(group: InfoGroup) -> CanonicalForm:
 
 @dataclass(frozen=True)
 class SchemeTriplet:
-    """The (access, forbidden, intermediate) classification of all subsets."""
+    """The (A, F, I) classification of all subsets; the lists are derived."""
 
     n: int
     d: int
     k: int
-    authorized: tuple[tuple[int, ...], ...]
-    forbidden: tuple[tuple[int, ...], ...]
-    intermediate: tuple[tuple[int, ...], ...]
     minimal_authorized: tuple[tuple[int, ...], ...]
     maximal_forbidden: tuple[tuple[int, ...], ...]
     size_summary: tuple[tuple[int, int, int, int], ...]  # (size, nA, nF, nI)
@@ -294,13 +285,16 @@ class SchemeTriplet:
     # of the structured output.
     intermediate_span: InfoGroup
 
+    authorized = property(lambda self: _subsets_of_class(self, "A"))
+    forbidden = property(lambda self: _subsets_of_class(self, "F"))
+    intermediate = property(lambda self: _subsets_of_class(self, "I"))
+
     def to_dict(self) -> dict:
         out = {
             "n": self.n,
             "D": self.d,
             "k": self.k,
-            "counts": {"A": len(self.authorized), "F": len(self.forbidden),
-                       "I": len(self.intermediate)},
+            "counts": {x: self.classes.count(x) for x in "AFI"},
             "size_summary": [
                 {"size": sz, "A": a, "F": f, "I": i}
                 for sz, a, f, i in self.size_summary
@@ -390,6 +384,20 @@ _CLASSES = "AIF"
 _CLASS_LETTERS = np.frombuffer(_CLASSES.encode(), np.uint8)  # read-only
 
 
+def _subset_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each subset's bitmask (bit i - 1 for carrier i) and size, in
+    ``subsets_in_order(n)`` order.  Index u sets bit n - i for carrier i
+    out of S (transposing reverses bits, [::-1] complements), and within a
+    size tuple order is ascending u order.  Sizes are int32: numpy's radix
+    sort of 8-bit keys adds 128 KiB of RSS."""
+    masks = np.arange(1 << n, dtype=np.int32).reshape((2,) * n).T.ravel()
+    sizes = np.full(1 << n, n, dtype=np.int32)
+    for j in range(n):  # doubling: setting bit j of u takes a carrier out
+        np.subtract(sizes[:1 << j], 1, out=sizes[1 << j:2 << j])
+    order = sizes.argsort(kind="stable")
+    return masks[::-1][order], sizes[order]
+
+
 def _class_code(rank: np.ndarray, k: int) -> np.ndarray:
     """Class code of groups of these ranks: A full, F trivial, I between."""
     return 1 - (rank == 2 * k) + (rank == 0)
@@ -445,10 +453,9 @@ def classify(code: StabilizerCode) -> SchemeTriplet:
     its node; ``_class_rs`` decides the batch's distinct groups at once and
     the index scatters them, and the intermediate ones fold into
     ``intermediate_span``.  By duality the complement of S gets the dual
-    class and (k - r - s, s).  Lists, extremal sets, the size summary and
-    the class, r and s columns come from arrays indexed by subset bitmask,
-    put in ``subsets_in_order`` order by a bit reversal and a stable sort
-    by size.
+    class and (k - r - s, s).  The columns, extremal sets and size summary
+    come from arrays by subset bitmask, read through ``_subset_masks``; no
+    list of all subsets is built, and the A, F and I lists are derived.
     """
     d, n, k = code.d, code.n, code.k
     if n > DEFAULT_CLASSIFY_CAP:
@@ -489,29 +496,16 @@ def classify(code: StabilizerCode) -> SchemeTriplet:
         shape = (-1, 2, 1 << j)
         minimal.reshape(shape)[:, 1] &= not_a.reshape(shape)[:, 0]
 
-    # Carrier i to bit n - i, set when i is out of S: within a size, tuple
-    # order is ascending mask order, so a stable sort by size gives it.  The
-    # sizes are int32: numpy's radix sort of 8-bit keys adds 128 KiB of RSS.
-    table = np.concatenate([by_mask, minimal[None], minimal[None, ::-1]])
-    table = table.reshape(5, *[2] * n).transpose(0, *range(n, 0, -1))
-    table = table.reshape(5, -1)[:, ::-1]
-    sizes = np.full(2 * half, n, dtype=np.int32)
-    for j in range(n):  # doubling: setting bit j takes a carrier out
-        np.subtract(sizes[:1 << j], 1, out=sizes[1 << j:2 << j])
-    counts = np.bincount(3 * sizes + table[0], minlength=3 * (n + 1))
-    cls, r_of, s_of, first_a, last_f = table[:, sizes.argsort(kind="stable")]
-    subsets = list(subsets_in_order(n))
-
-    def listed(flags):
-        return tuple(itertools.compress(subsets, flags.tolist()))
-
+    masks, sizes = _subset_masks(n)
+    cls, r_of, s_of, first_a, last_f = np.concatenate(
+        [by_mask, minimal[None], minimal[None, ::-1]])[:, masks]
+    counts = np.bincount(3 * sizes + cls, minlength=3 * (n + 1))
     return SchemeTriplet(
         n=n, d=d, k=k,
-        authorized=listed(cls == 0),
-        forbidden=listed(cls == 2),
-        intermediate=listed(cls == 1),
-        minimal_authorized=listed(first_a),
-        maximal_forbidden=listed(last_f),
+        minimal_authorized=tuple(itertools.compress(subsets_in_order(n),
+                                                    first_a.tobytes())),
+        maximal_forbidden=tuple(itertools.compress(subsets_in_order(n),
+                                                   last_f.tobytes())),
         size_summary=tuple((size, a, f, i) for size, (a, i, f)
                            in enumerate(counts.reshape(-1, 3).tolist())),
         classes=_CLASS_LETTERS[cls].tobytes().decode(),

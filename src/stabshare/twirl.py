@@ -33,12 +33,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ClassicalPrescription:
-    """Access structure the classical key scheme must reproduce."""
+    """The key scheme's access structure: A, and F with I, from ``classes``."""
 
     n: int
-    authorized: tuple[tuple[int, ...], ...]
-    forbidden: tuple[tuple[int, ...], ...]  # original forbidden plus intermediate
+    classes: str
     threshold_q: int | None
+    authorized = property(lambda self: infogroup._subsets_of_class(self, "A"))
+    forbidden = property(lambda self: infogroup._subsets_of_class(self, "FI"))
 
     def to_dict(self) -> dict:
         return {
@@ -93,32 +94,6 @@ def intermediate_group(code: StabilizerCode,
     return triplet.intermediate_span
 
 
-def _prescription(triplet: SchemeTriplet) -> ClassicalPrescription:
-    """A as it is; F and I merged into one forbidden list, by size then
-    lexicographically.
-
-    Relies on F and I being in ``subsets_in_order`` order with their
-    counts by size in ``size_summary``: a size with both sorts its slices
-    by plain tuple order, and the merged list holds the triplet's own tuples.
-    """
-    forbidden, intermediate = triplet.forbidden, triplet.intermediate
-    merged, f0, i0 = [], 0, 0
-    for _, _, nf, ni in triplet.size_summary:
-        both = forbidden[f0:f0 + nf] + intermediate[i0:i0 + ni]
-        merged += sorted(both) if nf and ni else both
-        f0, i0 = f0 + nf, i0 + ni
-    if (f0, i0) != (len(forbidden), len(intermediate)):
-        raise infogroup.SchemeConsistencyError(
-            f"size_summary counts {f0} F and {i0} I subsets, the triplet "
-            f"lists {len(forbidden)} and {len(intermediate)}")
-    return ClassicalPrescription(
-        n=triplet.n,
-        authorized=triplet.authorized,
-        forbidden=tuple(merged),
-        threshold_q=infogroup.threshold_q(triplet),
-    )
-
-
 def twirl_plan(code: StabilizerCode,
                triplet: SchemeTriplet | None = None) -> TwirlPlan:
     """Derive the minimal twirl for a code (empty plan when I is empty)."""
@@ -149,7 +124,8 @@ def twirl_plan(code: StabilizerCode,
         canonical=canonical,
         twirl_generators=gens,
         key_length=canonical.key_length,
-        prescription=_prescription(triplet),
+        prescription=ClassicalPrescription(
+            triplet.n, triplet.classes, infogroup.threshold_q(triplet)),
     )
 
 

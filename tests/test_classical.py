@@ -346,12 +346,14 @@ def test_key_transport_monotone_fallback():
     c = catalog("cnot_2_1")
     t = classify(c)
     plan = twirl_plan(c, t)
-    authorized = ((1, 2), (2, 3), (1, 2, 3))
-    pres = replace(plan.prescription, threshold_q=None,
-                   authorized=authorized, n=3)
+    # A is {1, 2}, {2, 3} and {1, 2, 3}, in subsets_in_order order.
+    classes = "FFFFAFAA"
+    pres = replace(plan.prescription, threshold_q=None, classes=classes, n=3)
     plan = replace(plan, prescription=pres)
-    triplet = replace(t, n=3, authorized=authorized,
+    triplet = replace(t, n=3, classes=classes,
                       minimal_authorized=((1, 2), (2, 3)))
+    assert pres.authorized == triplet.authorized == ((1, 2), (2, 3),
+                                                     (1, 2, 3))
     shares = key_transport(plan, triplet, seed=4)
     assert shares.kind == "monotone"
     assert shares.minimal_sets == ((1, 2), (2, 3))

@@ -379,24 +379,64 @@ def test_simulate_duality_compares_rs_past_the_listing_cap(capsys,
                                  "group (0, 1)")
 
 
-def test_simulate_duality_fails_on_a_list_that_disagrees_with_classes(
-        capsys, monkeypatch):
+@pytest.mark.parametrize("change, detail", [
+    pytest.param(lambda t: dataclasses.replace(
+        t, minimal_authorized=t.minimal_authorized[1:]),
+        "classify's minimal A sets differ from its classes' by [[1, 2, 3]]",
+        id="minimal-A-dropped"),
+    pytest.param(lambda t: dataclasses.replace(
+        t, minimal_authorized=t.minimal_authorized[::-1]),
+        "classify's minimal A sets differ from its classes' by []",
+        id="minimal-A-reordered"),
+    pytest.param(lambda t: dataclasses.replace(
+        t, maximal_forbidden=t.maximal_forbidden[:-1]),
+        "classify's maximal F sets differ from its classes' by [[4]]",
+        id="maximal-F-dropped"),
+    pytest.param(lambda t: dataclasses.replace(
+        t, size_summary=t.size_summary[:2] + ((2, 0, 0, 7),)
+        + t.size_summary[3:]),
+        "classify's size_summary differs from its classes' [(0, 0, 1, 0), "
+        "(1, 0, 4, 0), (2, 0, 0, 6), (3, 4, 0, 0), (4, 1, 0, 0)]",
+        id="size-summary-bumped"),
+])
+def test_simulate_duality_checks_what_key_sharing_reads(capsys, monkeypatch,
+                                                        change, detail):
+    # The classes column is untouched: each change is to a field that key
+    # sharing reads beside it.
     real = infogroup.classify
-
-    def dropped(c):
-        # The classes column still puts [1] in F.
-        t = real(c)
-        forbidden = tuple(s for s in t.forbidden if s != (1,))
-        return dataclasses.replace(t, forbidden=forbidden)
-
-    monkeypatch.setattr(cli.infogroup, "classify", dropped)
+    monkeypatch.setattr(cli.infogroup, "classify", lambda c: change(real(c)))
     status, out, _ = run(capsys, "simulate", "catalog:four_two_two",
                          "--seed", "3", "--check", "duality",
                          "--format", "structured")
     assert status == 1
     duality = next(r for r in json.loads(out)["results"]
                    if r["check"] == "duality")
-    assert duality["detail"] == "classify's F list differs from its classes"
+    assert duality["pass"] is False
+    assert duality["detail"] == detail
+
+
+@pytest.mark.parametrize("at", [
+    pytest.param(15, id="A-set-below-I"),  # [1, 2, 3] below [1, 2, 3, 4]
+    pytest.param(0, id="F-set-above-I"),  # [1] above []
+])
+def test_simulate_monotonicity_can_fail(capsys, monkeypatch, at):
+    # The duality check, which would catch the flipped class first, is off.
+    real = infogroup.classify
+
+    def flipped(c):
+        t = real(c)
+        return dataclasses.replace(
+            t, classes=t.classes[:at] + "I" + t.classes[at + 1:])
+
+    monkeypatch.setattr(cli.infogroup, "classify", flipped)
+    monkeypatch.setattr(cli, "_duality_mismatch", lambda *args: None)
+    status, out, _ = run(capsys, "simulate", "catalog:four_two_two",
+                         "--seed", "3", "--check", "duality",
+                         "--format", "structured")
+    assert status == 1
+    results = {r["check"]: r for r in json.loads(out)["results"]}
+    assert results["duality"]["pass"] is True
+    assert results["monotonicity"] == {"check": "monotonicity", "pass": False}
 
 
 def _bump_s(t, subset):

@@ -24,8 +24,10 @@ DELETED = {
                             "_contains", "_meet", "_CELL_BUDGET",
                             "commutant", "SchemeTriplet.leaf_span",
                             "SchemeTriplet.leaf_core", "SubsetRecord",
-                            "SchemeTriplet.records"),
-    "stabshare.twirl": ("twirl_average_is_zero", "enumerate_keys"),
+                            "SchemeTriplet.records", "one_smaller",
+                            "one_larger"),
+    "stabshare.twirl": ("twirl_average_is_zero", "enumerate_keys",
+                        "_prescription"),
     "stabshare.oracle": ("verify_perfect_presence", "pauli_eigen_sectors",
                          "hs_inner", "choi_check", "_choi_marginal",
                          "ALGEBRA_TOL", "stabilizer_elements",

@@ -1,11 +1,12 @@
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stabshare import catalog, infogroup, oracle, primefield
+from stabshare import catalog, cli, infogroup, oracle, primefield
 from stabshare.code import StabilizerCode, load
 from stabshare.infogroup import (
     InfoGroup,
@@ -14,8 +15,6 @@ from stabshare.infogroup import (
     complement,
     group_from_rows,
     info_group,
-    one_larger,
-    one_smaller,
     subsets_in_order,
     threshold_q,
 )
@@ -342,6 +341,25 @@ def test_subset_enumeration_order():
             every, key=lambda s: (len(s), s))
 
 
+def test_subset_masks_follow_the_subset_order():
+    for n in range(11):
+        masks, sizes = infogroup._subset_masks(n)
+        order = list(subsets_in_order(n))
+        assert masks.tolist() == [sum(1 << i - 1 for i in s) for s in order]
+        assert sizes.tolist() == [len(s) for s in order]
+
+
+def one_smaller(subset) -> list[tuple[int, ...]]:
+    """Every subset with one carrier of the sorted `subset` removed."""
+    return [subset[:j] + subset[j + 1:] for j in range(len(subset))]
+
+
+def one_larger(subset, n: int) -> list[tuple[int, ...]]:
+    """Every subset of {1..n} with one carrier added to `subset`."""
+    return [tuple(sorted(subset + (i,)))
+            for i in range(1, n + 1) if i not in subset]
+
+
 _LISTED = ("authorized", "forbidden", "intermediate", "minimal_authorized",
            "maximal_forbidden", "size_summary")
 
@@ -367,6 +385,32 @@ def _reference_listing(c):
         tuple((size, *(sum(len(s) == size and cls[s] == x for s in subsets)
                        for x in "AFI")) for size in range(n + 1)),
     )))
+
+
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.tuples(st.just(n), st.text("AFI", min_size=1 << n,
+                                             max_size=1 << n))))
+@settings(max_examples=200, deadline=None)
+@example((3, "FFFFIIIA"))
+@example((3, "FFFFIIAI"))
+@example((2, "IFFA"))
+def test_extremal_flags_and_monotonicity_match_the_reference(n_classes):
+    # Any class column, monotone or not: the minimal A sets, the maximal F
+    # sets and the monotone verdict that simulate's checks read.
+    n, classes = n_classes
+    order = list(subsets_in_order(n))
+    cls = dict(zip(order, classes))
+    first_a, last_f, monotone = cli._extremal_and_monotone(
+        SimpleNamespace(n=n, classes=classes))
+    assert list(map(bool, first_a)) == [
+        cls[s] == "A" and all(cls[t] != "A" for t in one_smaller(s))
+        for s in order]
+    assert list(map(bool, last_f)) == [
+        cls[s] == "F" and all(cls[t] != "F" for t in one_larger(s, n))
+        for s in order]
+    assert monotone == all(
+        (cls[s] != "A" or cls[t] == "A") and (cls[t] != "F" or cls[s] == "F")
+        for s in order for t in one_larger(s, n))
 
 
 def _assert_listing_matches_the_reference(c):
@@ -404,13 +448,6 @@ def test_random_qubit_codes_match_bruteforce():
             subsets = list(subsets_in_order(n))
             brutes = oracle.info_group_bruteforce(c, subsets)
             assert brutes == info_group(c, subsets), c
-
-
-def test_one_carrier_neighbours():
-    assert one_smaller((1, 3, 4)) == [(3, 4), (1, 4), (1, 3)]
-    assert one_smaller(()) == []
-    assert one_larger((2,), 3) == [(1, 2), (2, 3)]
-    assert one_larger((1, 2, 3), 3) == []
 
 
 def test_classify_solves_half_the_subsets(monkeypatch):

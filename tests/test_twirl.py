@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabshare import catalog, classify, infogroup
+from stabshare import catalog, classify, infogroup, key_transport
 from stabshare.code import load
 from stabshare.pauli import pairing, parse, symplectic_vector
 from stabshare.twirl import (
@@ -17,7 +17,7 @@ from stabshare.twirl import (
     twirl_plan,
 )
 
-from conftest import random_code
+from conftest import count_calls, random_code
 
 DATA_CODES = sorted((Path(__file__).parent / "data").glob("*.json"))
 
@@ -178,8 +178,6 @@ def _assert_prescription_merges_f_and_i(c):
     forbidden = twirl_plan(c, t).prescription.forbidden
     expected = sorted(t.forbidden + t.intermediate, key=lambda s: (len(s), s))
     assert forbidden == tuple(expected)
-    # The triplet's own tuples, not copies of them.
-    assert all(got is own for got, own in zip(forbidden, expected))
 
 
 @pytest.mark.parametrize("c", [
@@ -201,13 +199,22 @@ def test_prescription_merges_f_and_i_on_random_codes(d, nk, seed):
         random_code(np.random.default_rng(seed), d, *nk))
 
 
-@pytest.mark.parametrize("column, delta", [(2, -1), (2, 1), (3, 1)])
-def test_prescription_rejects_a_size_summary_that_miscounts(column, delta):
-    c = catalog("four_two_two")
+@pytest.mark.parametrize("c", [
+    pytest.param(catalog("ghz_n", 13), id="ghz_13"),
+    pytest.param(load(Path(__file__).parent / "data" / "rand_3_5_1.json"),
+                 id="rand_3_5_1")])
+def test_key_sharing_derives_no_subset_list(c, monkeypatch):
+    # ghz_13 shares its key by Shamir, rand_3_5_1 by the monotone scheme:
+    # neither reads a list of A, F or I sets, which covers all 2^n subsets.
+    calls = count_calls(monkeypatch, infogroup, "_subsets_of_class")
     t = classify(c)
-    rows = [list(row) for row in t.size_summary]
-    rows[2][column] += delta
-    bad = dataclasses.replace(t, size_summary=tuple(map(tuple, rows)))
-    with pytest.raises(infogroup.SchemeConsistencyError,
-                       match="size_summary counts"):
-        twirl_plan(c, bad)
+    plan = twirl_plan(c, t)
+    shares = key_transport(plan, t, seed=1)
+    assert shares.kind == ("threshold" if c.n == 13 else "monotone")
+    assert calls["_subsets_of_class"] == 0
+    # The structured output still lists every subset, from the classes.
+    listed = plan.to_dict()["classical_scheme"]
+    assert calls["_subsets_of_class"] == 2
+    rows = list(zip(infogroup.subsets_in_order(c.n), t.classes))
+    assert listed["authorized"] == [list(s) for s, x in rows if x == "A"]
+    assert listed["forbidden"] == [list(s) for s, x in rows if x != "A"]
