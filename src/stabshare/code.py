@@ -54,9 +54,12 @@ def _check_int64_range(d: int, n: int) -> None:
     ``pairing`` accumulate in int64: the largest is a sum of at most 2n
     products of digits < D.  The fraction-free steps of ``classify``'s walk
     and ``mod_rref_stack`` add two such products, which the bound also
-    covers.  So does the Gram path for (r, s): ``pairing`` of two stacks
-    of 2k echelon slots sums 2k <= 2n such products, and its
-    ``mod_rref_stack`` starts from entries below D.
+    covers; they narrow to int32 where 2D^2 < 2^31.  So does the Gram path
+    for (r, s): ``pairing`` of two stacks of 2k echelon slots sums 2k <=
+    2n such products, and the pair elimination of the Gram matrices adds
+    three products per step (int32 where 3D^2 < 2^31), within the bound
+    since k >= 2 means n >= 2.  At k = 1 it takes no step, so n = 1
+    admits every D up to 2^31 - 1.
     """
     if 2 * max(n, 1) * (d - 1) ** 2 >= 2**63:
         raise ValueError(

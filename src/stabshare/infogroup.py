@@ -26,7 +26,8 @@ clears its x and z columns, one fraction-free pivot each, and at a leaf
 the span's logical coefficients span G(S): the cleaning-lemma view of G(S)
 as the logicals with a representative on S (Bravyi & Terhal, NJP 11,
 043029 (2009)), made incremental.  Each level treats all its nodes at
-once, on stacked int64 arrays in batches under ``_SOLVE_BUDGET``.  The
+once, on stacked integer arrays in batches under ``_SOLVE_BUDGET``: int32
+where a step's two products below d^2 fit (d <= 32,749), int64 else.  The
 walk visits only the subsets without carrier n; the rule above gives each
 other subset, the complement of one of them, its class and (r, s).
 
@@ -34,7 +35,8 @@ Nodes repeat: a node's subtree depends on its rows alone, so each level
 keeps only a batch's distinct nodes, and an index maps every subset to its
 node (ghz_16's 32,768 leaves come from 16 nodes, with 2 distinct groups).
 ``_class_rs`` decides each batch's distinct echelons on one stack: the
-class from the rank, 2r as the rank of the Gram matrix of pairings.
+class from the rank, r by eliminating hyperbolic pairs from the Gram
+matrix of pairings, one pair per step.
 ``simulate``'s duality check shares it, once per distinct group of all 2^n
 subsets.  Over the distinct intermediate groups G(L), ``classify`` also
 folds the rows of G(L) and of C(G(L)) into one echelon: the intermediate
@@ -58,7 +60,7 @@ import numpy as np
 
 from .code import StabilizerCode
 from .pauli import ResourceLimitError, pairing
-from .primefield import mod_rref_stack, mod_solve, row_space_basis
+from .primefield import _dtype_for, mod_rref_stack, mod_solve, row_space_basis
 
 __all__ = [
     "InfoGroup",
@@ -153,14 +155,18 @@ def info_group(code: StabilizerCode, subsets, *,
     """
     d, n, k = code.d, code.n, code.k
     subsets = list(subsets)
+    counts = np.fromiter(map(len, subsets), dtype=np.intp, count=len(subsets))
+    carriers = np.fromiter(itertools.chain.from_iterable(subsets),
+                           dtype=np.int64, count=counts.sum())
+    if not ((carriers >= 1) & (carriers <= n)).all():
+        bad = next(s for s in subsets if not all(1 <= int(i) <= n for i in s))
+        raise ValueError(f"subset {tuple(sorted({int(i) for i in bad}))} "
+                         f"out of range 1..{n}")
     inside = np.zeros((len(subsets), n), dtype=bool)
-    for j, subset in enumerate(subsets):
-        carriers = sorted({int(i) for i in subset})
-        if carriers and (carriers[0] < 1 or carriers[-1] > n):
-            raise ValueError(f"subset {tuple(carriers)} out of range 1..{n}")
-        inside[j, [i - 1 for i in carriers]] = True
-    rows = np.hstack([np.vstack([code.logical_rows(), code.stabilizer_rows()]),
-                      np.eye(n + k, 2 * k, dtype=np.int64)]) % d
+    inside[np.arange(len(subsets)).repeat(counts), carriers - 1] = True
+    rows = (np.hstack([np.vstack([code.logical_rows(), code.stabilizer_rows()]),
+                       np.eye(n + k, 2 * k, dtype=np.int64)])
+            % d).astype(_dtype_for(d))
     keep = np.hstack([~inside, ~inside, np.ones((len(subsets), 2 * k), bool)])
     sizes = inside.sum(axis=1)
     out = np.zeros((len(subsets), 2 * k, 2 * k), dtype=np.int64)
@@ -309,7 +315,7 @@ class SchemeTriplet:
         return out
 
 
-# Int64 cells per chunk of ``info_group`` and per Gram chunk of
+# Integer cells per chunk of ``info_group`` and per Gram chunk of
 # ``_class_rs``, and for ``classify``'s kept rows.  Also per batch of
 # ``_walk``, which bounds its memory: a batch whose next level would pass
 # it drops its zero rows, then splits its nodes.
@@ -321,7 +327,9 @@ def _clear(rows: np.ndarray, at: np.ndarray, d: int) -> np.ndarray:
 
     Fraction-free: with P the slice's first row with a nonzero entry t
     there, each row R becomes t R + R[0] (d - P) mod d, and P zero.  A
-    slice without one is unchanged.  `at` is ``arange(len(rows))``.
+    slice without one is unchanged.  `at` is ``arange(len(rows))``.  The
+    step adds two products below d^2 in the rows' own dtype, which callers
+    choose by ``_dtype_for(d)``.
     """
     col = rows[:, :, 0]
     piv = (col != 0).argmax(axis=1)
@@ -345,10 +353,12 @@ def _walk(code: StabilizerCode):
     ``state`` maps each of its masks to one of them.
     """
     d, n, k = code.d, code.n, code.k
-    stacked = np.vstack([code.logical_rows(), code.stabilizer_rows()]) % d
+    dtype = _dtype_for(d)
+    stacked = (np.vstack([code.logical_rows(), code.stabilizer_rows()])
+               % d).astype(dtype)
     order = [n - 1, *range(n - 1)]  # carrier n, then 1..n-1
     image = stacked[:, [j for i in order for j in (i, n + i)]]
-    rows = np.hstack([image, np.eye(n + k, 2 * k, dtype=np.int64)])[None]
+    rows = np.hstack([image, np.eye(n + k, 2 * k, dtype=dtype)])[None]
     root = np.zeros(1, dtype=np.int64)  # its mask and state, and arange(1)
     stack = [(1, root, root, _clear(_clear(rows, root, d), root, d))]
     while stack:
@@ -404,13 +414,15 @@ def _class_code(rank: np.ndarray, k: int) -> np.ndarray:
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First index of each distinct row of a C-contiguous 2-D int64 array,
-    and each row's index among those, as ``np.unique`` numbers them.
+    """First index of each distinct row of a C-contiguous 2-D integer
+    array, and each row's index among those, as ``np.unique`` numbers them.
 
-    A stable sort of the rows' bytes: ``np.unique``'s method, without the
-    fixed cost of its general form, which the walk meets at every level.
+    A stable sort of the rows' bytes, each row viewed as one void of
+    ``itemsize`` bytes per entry (4 for the walk's int32 rows, 8 for
+    int64 echelons): ``np.unique``'s method, without the fixed cost of its
+    general form, which the walk meets at every level.
     """
-    rows = rows.view(f"V{rows.shape[1] * 8}")[:, 0]
+    rows = rows.view(f"V{rows.shape[1] * rows.itemsize}")[:, 0]
     order = rows.argsort(kind="stable")
     ranked = rows[order]
     new = np.ones(len(rows), dtype=bool)
@@ -431,18 +443,53 @@ def _class_rs(slots: np.ndarray, d: int) -> np.ndarray:
     """Class code, r and s of each slice of a (B, 2k, 2k) stack of echelon
     slots (as ``mod_rref_stack`` returns them), as a (3, B) array.
 
-    The class follows from the rank, the count of nonzero slots; 2r is the
-    rank of the group's Gram matrix of pairings, reduced in chunks under
-    ``_SOLVE_BUDGET``, and s the rest.
+    The class follows from the rank, the count of nonzero slots; r is
+    ``_pair_count`` of the group's Gram matrix of pairings, in chunks
+    under ``_SOLVE_BUDGET``, and s the rest.
     """
     rank = slots.any(axis=2).sum(axis=1)
     gram = pairing(slots, slots, d)
     step = max(1, _SOLVE_BUDGET // gram[0].size)
-    r = np.concatenate([
-        mod_rref_stack(gram[lo:lo + step], d).any(axis=2).sum(axis=1)
-        for lo in range(0, len(gram), step)]) // 2
+    r = np.concatenate([_pair_count(gram[lo:lo + step], d)
+                        for lo in range(0, len(gram), step)])
     return np.stack([_class_code(rank, slots.shape[-1] // 2), r,
                      rank - 2 * r])
+
+
+def _pair_count(gram: np.ndarray, d: int) -> np.ndarray:
+    """Half the rank mod d of each slice of a (B, c, c) stack of
+    antisymmetric matrices: the number r of hyperbolic pairs.
+
+    Each step takes a slice's first nonzero entry a = A[i, j] in scan
+    order and sets A to a A - A[:, j] (x) A[i] + A[:, i] (x) A[j], which
+    zeroes rows and columns i and j and keeps A antisymmetric with rank
+    two less; a zero slice has none, and is left alone.  So r counts the
+    steps, at most c / 2, and the update after the last is skipped.  The
+    update adds three products below d^2 (A[i] enters as d - A[i]), in
+    ``_dtype_for(d, 3)``: int32 for d <= 26,737.  With c >= 4, int64
+    needs 3 d^2 < 2^63, which ``code._check_int64_range`` implies; with
+    c = 2 there is no update, so any d is exact.
+    """
+    b, c = gram.shape[:2]
+    if c >= 4 and 3 * d * d >= 2**63:
+        raise ValueError(f"pair elimination needs 3 d^2 < 2^63, got d = {d}")
+    a = gram.astype(_dtype_for(d, 3))
+    r = np.zeros(b, dtype=np.int64)
+    where = np.arange(b)  # the slices still nonzero, and a holds them
+    for step in range(c // 2):
+        flat = a.reshape(len(a), c * c)
+        live = flat.any(axis=1)
+        if not live.all():
+            a, flat, where = a[live], flat[live], where[live]
+        r[where] += 1
+        if not len(a) or step == c // 2 - 1:
+            break
+        at = np.arange(len(a))
+        i, j = np.divmod((flat != 0).argmax(axis=1), c)
+        a = (a * a[at, i, j][:, None, None]
+             + a[at, :, i, None] * a[at, j, None, :]
+             + a[at, :, j, None] * (d - a[at, i, None, :])) % d
+    return r
 
 
 def classify(code: StabilizerCode) -> SchemeTriplet:

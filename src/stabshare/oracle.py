@@ -32,9 +32,10 @@ tolerance, and Q-dagger W = R: an isometry on the support, which keeps
 trace distances and Frobenius norms exactly in r = min(d^|S|,
 d^(n-|S|+k)) dimensions.  `_lifts` gathers each chunk of equal-size
 subsets' W from V with one `take`, so each QR call covers a chunk, and
-each eigvalsh call a chunk's decoupling candidates; a chunk keeps its W,
-one d^|S| x d^|S| operator and one Choi state per subset within
-DEFAULT_AMPLITUDE_CAP amplitudes, or holds one subset.
+each eigvalsh call a chunk's decoupling candidates; a chunk keeps its W
+and one Choi state per subset within DEFAULT_AMPLITUDE_CAP amplitudes, or
+holds one subset.  Only `expansion_consistency` forms a d^|S| x d^|S|
+operator, one subset at a time.
 
 Any two secrets differ by rho - sigma = d^-k sum_{P != I} c_P P with
 |c_P| <= 2.  With the twirl channel T, t[P, Q] = |tr(Q-dagger T(P))| / d^k
@@ -243,10 +244,10 @@ def _lifts(v: np.ndarray, d: int, subsets):
     for m in sorted(set(sizes.tolist())):
         kept = np.indices((d,) * m).reshape(m, d**m)
         traced = np.indices((d,) * (n - m)).reshape(n - m, d**(n - m))
-        # Per subset: its W, one d^|S| x d^|S| operator and its Choi
-        # marginal on the support, (d^k r)^2 amplitudes.
+        # Per subset: its W and its Choi marginal on the support,
+        # (d^k r)^2 amplitudes.
         r = min(d**m, v.size // d**m)
-        size = max(v.size, d**(2 * m), (v.size // len(v) * r)**2)
+        size = max(v.size, (v.size // len(v) * r)**2)
         step = max(1, DEFAULT_AMPLITUDE_CAP // size)
         positions = np.flatnonzero(sizes == m)
         for start in range(0, len(positions), step):
@@ -524,8 +525,8 @@ def expansion_consistency(code: StabilizerCode, secret, subsets,
         rho = _choi_state(r.reshape(r.shape[:2] + w.shape[2:]))
         c, _, rank = q.shape
         total = (coeffs @ _images(rho, ops)).reshape(c, rank, rank) / d**k
-        for i, expanded in zip(positions,
-                               q @ total @ q.conj().swapaxes(-1, -2)):
+        for i, q_i, t_i in zip(positions, q, total):
+            expanded = q_i @ t_i @ q_i.conj().T
             direct = reduced_state(state, subsets[i], d)
             worst = max(worst, float(np.max(np.abs(direct - expanded))))
     return worst

@@ -1,4 +1,4 @@
-"""Exact linear algebra over Z_p for prime p, on int64 arrays.
+"""Exact linear algebra over Z_p for prime p, returning int64 arrays.
 
 Every function takes a plain integer array (or nested lists) and the
 modulus p, and returns reduced int64 arrays: ``mod_rref`` is Gauss-Jordan
@@ -7,9 +7,10 @@ Inside, ``mod_rref`` works on lists of Python ints, which never overflow
 and, at the sizes this package targets (tens of rows), make each row
 operation cheaper than a numpy call would.
 
-``mod_rref_stack`` reduces a whole stack of small matrices at once on
-int64: fraction-free, so every product stays below p^2, with one Fermat
-inverse per pivot at the end.
+``mod_rref_stack`` reduces a whole stack of small matrices at once:
+fraction-free, so a step adds two products below p^2, with one Fermat
+inverse per pivot at the end.  It computes in ``_dtype_for(p)``: int32
+where 2p^2 < 2^31 (p <= 32,749), int64 up to p < 2^31.
 """
 
 from __future__ import annotations
@@ -57,6 +58,14 @@ def check_prime(modulus: int) -> int:
 # order, free variables are always set to zero.
 # ---------------------------------------------------------------------------
 
+def _dtype_for(p: int, terms: int = 2) -> type:
+    """The integer type for fraction-free steps mod p that add `terms`
+    products of residues below p: int32 where terms p^2 < 2^31, else
+    int64.  Narrower rows halve the memory traffic of each step; callers
+    bound p so that int64 cannot wrap."""
+    return np.int32 if terms * p * p < 2**31 else np.int64
+
+
 def _as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=np.int64)
     if m.ndim != 2:
@@ -100,13 +109,16 @@ def mod_rref_stack(a, p: int) -> np.ndarray:
     Returns shape (B, c, c): slot j of a slice holds its reduced row whose
     pivot is column j, or zeros if no row has that pivot.  The nonzero
     slots, in order, are ``row_space_basis`` of the slice, so two slices
-    span the same rows iff their outputs are equal.  Raises ValueError
-    for p >= 2^31, where a step's sum of two products below p^2 can wrap
-    int64.
+    span the same rows iff their outputs are equal.  The steps run in
+    ``_dtype_for(p)``, int32 for p <= 32,749, and the slots are returned
+    as int64.  Raises ValueError for p >= 2^31, where a step's sum of two
+    products below p^2 can wrap int64.
     """
     if p >= 2**31:
         raise ValueError(f"mod_rref_stack needs p < 2^31, got {p}")
-    m = np.asarray(a, dtype=np.int64) % p
+    dtype = _dtype_for(p)
+    m = np.asarray(a)
+    m = (m if m.dtype == dtype else m.astype(np.int64)) % p
     if m.ndim != 3:
         raise ValueError(f"expected a 3-D array, got shape {m.shape}")
     b, r, c = m.shape
@@ -114,7 +126,8 @@ def mod_rref_stack(a, p: int) -> np.ndarray:
         return np.zeros((b, c, c), dtype=np.int64)
     # Rows r.. are the slots: zero until their column pivots, then part of
     # every later update, which is the back-substitution.
-    m = np.concatenate([m, np.zeros((b, c, c), dtype=np.int64)], axis=1)
+    m = np.concatenate([m.astype(dtype, copy=False),
+                        np.zeros((b, c, c), dtype=dtype)], axis=1)
     at = np.arange(b)
     for j in range(c):
         col = m[:, :, j]
@@ -133,7 +146,7 @@ def mod_rref_stack(a, p: int) -> np.ndarray:
     while e:
         inv = inv * lead % p if e & 1 else inv
         lead, e = lead * lead % p, e >> 1
-    return slots * inv[:, :, None] % p
+    return (slots * inv[:, :, None] % p).astype(np.int64)
 
 
 def mod_rank(a, p: int) -> int:

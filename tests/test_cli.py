@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import random
 from collections import Counter
 import subprocess
@@ -17,6 +18,10 @@ from conftest import (PHASE_OBSTRUCTED_LOGICAL, count_calls, two_carrier_file,
                       walk_leaves)
 
 DATA = Path(__file__).parent / "data"
+# A child interpreter imports this checkout's package, whatever the path
+# of the pytest process.
+CHILD_ENV = {**os.environ,
+             "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
 
 
 def run(capsys, *argv):
@@ -782,7 +787,8 @@ def test_simulate_caps_before_building_secrets(check):
     proc = subprocess.run(
         [sys.executable, "-m", "stabshare.cli", "simulate",
          str(DATA / "rand_65537_7_2.json"), "--seed", "1", "--check", check],
-        capture_output=True, text=True, timeout=60, preexec_fn=_limit_memory)
+        capture_output=True, text=True, timeout=60, preexec_fn=_limit_memory,
+        env=CHILD_ENV)
     assert proc.returncode == 3, proc.stderr
     assert "resource cap exceeded" in proc.stderr
 
@@ -908,7 +914,7 @@ def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "stabshare.cli", "classify",
          "catalog:cnot_2_1", "--format", "structured"],
-        capture_output=True, text=True)
-    assert proc.returncode == 0
+        capture_output=True, text=True, env=CHILD_ENV)
+    assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
     assert payload["counts"] == {"A": 1, "F": 1, "I": 2}

@@ -19,7 +19,7 @@ from stabshare.infogroup import (
     threshold_q,
 )
 from stabshare.pauli import ResourceLimitError, multiply, pairing
-from stabshare.primefield import mod_rank
+from stabshare.primefield import mod_rank, mod_rref, mod_rref_stack
 from stabshare.twirl import intermediate_group
 
 from conftest import (commutant_reference, count_calls, info_group_reference,
@@ -71,10 +71,13 @@ def test_full_and_empty_subsets(catalog_codes):
 
 
 def test_bad_subset_rejected(cnot):
-    with pytest.raises(ValueError, match="out of range"):
+    # The message names the first bad subset, its carriers sorted once each.
+    with pytest.raises(ValueError, match=r"^subset \(0, 1\) out of range 1\.\.2$"):
         info_group(cnot, [(0, 1)])
-    with pytest.raises(ValueError, match="out of range"):
-        info_group(cnot, [(1,), (3,)])
+    with pytest.raises(ValueError, match=r"^subset \(3,\) out of range 1\.\.2$"):
+        info_group(cnot, [(1,), (3,), (0,)])
+    with pytest.raises(ValueError, match=r"^subset \(1, 3\) out of range"):
+        info_group(cnot, [(2, 1), (3, 1, 3)])
 
 
 @given(d=st.sampled_from([2, 3, 5, 7]),
@@ -612,6 +615,78 @@ def test_fold_reduces_only_distinct_nonzero_rows(monkeypatch):
     assert np.array_equal(folded, real(rows[None], 5)[0])
     # No nonzero row at all: the zero span.
     assert not infogroup._fold(np.zeros((3, 4), dtype=np.int64), 5).any()
+
+
+@st.composite
+def gram_stack(draw):
+    """Gram matrices of pairings of random rows, as ``_class_rs`` forms
+    them: antisymmetric, of every even rank up to 2k."""
+    d = draw(st.sampled_from([2, 3, 5, 7, 65537]))
+    k, b = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    entry = st.sampled_from([0, 0, 1, d - 1]) | st.integers(0, d - 1)
+    rows = np.array(draw(st.lists(entry, min_size=b * 4 * k * k,
+                                  max_size=b * 4 * k * k)),
+                    dtype=np.int64).reshape(b, 2 * k, 2 * k)
+    if draw(st.booleans()):  # a dependent row lowers the rank
+        rows[:, -1] = rows[:, 0] * draw(st.integers(0, d - 1)) % d
+    return pairing(rows, rows, d), d
+
+
+@given(gram_stack())
+@settings(max_examples=200)
+def test_pair_count_is_half_the_gram_rank(gd):
+    gram, d = gd
+    assert np.array_equal(infogroup._pair_count(gram, d),
+                          mod_rref_stack(gram, d).any(axis=2).sum(axis=1) // 2)
+
+
+def _worst_gram(p):
+    """A 6 x 6 antisymmetric matrix whose first pair step puts every
+    product of entry (2, 3) at its largest, (p-1)^2 + (p-1)^2 + (p-1) p,
+    and whose rank, 4, hangs on that entry: the block left on 2..5 has a
+    zero Pfaffian, which a wrapped entry would make nonzero."""
+    upper = {(0, 1): p - 1, (0, 2): 1, (1, 2): 1, (1, 3): p - 1,
+             (2, 3): p - 1, (2, 4): 1, (3, 5): p - 2, (4, 5): 1}
+    gram = np.zeros((6, 6), dtype=np.int64)
+    for (i, j), value in upper.items():
+        gram[i, j], gram[j, i] = value, (p - value) % p
+    return gram
+
+
+@pytest.mark.parametrize("p", [26737, 26759, 32749, 32771])
+def test_narrow_steps_stay_exact_at_the_int32_bounds(p):
+    # Each side of the int32 bound of the three-product pair step (26,737
+    # is the last prime with 3p^2 < 2^31) and of the two-product steps of
+    # ``mod_rref_stack`` and ``_clear`` (32,749 the last with 2p^2 < 2^31).
+    # Every 2 x 3 matrix over {0, 1, p - 1}: among them [[p-1, 0, 1],
+    # [p-1, p-1, p-1]], whose first step adds (p-1)^2 and (p-1) p.
+    stack = np.array([0, 1, p - 1])[
+        np.indices((3,) * 6).reshape(6, -1).T].reshape(-1, 2, 3)
+    for piece, slots in zip(stack, mod_rref_stack(stack, p)):
+        red, rank, pivots = mod_rref(piece, p)
+        assert np.array_equal(slots[slots.any(axis=1)], red[:rank])
+    cleared = infogroup._clear(stack.astype(primefield._dtype_for(p)),
+                               np.arange(len(stack)), p)
+    for piece, rows in zip(stack, cleared):
+        red, rank, pivots = mod_rref(piece, p)
+        kept = red[:rank][np.array(pivots, dtype=int) != 0, 1:]
+        assert np.array_equal(primefield.row_space_basis(rows, p), kept)
+    # Pair steps: all p - 1 above the diagonal (so 1 below), and the
+    # worst case above.
+    grams = [np.triu(np.full((c, c), p - 1)) - np.tril(np.full((c, c), p - 1))
+             for c in (2, 4, 6)]
+    for gram in [*(g % p for g in grams), _worst_gram(p)]:
+        assert infogroup._pair_count(gram[None], p).tolist() == \
+            [mod_rref(gram, p)[1] // 2]
+
+
+def test_pair_count_needs_int64_room_past_one_pair():
+    # One pair takes no update step, so any p goes; two could wrap int64.
+    p = 2**31 - 1
+    gram = np.array([[[0, 5], [p - 5, 0]]])
+    assert infogroup._pair_count(gram, p).tolist() == [1]
+    with pytest.raises(ValueError, match="3 d\\^2 < 2\\^63"):
+        infogroup._pair_count(np.zeros((1, 4, 4), dtype=np.int64), p)
 
 
 @pytest.mark.parametrize("c", [

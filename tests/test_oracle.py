@@ -263,11 +263,10 @@ def test_lifts_gather_each_subsets_kept_first(case):
     for positions, w in oracle._lifts(v, c.d, subsets):
         size = len(subsets[positions[0]])
         assert len(positions) == len(w) >= 1
-        # The chunk's W, and per subset one d^|S| x d^|S| operator and one
-        # Choi marginal on the support, stay within the amplitude cap
-        # unless the chunk holds one subset.
+        # The chunk's W and, per subset, one Choi marginal on the support
+        # stay within the amplitude cap unless the chunk holds one subset.
         choi = (c.d**c.k * min(c.d**size, c.d**(c.n - size + c.k)))**2
-        assert (len(w) == 1 or len(w) * max(v.size, c.d**(2 * size), choi)
+        assert (len(w) == 1 or len(w) * max(v.size, choi)
                 <= pauli.DEFAULT_AMPLITUDE_CAP)
         for i, lift in zip(positions, w):
             assert len(subsets[i]) == size
