@@ -11,9 +11,9 @@ from stabshare.infogroup import threshold_q
 
 
 def describe(code):
-    delta = distance(code)
-    q, ramp_l = ramp_parameters(code, delta=delta)
     triplet = classify(code)
+    delta = distance(triplet)
+    q, ramp_l = ramp_parameters(triplet)
     plan = twirl_plan(code, triplet)
     if plan.is_empty:
         twirl = "none needed"

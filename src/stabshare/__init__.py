@@ -16,22 +16,16 @@ from .classical import (
     shamir_reconstruct,
     shamir_share,
 )
-from .code import (
-    StabilizerCode,
-    catalog,
-    distance,
-    load,
-    ramp_parameters,
-    save,
-    validate,
-)
+from .code import StabilizerCode, catalog, load, save, validate
 from .infogroup import (
     CanonicalForm,
     InfoGroup,
     SchemeTriplet,
     canonical_form,
     classify,
+    distance,
     info_group,
+    ramp_parameters,
 )
 from .pauli import PauliProduct, ResourceLimitError
 from .twirl import TwirlPlan, intermediate_group, sample_twirl, twirl_plan

@@ -61,9 +61,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
     delta = None
     if report.is_valid:
         try:
-            delta = code_mod.distance(c)
-        except ResourceLimitError:
-            delta = None
+            delta = infogroup.distance(infogroup.classify(c))
+        except ResourceLimitError:  # past classify's carrier cap
+            pass
     payload = {"name": c.name, "D": c.d, "n": c.n, "k": c.k,
                "distance": delta, **report.to_dict()}
     lines = []

@@ -1,4 +1,4 @@
-"""Stabilizer code model [[n,k,delta]]_D: validation, catalog, file I/O, distance.
+"""Stabilizer code model [[n,k]]_D: validation, catalog, file I/O.
 
 A code is held symbolically: n-k stabilizer generators plus k logical-X and
 k logical-Z representatives, all as PauliProducts on the n carriers.  The
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import pauli
-from .pauli import PauliProduct, ResourceLimitError, pairing
+from .pauli import PauliProduct, pairing
 from .primefield import check_prime, is_prime, mod_rank
 
 __all__ = [
@@ -30,13 +30,9 @@ __all__ = [
     "loads",
     "save",
     "load",
-    "distance",
-    "ramp_parameters",
 ]
 
 CATALOG_NAMES = ("cnot_2_1", "ghz_n", "five_qubit", "four_two_two", "steane")
-
-DEFAULT_DISTANCE_CAP = 1 << 16  # max D^(2n) candidates to enumerate
 
 
 class CodeFileError(ValueError):
@@ -377,41 +373,3 @@ def save(code: StabilizerCode, path) -> None:
 def load(path) -> StabilizerCode:
     with open(path, encoding="utf-8") as fh:
         return loads(fh.read())
-
-
-# ---------------------------------------------------------------------------
-# Distance and ramp parameters.
-# ---------------------------------------------------------------------------
-
-def distance(code: StabilizerCode) -> int:
-    """Brute-force code distance of a valid code.
-
-    Minimum weight over Pauli products that commute with every stabilizer
-    generator but are not projectively in the stabilizer group.  For a valid
-    code the commutant of the stabilizer is span(St, L), whose own commutant
-    is span(St): a commuting candidate lies outside the stabilizer group iff
-    it pairs nonzero with some logical row.
-    """
-    d, n = code.d, code.n
-    total = d ** (2 * n)
-    if total > DEFAULT_DISTANCE_CAP:
-        raise ResourceLimitError(f"distance enumeration needs {total} "
-                                 f"candidates, cap is {DEFAULT_DISTANCE_CAP}")
-    candidates = np.array(
-        list(itertools.product(range(d), repeat=2 * n)), dtype=np.int64)
-    commuting = candidates[
-        np.all(pairing(candidates, code.stabilizer_rows(), d) == 0, axis=1)]
-    logical = commuting[
-        np.any(pairing(commuting, code.logical_rows(), d) != 0, axis=1)]
-    if not len(logical):
-        raise ValueError("no logical operator found; code is not well formed")
-    weights = np.count_nonzero(logical[:, :n] | logical[:, n:], axis=1)
-    return int(np.min(weights))
-
-
-def ramp_parameters(code: StabilizerCode,
-                    delta: int | None = None) -> tuple[int, int]:
-    """(q, L) of the induced ramp scheme: q = n-delta+1, L = n-2*delta+2."""
-    if delta is None:
-        delta = distance(code)
-    return code.n - delta + 1, code.n - 2 * delta + 2

@@ -73,6 +73,8 @@ __all__ = [
     "subsets_in_order",
     "complement",
     "threshold_q",
+    "distance",
+    "ramp_parameters",
 ]
 
 FULL_LISTING_MAX_N = 12
@@ -572,3 +574,18 @@ def threshold_q(triplet: SchemeTriplet) -> int | None:
     if q is None:
         return None
     return None if any(f or i for _, _, f, i in summary[q:]) else q
+
+
+def distance(triplet: SchemeTriplet) -> int:
+    """The code distance delta, read from ``size_summary``.
+
+    A nontrivial logical fits on S exactly when G(S) is nontrivial, so
+    delta is the smallest size with an A or I set.
+    """
+    return next(size for size, a, _, i in triplet.size_summary if a or i)
+
+
+def ramp_parameters(triplet: SchemeTriplet) -> tuple[int, int]:
+    """(q, L) of the induced ramp scheme: q = n-delta+1, L = n-2*delta+2."""
+    delta = distance(triplet)
+    return triplet.n - delta + 1, triplet.n - 2 * delta + 2

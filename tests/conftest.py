@@ -131,6 +131,29 @@ def walk_leaves(monkeypatch) -> list[int]:
     return leaves
 
 
+# The most D^(2n) Pauli candidates ``distance_reference`` enumerates.
+DISTANCE_REFERENCE_CAP = 1 << 16
+
+
+def distance_reference(code: StabilizerCode) -> int:
+    """Code distance by enumerating all D^(2n) Pauli products, independent
+    of ``classify``: the minimum weight over those that commute with every
+    stabilizer generator but are not projectively in the stabilizer group.
+    For a valid code the commutant of the stabilizer is span(St, L), whose
+    own commutant is span(St), so a commuting candidate lies outside the
+    stabilizer group iff it pairs nonzero with some logical row."""
+    d, n = code.d, code.n
+    assert d ** (2 * n) <= DISTANCE_REFERENCE_CAP, (d, n)
+    candidates = np.array(
+        list(itertools.product(range(d), repeat=2 * n)), dtype=np.int64)
+    commuting = candidates[
+        np.all(pairing(candidates, code.stabilizer_rows(), d) == 0, axis=1)]
+    logical = commuting[
+        np.any(pairing(commuting, code.logical_rows(), d) != 0, axis=1)]
+    weights = np.count_nonzero(logical[:, :n] | logical[:, n:], axis=1)
+    return int(np.min(weights))
+
+
 def two_carrier_file(d: int, **fields) -> str:
     """Valid [[2,1]]_d code file: stabilizer Z Z^-1, X-bar XX, Z-bar ZI."""
     payload = {"name": "x", "D": d, "n": 2, "k": 1,

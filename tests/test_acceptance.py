@@ -15,12 +15,12 @@ import pytest
 from stabshare import catalog, classify, info_group, oracle
 from stabshare.classical import monotone_share, reconstruct, shamir_share
 from stabshare.classical import InsufficientSharesError, shamir_reconstruct
-from stabshare.code import distance, ramp_parameters
-from stabshare.infogroup import canonical_form, complement, subsets_in_order
+from stabshare.infogroup import (canonical_form, complement, distance,
+                                 ramp_parameters, subsets_in_order)
 from stabshare.pauli import PauliProduct, dense_matrix
 from stabshare.twirl import intermediate_group, twirl_operator, twirl_plan
 
-from conftest import basis_secret, concealment_reference
+from conftest import basis_secret, concealment_reference, distance_reference
 
 
 @contextmanager
@@ -168,15 +168,17 @@ def test_criterion_7_duality_and_monotonicity():
 
 
 def test_criterion_8_distances_and_ramp_parameters():
-    with criterion(8, "brute-force distances 3,2,3,1,1 and ramp parameters"):
-        assert distance(catalog("five_qubit")) == 3
-        assert distance(catalog("four_two_two")) == 2
-        assert distance(catalog("steane")) == 3
-        assert distance(catalog("cnot_2_1")) == 1
-        for n in (3, 4, 5, 6):
-            assert distance(catalog("ghz_n", n)) == 1
-        assert ramp_parameters(catalog("five_qubit")) == (3, 1)
-        assert ramp_parameters(catalog("four_two_two")) == (3, 2)
+    with criterion(8, "distances 3,2,3,1,1 from the triplet match brute "
+                      "force, and ramp parameters"):
+        codes = [(catalog(name), delta) for name, delta in (
+            ("five_qubit", 3), ("four_two_two", 2), ("steane", 3),
+            ("cnot_2_1", 1))]
+        codes += [(catalog("ghz_n", n), 1) for n in (3, 4, 5, 6)]
+        for c, delta in codes:
+            assert distance_reference(c) == delta, c.name
+            assert distance(classify(c)) == delta, c.name
+        assert ramp_parameters(classify(catalog("five_qubit"))) == (3, 1)
+        assert ramp_parameters(classify(catalog("four_two_two"))) == (3, 2)
 
 
 def test_criterion_9_twirl_necessity():

@@ -46,6 +46,17 @@ def test_validate_ghz_with_n(capsys):
     assert "valid" in out
 
 
+def test_validate_reports_distance_up_to_the_classify_cap(capsys):
+    status, out, _ = run(capsys, "validate", "catalog:ghz_n", "--n", "9")
+    assert status == 0
+    assert "valid [[9,1,1]]_2 (ghz_9)" in out
+    status, out, _ = run(capsys, "validate", "catalog:ghz_n", "--n", "21",
+                         "--format", "structured")
+    assert status == 0
+    payload = json.loads(out)
+    assert (payload["valid"], payload["distance"]) == (True, None)
+
+
 def test_validate_corrupted_file(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"name": "x", "D": 4}')

@@ -11,15 +11,12 @@ from stabshare.code import (
     CodeValidationError,
     StabilizerCode,
     catalog,
-    distance,
     dumps,
     load,
     loads,
-    ramp_parameters,
     save,
     validate,
 )
-from stabshare.pauli import ResourceLimitError
 from stabshare.primefield import is_prime
 
 from conftest import PHASE_OBSTRUCTED_LOGICAL, random_code, two_carrier_file
@@ -166,27 +163,6 @@ def test_structural_errors_raise():
     with pytest.raises(ValueError, match="site count"):
         StabilizerCode("x", 2, 2, 1, (pauli.parse("ZZZ"),),
                        (pauli.parse("XX"),), (pauli.parse("ZI"),))
-
-
-def test_distances(catalog_codes):
-    expected = {"cnot_2_1": 1, "four_two_two": 2, "five_qubit": 3,
-                "steane": 3, "ghz_3": 1, "ghz_4": 1, "ghz_5": 1, "ghz_6": 1}
-    for c in catalog_codes:
-        assert distance(c) == expected[c.name], c.name
-
-
-def test_distance_cap():
-    big = catalog("ghz_n", 9)
-    with pytest.raises(ResourceLimitError):
-        distance(big)
-    assert distance(catalog("ghz_n", 8)) == 1  # n = 8 is still within the cap
-
-
-def test_ramp_parameters(five_qubit, four_two_two):
-    assert ramp_parameters(five_qubit) == (3, 1)
-    assert ramp_parameters(four_two_two) == (3, 2)
-    assert ramp_parameters(catalog("ghz_n", 4)) == (4, 4)
-    assert ramp_parameters(four_two_two, delta=2) == (3, 2)
 
 
 def test_codewords_satisfy_stabilizer_exactly(catalog_codes):

@@ -15,6 +15,7 @@ DELETED = {
     "stabshare.primefield": ("FieldElement", "FieldMatrix", "row_reduce",
                              "solve", "nullspace", "row_span_contains",
                              "mod_nullspace"),
+    "stabshare.code": ("DEFAULT_DISTANCE_CAP",),
     "stabshare.pauli": ("PauliSubgroup", "subgroup_membership",
                         "commutation_exponent", "inverse",
                         "_single_qudit_xz"),

@@ -111,7 +111,7 @@ GOLDEN = {
     ("share-key", "ghz_8"): (
         0, "0f19021f242324fd5a5b69298445b55a0c1a9bad0c85997b1871946c0987724b"),
     ("validate", "ghz_9"): (
-        0, "cbe2f2b1528895014d8e4de53050f8c39dd164d11b9be1bf7db56df39e317e9d"),
+        0, "12fc4e4a697c26f83adaf192cea665142c5d5ff03e6234fcc8ace4b6b08e4311"),
     ("classify", "ghz_9"): (
         0, "e49729be02958fdee0c5964814f30207df926b57b96cb69eea4e17f655a7e409"),
     ("twirl-plan", "ghz_9"): (

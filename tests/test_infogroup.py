@@ -13,8 +13,10 @@ from stabshare.infogroup import (
     canonical_form,
     classify,
     complement,
+    distance,
     group_from_rows,
     info_group,
+    ramp_parameters,
     subsets_in_order,
     threshold_q,
 )
@@ -22,10 +24,12 @@ from stabshare.pauli import ResourceLimitError, multiply, pairing
 from stabshare.primefield import mod_rank, mod_rref, mod_rref_stack
 from stabshare.twirl import intermediate_group
 
-from conftest import (commutant_reference, count_calls, info_group_reference,
+from conftest import (DISTANCE_REFERENCE_CAP, commutant_reference,
+                      count_calls, distance_reference, info_group_reference,
                       random_code, records, walk_leaves)
 
-DATA_CODES = sorted((Path(__file__).parent / "data").glob("*.json"))
+DATA = Path(__file__).parent / "data"
+DATA_CODES = sorted(DATA.glob("*.json"))
 
 
 def all_subsets_of_size(n, sizes):
@@ -297,10 +301,8 @@ def test_duality_and_monotonicity(catalog_codes):
 
 
 def test_ramp_bounds_against_classification(catalog_codes):
-    from stabshare.code import distance
-
     for c in catalog_codes:
-        delta = distance(c)
+        delta = distance_reference(c)
         t = classify(c)
         authorized = set(t.authorized)
         subsets = list(subsets_in_order(c.n))
@@ -326,6 +328,41 @@ def test_classification_is_representative_independent(catalog_codes):
             tuple(randomize(p) for p in c.logical_z))
         assert classify(variant).authorized == classify(c).authorized
         assert classify(variant).intermediate == classify(c).intermediate
+
+
+def test_distance_matches_the_brute_force_reference():
+    codes = [catalog("cnot_2_1"), catalog("four_two_two"),
+             catalog("five_qubit"), catalog("steane")]
+    codes += [catalog("ghz_n", n) for n in range(2, 9)]
+    codes += [load(DATA / f"{name}.json")
+              for name in ("ghz_x_3", "rand_3_3_2", "rand_3_5_1")]
+    rng = np.random.default_rng(33)
+    for d in (2, 3, 5):
+        for n in range(2, 9):
+            if d ** (2 * n) > DISTANCE_REFERENCE_CAP:
+                break
+            codes += [random_code(rng, d, n, int(k))
+                      for k in rng.integers(1, n // 2 + 1, size=2)]
+    assert len(codes) == 40
+    for c in codes:
+        delta = distance_reference(c)
+        t = classify(c)
+        assert distance(t) == delta, c.name
+        assert ramp_parameters(t) == (c.n - delta + 1, c.n - 2 * delta + 2)
+
+
+def test_distance_of_codes_too_large_to_enumerate():
+    assert distance(classify(catalog("ghz_n", 20))) == 1
+    # D^(2n) is far past what enumeration reaches; the direct solver,
+    # independent of the walk, checks that no logical fits on delta - 1
+    # carriers and that one fits on some delta of them.
+    for name in ("rand_10007_8_2", "rand_65537_7_2"):
+        c = load(DATA / f"{name}.json")
+        delta = distance(classify(c))
+        below, at = (all_subsets_of_size(c.n, {size})
+                     for size in (delta - 1, delta))
+        assert all(g.is_trivial for g in info_group(c, below)), name
+        assert not all(g.is_trivial for g in info_group(c, at)), name
 
 
 def test_classify_cap():
